@@ -31,33 +31,52 @@ class GammaTerm:
     ratio: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GammaBreakdown:
-    """Agreement ratio plus the per-level terms it was assembled from."""
+    """Agreement ratio plus the per-level arrays it was assembled from.
+
+    ``lengths`` holds every level length (index 0 = lowest level); entry i of
+    ``weights`` and ``ratios`` belongs to the comparison of level i+2 with
+    level i+1.
+    """
 
     gamma: float
-    terms: tuple[GammaTerm, ...]
+    lengths: np.ndarray
+    weights: np.ndarray
+    ratios: np.ndarray
     weight_sum: float
+
+    @property
+    def terms(self) -> tuple[GammaTerm, ...]:
+        """One GammaTerm per level comparison, lowest first."""
+        return tuple(
+            map(
+                GammaTerm,
+                self.weights.tolist(),
+                self.lengths[1:].tolist(),
+                self.lengths[:-1].tolist(),
+                self.ratios.tolist(),
+            )
+        )
 
 
 def _breakdown(lengths: np.ndarray, weights: np.ndarray) -> GammaBreakdown:
-    """Assemble the ratio from level lengths (index 0 = lowest level)."""
+    """Assemble the ratio from level lengths (index 0 = lowest level).
+
+    A term's ratio is 0 where the lower level has no length; gamma is the
+    left-to-right builtin sum of weight * ratio over the weight sum.
+    """
+    lengths = np.asarray(lengths, dtype=np.float64)
     if lengths[0] == 0.0:
         raise EmptySupport("every source has zero width; no lengths to compare")
-    terms = []
-    for i in range(1, len(lengths)):
-        ratio = lengths[i] / lengths[i - 1] if lengths[i - 1] > 0.0 else 0.0
-        terms.append(
-            GammaTerm(
-                weight=float(weights[i]),
-                length=float(lengths[i]),
-                prev_length=float(lengths[i - 1]),
-                ratio=float(ratio),
-            )
-        )
-    weight_sum = float(weights[1:].sum())
-    gamma = sum(t.weight * t.ratio for t in terms) / weight_sum
-    return GammaBreakdown(gamma=float(gamma), terms=tuple(terms), weight_sum=weight_sum)
+    weights = weights[1:]
+    prev = lengths[:-1]
+    ratios = np.divide(lengths[1:], prev, out=np.zeros(prev.size), where=prev > 0.0)
+    weight_sum = float(weights.sum())
+    gamma = sum((weights * ratios).tolist()) / weight_sum
+    return GammaBreakdown(
+        gamma=float(gamma), lengths=lengths, weights=weights, ratios=ratios, weight_sum=weight_sum
+    )
 
 
 def gamma_exact(coll: IntervalCollection) -> GammaBreakdown:
@@ -86,7 +105,7 @@ def gamma_alpha(
         raise InvalidCuts(f"need at least 2 alpha cuts, got {cuts}")
     alphas = np.arange(1, cuts + 1) / cuts
     lengths = alpha_lengths(mf, alphas, samples=samples, method=method)
-    return _breakdown(np.asarray(lengths), alphas)
+    return _breakdown(lengths, alphas)
 
 
 def jaccard(

@@ -36,7 +36,7 @@ def parse_interval_lines(text: str) -> IntervalCollection:
         try:
             intervals.append(make_interval(l, r))
         except InvalidInterval as exc:
-            raise InvalidInterval(f"line {lineno}: {exc}") from exc
+            raise InvalidInterval(str(exc), line=lineno) from exc
     if not intervals:
         raise ParseError("no intervals in input")
     return IntervalCollection(intervals)
@@ -51,13 +51,16 @@ def _read_input(path: str) -> str:
 
 def _print_breakdown(breakdown: GammaBreakdown, out):
     # bare value first for easy piping, then one line per agreement level
-    print(f"{breakdown.gamma:.6f}", file=out)
-    for i, term in enumerate(breakdown.terms, start=2):
-        print(
-            f"level {i}: weight={term.weight:.6f} length={term.length:.6f} "
-            f"prev={term.prev_length:.6f} ratio={term.ratio:.6f}",
-            file=out,
+    lengths = breakdown.lengths.tolist()
+    lines = [f"{breakdown.gamma:.6f}\n"]
+    for i, (weight, ratio) in enumerate(
+        zip(breakdown.weights.tolist(), breakdown.ratios.tolist()), start=2
+    ):
+        lines.append(
+            f"level {i}: weight={weight:.6f} length={lengths[i - 1]:.6f} "
+            f"prev={lengths[i - 2]:.6f} ratio={ratio:.6f}\n"
         )
+    out.write("".join(lines))
 
 
 def cmd_gamma(args) -> int:

@@ -6,7 +6,17 @@ CLI can separate data problems (exit 1) from usage problems (exit 2).
 
 
 class AgreementError(Exception):
-    """Base class for all data and domain errors."""
+    """Base class for all data and domain errors.
+
+    Errors raised on input carry the offending line (or JSON record number)
+    as ``.line`` and in the message; ``.line`` is None when it is not known.
+    """
+
+    def __init__(self, message, line=None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
 
 
 class InvalidInterval(AgreementError):
@@ -48,21 +58,9 @@ class InvalidCuts(AgreementError):
 class ParseError(AgreementError):
     """Malformed survey input; carries the offending line when known."""
 
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
 
 class RangeError(AgreementError):
     """A response interval falls outside the declared survey scale."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class UnknownGroup(AgreementError):

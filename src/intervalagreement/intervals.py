@@ -30,6 +30,8 @@ class Interval:
             raise InvalidInterval(f"endpoints must be finite, got [{self.l}, {self.r}]")
         if self.l > self.r:
             raise InvalidInterval(f"left endpoint exceeds right: [{self.l}, {self.r}]")
+        if not math.isfinite(self.r - self.l):
+            raise InvalidInterval(f"width of [{self.l}, {self.r}] is not finite")
 
     @property
     def length(self) -> float:
@@ -44,7 +46,8 @@ class Interval:
 
 
 def make_interval(l: float, r: float) -> Interval:
-    """Validated constructor; raises InvalidInterval on reversed or non-finite endpoints."""
+    """Validated constructor; raises InvalidInterval on reversed or non-finite
+    endpoints, or on a width too large for a float."""
     return Interval(float(l), float(r))
 
 
@@ -130,10 +133,14 @@ def coverage_cells(coll: IntervalCollection) -> tuple[np.ndarray, np.ndarray]:
     intervals covering the open cell between each consecutive pair.
 
     Coverage is counted on open cells, so touching or zero-width intervals
-    never contribute measurable overlap.
+    never contribute measurable overlap. Raises InvalidInterval when the
+    intervals together span more than a float can measure.
     """
     ls, rs = coll.endpoints()
     coords = np.unique(np.concatenate([ls, rs]))
+    lo, hi = float(coords[0]), float(coords[-1])
+    if not math.isfinite(hi - lo):
+        raise InvalidInterval(f"intervals span [{lo}, {hi}], wider than a float can measure")
     if coords.size < 2:
         return coords, np.zeros(0, dtype=np.int64)
     cell_left = coords[:-1]
@@ -166,9 +173,42 @@ def level_sets(coll: IntervalCollection) -> list[DisjointRegion]:
     return [_cells_at_least(coords, counts, k) for k in range(1, coll.n + 1)]
 
 
+def _level_runs(at: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(level, coordinate index) for each level lo+1..hi at each index in `at`,
+    ordered by level, then by position."""
+    reps = hi - lo
+    idx = np.repeat(at, reps)
+    level = np.repeat(lo + 1 - (np.cumsum(reps) - reps), reps) + np.arange(idx.size)
+    order = np.lexsort((idx, level))
+    return level[order], idx[order]
+
+
 def level_lengths(coll: IntervalCollection) -> np.ndarray:
-    """Total length per agreement level, index k-1 for level k."""
-    return np.array([reg.total_length for reg in level_sets(coll)])
+    """Total length per agreement level, index k-1 for level k, in O(n log n).
+
+    Every maximal run of every level comes out of the one coverage sweep: a
+    rise in coverage from a to b at a coordinate opens a run for each level
+    a+1..b, and a fall from b to a closes them. Runs of one level are
+    disjoint, so the i-th opening at level k pairs with its i-th closing, and
+    all levels together hold at most n runs.
+
+    Each level's run lengths are added left to right with builtin ``sum``:
+    the float operations ``DisjointRegion.total_length`` performs on the
+    matching ``level_sets`` region, so both give identical bits (and printed
+    digits). A numpy reduction or a suffix sum would reorder the additions.
+    """
+    coords, counts = coverage_cells(coll)
+    padded = np.concatenate([[0], counts, [0]])  # coverage left/right of each coordinate
+    step = np.diff(padded)
+    rises, falls = np.flatnonzero(step > 0), np.flatnonzero(step < 0)
+    level, start = _level_runs(rises, padded[rises], padded[rises + 1])
+    _, stop = _level_runs(falls, padded[falls + 1], padded[falls])
+    widths = (coords[stop] - coords[start]).tolist()
+    top = int(level[-1]) if level.size else 0
+    bounds = np.searchsorted(level, np.arange(1, top + 2)).tolist()
+    lengths = np.zeros(coll.n)
+    lengths[:top] = [sum(widths[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return lengths
 
 
 def tuple_length_oracle(

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -64,28 +65,38 @@ class SurveyRecord:
 
 @dataclass(frozen=True, eq=False)
 class SurveyDataset:
-    """Validated responses plus the scale they were collected on."""
+    """Validated responses plus the scale they were collected on.
+
+    ``groups``, ``terms`` and the cell index behind ``group_collection`` are
+    built on first use, in one pass over the records.
+    """
 
     scale: Interval
     records: tuple[SurveyRecord, ...]
 
-    @property
+    @cached_property
+    def _index(self) -> tuple[dict, dict]:
+        """Intervals per (group, term) cell, and records per term, in record order."""
+        cells: dict[tuple[str, str], list[Interval]] = {}
+        by_term: dict[str, list[SurveyRecord]] = {}
+        for rec in self.records:
+            cells.setdefault((rec.group, rec.term), []).append(rec.interval)
+            by_term.setdefault(rec.term, []).append(rec)
+        return cells, by_term
+
+    @cached_property
     def groups(self) -> tuple[str, ...]:
         """Stored groups in first-appearance order."""
-        seen: dict[str, None] = {}
-        for rec in self.records:
-            seen.setdefault(rec.group, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(group for group, _ in self._index[0]))
 
-    @property
+    @cached_property
     def terms(self) -> tuple[str, ...]:
         """Canonical questionnaire terms first, then extras as they appear."""
-        present = {rec.term for rec in self.records}
-        ordered = [t for t in TERM_ORDER if t in present]
-        for rec in self.records:
-            if rec.term not in ordered:
-                ordered.append(rec.term)
-        return tuple(ordered)
+        present = self._index[1]
+        return (
+            *(t for t in TERM_ORDER if t in present),
+            *(t for t in present if t not in TERM_ORDER),
+        )
 
 
 def _validate_record(
@@ -99,13 +110,15 @@ def _validate_record(
     if group in DERIVED_GROUPS:
         raise ParseError(f"group name {group!r} is reserved for derived groups", line=line)
     try:
+        if isinstance(l_raw, bool) or isinstance(r_raw, bool):
+            raise TypeError("a JSON boolean is not an endpoint")
         l, r = float(l_raw), float(r_raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"endpoints must be numbers, got ({l_raw!r}, {r_raw!r})", line=line)
     try:
         interval = make_interval(l, r)
     except InvalidInterval as exc:
-        raise InvalidInterval(f"line {line}: {exc}") from exc
+        raise InvalidInterval(str(exc), line=line) from exc
     if interval.l < scale.l or interval.r > scale.r:
         raise RangeError(
             f"interval [{interval.l}, {interval.r}] outside scale [{scale.l}, {scale.r}]",
@@ -126,12 +139,14 @@ def _check_duplicates(records: Iterable[tuple[SurveyRecord, int]]):
 
 
 def _read_text(source) -> str:
+    """Whole input as text, without a leading UTF-8 byte-order mark."""
     if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
-    data = source.read()
+        data = Path(source).read_text(encoding="utf-8")
+    else:
+        data = source.read()
     if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+        data = data.decode("utf-8")
+    return data.removeprefix("\ufeff")
 
 
 def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) -> SurveyDataset:
@@ -177,7 +192,7 @@ def _parse_csv(text: str, scale: Interval) -> list[tuple[SurveyRecord, int]]:
 def _parse_json(text: str, scale: Interval) -> list[tuple[SurveyRecord, int]]:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ParseError(f"invalid JSON: {exc}")
     if not isinstance(payload, list):
         raise ParseError("top-level JSON value must be an array of records")
@@ -206,17 +221,18 @@ def group_collection(ds: SurveyDataset, group: str, term: str) -> IntervalCollec
     if term not in ds.terms:
         raise UnknownTerm(f"term {term!r} not in dataset (has {', '.join(ds.terms)})")
     stored = ds.groups
+    cells, by_term = ds._index
     if group == "ALL":
-        wanted = set(stored)
+        matched = [r.interval for r in by_term[term]]
     elif group == "PS":
         wanted = {g for g in stored if g in PROFESSIONAL_GROUPS}
         if not wanted:
             raise UnknownGroup("no professional groups (Physiotherapist/Surgeon) in dataset")
+        matched = [r.interval for r in by_term[term] if r.group in wanted]
     elif group in stored:
-        wanted = {group}
+        matched = cells.get((group, term))
     else:
         raise UnknownGroup(f"group {group!r} not in dataset (has {', '.join(stored)})")
-    matched = [r.interval for r in ds.records if r.group in wanted and r.term == term]
     if not matched:
         raise TooFewSources(f"no responses for group {group!r}, term {term!r}")
     return IntervalCollection(matched)

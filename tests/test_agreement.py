@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from intervalagreement import (
     EmptySet,
     EmptySupport,
+    GammaTerm,
     Gaussian,
     InvalidCuts,
     TooFewSources,
@@ -16,6 +17,7 @@ from intervalagreement import (
     gamma_alpha,
     gamma_exact,
     jaccard,
+    level_lengths,
     make_interval,
     triangular,
 )
@@ -59,6 +61,29 @@ def test_gamma_breakdown_terms():
     assert [t.ratio for t in b.terms] == [0.5, 2 / 3, 0.0]
     reassembled = sum(t.weight * t.ratio for t in b.terms) / b.weight_sum
     assert b.gamma == pytest.approx(reassembled, abs=1e-15)
+
+
+def _termwise_breakdown(lengths, weights):
+    """Reference assembly: one Python-float term per level, summed in order."""
+    terms = []
+    for i in range(1, len(lengths)):
+        ratio = lengths[i] / lengths[i - 1] if lengths[i - 1] > 0.0 else 0.0
+        terms.append(
+            GammaTerm(float(weights[i]), float(lengths[i]), float(lengths[i - 1]), float(ratio))
+        )
+    weight_sum = float(weights[1:].sum())
+    return sum(t.weight * t.ratio for t in terms) / weight_sum, tuple(terms), weight_sum
+
+
+@given(st.one_of(finite_intervals(2, 12), lattice_intervals(2, 12)))
+def test_breakdown_bit_equal_to_termwise_assembly(pairs):
+    coll = collection(pairs)
+    lengths = level_lengths(coll)
+    assume(lengths[0] > 0.0)
+    b = gamma_exact(coll)
+    gamma, terms, weight_sum = _termwise_breakdown(lengths, np.arange(1, coll.n + 1) / coll.n)
+    assert (b.gamma, b.terms, b.weight_sum) == (gamma, terms, weight_sum)
+    assert all(type(v) is float for t in b.terms for v in vars(t).values())
 
 
 def test_zero_over_zero_term_contributes_nothing():

@@ -38,8 +38,16 @@ def test_parse_interval_lines_comments_and_blanks():
 def test_parse_interval_lines_errors():
     with pytest.raises(ParseError, match="line 2"):
         parse_interval_lines("1,2\n1;2\n")
-    with pytest.raises(InvalidInterval, match="line 1"):
+    with pytest.raises(InvalidInterval, match="line 1") as info:
         parse_interval_lines("5,1\n")
+    assert info.value.line == 1
+    with pytest.raises(InvalidInterval, match="line 3") as info:
+        parse_interval_lines("# reversed below\n\n5,1\n")
+    assert info.value.line == 3
+    assert str(info.value) == "line 3: left endpoint exceeds right: [5.0, 1.0]"
+    with pytest.raises(InvalidInterval, match="line 2: width") as info:
+        parse_interval_lines("0,1\n-1e308,1e308\n")
+    assert info.value.line == 2
     with pytest.raises(ParseError, match="no intervals"):
         parse_interval_lines("# nothing\n")
 

@@ -20,7 +20,7 @@ from intervalagreement import (
     union_region,
 )
 
-from helpers import FIG_FULLCORE, FIG_NONCONVEX, FIG_OVERLAP, finite_intervals
+from helpers import FIG_FULLCORE, FIG_NONCONVEX, FIG_OVERLAP, finite_intervals, lattice_intervals
 
 
 def seg_tuples(region):
@@ -43,6 +43,26 @@ def test_make_interval_zero_width():
 def test_make_interval_rejects(l, r):
     with pytest.raises(InvalidInterval):
         make_interval(l, r)
+
+
+def test_make_interval_rejects_overflowing_width():
+    with pytest.raises(InvalidInterval, match="width of .* is not finite"):
+        make_interval(-1e308, 1e308)
+    # the endpoint messages keep precedence over the width check
+    with pytest.raises(InvalidInterval, match="endpoints must be finite"):
+        make_interval(-math.inf, 1e308)
+    with pytest.raises(InvalidInterval, match="left endpoint exceeds right"):
+        make_interval(1e308, -1e308)
+    assert make_interval(-8e307, 8e307).length == 1.6e308
+
+
+def test_collection_span_beyond_float_range_rejected():
+    # each width is finite, but the levels together would measure inf
+    coll = collection([(-1e308, 1), (0, 1e308)])
+    with pytest.raises(InvalidInterval, match="wider than a float can measure"):
+        level_lengths(coll)
+    with pytest.raises(InvalidInterval):
+        level_sets(coll)
 
 
 def test_empty_collection_rejected():
@@ -117,6 +137,39 @@ def test_zero_width_counts_toward_n_but_not_length():
     coll = collection([(3, 3), (2, 5)])
     assert coll.n == 2
     assert level_lengths(coll).tolist() == [3.0, 0.0]
+
+
+def _region_lengths(coll):
+    return np.array([region.total_length for region in level_sets(coll)])
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(2, 4)],
+        [(2, 4), (2, 4), (2, 4)],
+        [(3, 3), (3, 3)],
+        [(1, 1), (2, 5), (5, 5)],
+        [(1, 2), (2, 3), (3, 4)],
+        [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3)],
+        [(0.1, 0.7), (0.2, 0.3), (0.3, 0.9), (0.7, 1.3)],
+        # runs of widths 1, 2**-53, 2**-53: only the left-to-right sum gives exactly 1.0
+        [(-3, -2), (0.1, 0.1 + 2**-53), (0.2, 0.2 + 2**-53)],
+    ],
+    ids=["single", "duplicates", "all-equal", "zero-width", "touching", "touching-stacks",
+         "fractional", "summation-order"],
+)
+def test_level_lengths_bit_equal_to_level_sets_cases(pairs):
+    coll = collection(pairs)
+    assert np.array_equal(level_lengths(coll), _region_lengths(coll))
+
+
+@given(st.one_of(finite_intervals(max_size=12), lattice_intervals(max_size=12)))
+def test_level_lengths_bit_equal_to_level_sets(pairs):
+    coll = collection(pairs)
+    lengths = level_lengths(coll)
+    assert lengths.dtype == np.float64 and lengths.shape == (coll.n,)
+    assert np.array_equal(lengths, _region_lengths(coll))
 
 
 # ---------------------------------------------------------------------- oracle

@@ -69,8 +69,60 @@ def test_full_name_aliases_canonicalised():
 
 def test_reversed_interval_reports_line():
     text = "group,participant_id,term,l,r\nPatient,P01,ITD,4,2\n"
-    with pytest.raises(InvalidInterval, match="line 2"):
+    with pytest.raises(InvalidInterval, match="line 2") as info:
         load_survey(StringIO(text))
+    assert info.value.line == 2
+    assert str(info.value) == "line 2: left endpoint exceeds right: [4.0, 2.0]"
+
+
+def test_reversed_json_interval_reports_record():
+    text = '[{"group": "Patient", "participant_id": "P01", "term": "ITD", "l": 4, "r": 2}]'
+    with pytest.raises(InvalidInterval) as info:
+        load_survey(StringIO(text), format="json")
+    assert info.value.line == 1
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+@pytest.mark.parametrize("kind", ["str", "bytes", "path"])
+def test_load_strips_utf8_bom(ds, format, kind, tmp_path):
+    if format == "csv":
+        text = FIXTURE.read_text(encoding="utf-8")
+    else:
+        text = json.dumps([
+            {"group": r.group, "participant_id": r.participant_id, "term": r.term,
+             "l": r.interval.l, "r": r.interval.r}
+            for r in ds.records
+        ])
+    raw = b"\xef\xbb\xbf" + text.encode("utf-8")
+    if kind == "str":
+        source = StringIO(raw.decode("utf-8"))
+    elif kind == "bytes":
+        source = BytesIO(raw)
+    else:
+        source = tmp_path / "bom.txt"
+        source.write_bytes(raw)
+    assert load_survey(source, format=format).records == ds.records
+
+
+@pytest.mark.parametrize(
+    "l,r",
+    [("true", "1"), ("0", "false"), ("true", "true"), ("0", "1" + "0" * 400)],
+    ids=["l-true", "r-false", "both-bool", "int-beyond-float"],
+)
+def test_json_non_float_endpoints_rejected(l, r):
+    text = (
+        '[{"group": "Patient", "participant_id": "P01", "term": "ITD", "l": 0, "r": 1},'
+        f' {{"group": "Patient", "participant_id": "P02", "term": "ITD", "l": {l}, "r": {r}}}]'
+    )
+    with pytest.raises(ParseError, match="numbers") as info:
+        load_survey(StringIO(text), format="json")
+    assert info.value.line == 2
+
+
+def test_json_integer_literal_too_long_rejected():
+    text = '[{"group": "Patient", "participant_id": "P01", "term": "ITD", "l": 0, "r": %s}]'
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_survey(StringIO(text % ("1" * 5000)), format="json")
 
 
 def test_out_of_scale_reports_line():
@@ -129,6 +181,45 @@ def test_group_collection_counts(ds):
 def test_group_collection_accepts_alias(ds):
     coll = group_collection(ds, "Patient", "impossible to do")
     assert coll.n == 2
+
+
+def _filtered_collection(ds, group, term):
+    """Reference grouping: scan every record, keep the matching ones in order."""
+    stored = ds.groups
+    if group == "ALL":
+        wanted = set(stored)
+    elif group == "PS":
+        wanted = {g for g in stored if g in ("Physiotherapist", "Surgeon")}
+    else:
+        wanted = {group}
+    return [r.interval for r in ds.records if r.group in wanted and r.term == term]
+
+
+MIXED_ROWS = (
+    "group,participant_id,term,l,r\n"
+    "Surgeon,S1,ED,1,4\nPatient,P1,ITD,0,2\nPhysiotherapist,T1,ED,2,5\n"
+    "Patient,P2,ED,3,6\nSurgeon,S2,ITD,1,3\nNurse,N1,ED,0,9\nPatient,P1,ED,4,8\n"
+    "Physiotherapist,T2,ED,1,2\nSurgeon,S1,odd term,5,7\nPatient,P3,ITD,2,2\n"
+)
+
+
+@pytest.mark.parametrize("text", [FIXTURE.read_text(), MIXED_ROWS], ids=["fixture", "mixed"])
+def test_group_collection_matches_record_filter(text):
+    ds = load_survey(StringIO(text))
+    for group in (*ds.groups, "PS", "ALL"):
+        for term in ds.terms:
+            expected = _filtered_collection(ds, group, term)
+            if not expected:
+                with pytest.raises(TooFewSources):
+                    group_collection(ds, group, term)
+                continue
+            assert group_collection(ds, group, term).intervals == tuple(expected)
+
+
+def test_groups_and_terms_in_first_appearance_order():
+    ds = load_survey(StringIO(MIXED_ROWS))
+    assert ds.groups == ("Surgeon", "Patient", "Physiotherapist", "Nurse")
+    assert ds.terms == ("ITD", "ED", "odd term")
 
 
 def test_unknown_group_and_term(ds):
