@@ -10,17 +10,51 @@ from __future__ import annotations
 import argparse
 import sys
 from io import StringIO
+from operator import itemgetter
+
+import numpy as np
 
 from . import survey as survey_mod
 from .agreement import GammaBreakdown, gamma_alpha, gamma_exact
 from .errors import AgreementError, InvalidInterval, ParseError
 from .fuzzyset import attributes
 from .iaa import build_iaa
-from .intervals import Interval, IntervalCollection, make_interval
+from .intervals import Interval, IntervalCollection, make_interval, valid_endpoints
+
+# upper bounds on the size flags, so a typo cannot ask for an unbounded allocation
+MAX_SAMPLES = 10_000_001
+MAX_ALPHA_CUTS = 10_000
 
 
 def parse_interval_lines(text: str) -> IntervalCollection:
-    """One interval per line as `l,r`; blank lines and `#` comments ignored."""
+    """One interval per line as `l,r`; blank lines and `#` comments ignored.
+
+    Endpoints are converted with builtin ``float`` and checked a column at a
+    time, and the collection is built from the arrays. When any line fails a
+    check, the per-line parser runs instead and raises the first error, with
+    its line number.
+    """
+    fields = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            fields.append(line.split(","))
+    if not fields:
+        raise ParseError("no intervals in input")
+    if {*map(len, fields)} == {2}:
+        try:
+            ls = np.array(list(map(float, map(itemgetter(0), fields))))
+            rs = np.array(list(map(float, map(itemgetter(1), fields))))
+        except ValueError:  # not a number: the per-line parser reports where
+            pass
+        else:
+            if valid_endpoints(ls, rs).all():
+                return IntervalCollection._from_arrays(ls, rs)
+    return IntervalCollection(_parse_each_line(text))
+
+
+def _parse_each_line(text: str) -> list[Interval]:
+    """The per-line parser: validates one line at a time, in order."""
     intervals = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -37,9 +71,7 @@ def parse_interval_lines(text: str) -> IntervalCollection:
             intervals.append(make_interval(l, r))
         except InvalidInterval as exc:
             raise InvalidInterval(str(exc), line=lineno) from exc
-    if not intervals:
-        raise ParseError("no intervals in input")
-    return IntervalCollection(intervals)
+    return intervals
 
 
 def _read_input(path: str) -> str:
@@ -77,8 +109,6 @@ def cmd_build(args) -> int:
     coll = parse_interval_lines(_read_input(args.input))
     fs = build_iaa(coll)
     window = Interval(*args.scale) if args.scale else fs.window()
-    import numpy as np
-
     xs = np.linspace(window.l, window.r, args.samples)
     mus = fs.membership(xs)
     text = (
@@ -184,8 +214,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.alpha_cuts < 2:
         parser.error("--alpha-cuts must be >= 2")
+    if args.alpha_cuts > MAX_ALPHA_CUTS:
+        parser.error(f"--alpha-cuts must be <= {MAX_ALPHA_CUTS}")
     if args.samples < 2:
         parser.error("--samples must be >= 2")
+    if args.samples > MAX_SAMPLES:
+        parser.error(f"--samples must be <= {MAX_SAMPLES}")
     if args.scale is not None and args.scale[0] >= args.scale[1]:
         parser.error("--scale LO must be below HI")
     try:

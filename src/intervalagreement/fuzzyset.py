@@ -191,6 +191,8 @@ class Gaussian(MembershipFunction):
             raise ValueError("mean and stddev must be finite")
         if self.stddev <= 0:
             raise ValueError(f"stddev must be positive, got {self.stddev}")
+        if 2.0 * min(float(self.stddev), 1.0) ** 2 == 0.0:  # membership divides by 2 stddev^2
+            raise ValueError(f"stddev {self.stddev} is too small: 2 * stddev**2 underflows to 0")
         if self.domain is not None and self.domain.length == 0:
             raise InvalidDomain("Gaussian domain must be non-degenerate")
 
@@ -206,10 +208,15 @@ class Gaussian(MembershipFunction):
         return out
 
     def window(self) -> Interval:
-        half = GAUSSIAN_WINDOW_SIGMAS * self.stddev
-        lo, hi = self.mean - half, self.mean + half
+        half = GAUSSIAN_WINDOW_SIGMAS * float(self.stddev)
+        lo, hi = float(self.mean) - half, float(self.mean) + half
         if self.domain is not None:
             lo, hi = max(lo, self.domain.l), min(hi, self.domain.r)
+        if not np.isfinite(hi - lo):
+            raise InvalidDomain(
+                f"Gaussian mean +/- {GAUSSIAN_WINDOW_SIGMAS} stddev window is wider "
+                "than a float can measure"
+            )
         if lo >= hi:
             raise InvalidDomain(
                 "Gaussian domain does not overlap the mean +/- "

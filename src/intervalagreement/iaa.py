@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fuzzyset import PiecewiseConstant
-from .intervals import IntervalCollection, coverage_cells
+from .intervals import IntervalCollection
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +34,7 @@ class AgreementFS(PiecewiseConstant):
 
 def build_iaa(coll: IntervalCollection) -> AgreementFS:
     """Aggregate a collection into its exact agreement step function."""
-    coords, counts = coverage_cells(coll)
+    coords, counts = coll.coverage
     return AgreementFS(
         breakpoints=coords,
         levels=counts / coll.n,

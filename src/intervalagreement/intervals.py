@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -51,29 +52,76 @@ def make_interval(l: float, r: float) -> Interval:
     return Interval(float(l), float(r))
 
 
-@dataclass(frozen=True)
 class IntervalCollection:
-    """One interval per participant, in response order (never sorted)."""
+    """One interval per participant, in response order (never sorted).
 
-    intervals: tuple[Interval, ...]
+    The validated endpoints are stored as two read-only float arrays;
+    ``intervals`` builds the ``Interval`` tuple on first read, and
+    ``coverage`` sweeps the collection once for every caller.
+    """
 
     def __init__(self, intervals: Iterable[Interval]):
-        object.__setattr__(self, "intervals", tuple(intervals))
-        if self.n == 0:
+        ivs = tuple(intervals)
+        self._set(
+            np.array([iv.l for iv in ivs], dtype=np.float64),
+            np.array([iv.r for iv in ivs], dtype=np.float64),
+        )
+        self.__dict__["intervals"] = ivs
+
+    @classmethod
+    def _from_arrays(cls, ls: np.ndarray, rs: np.ndarray) -> "IntervalCollection":
+        """Collection over endpoint arrays the caller has already validated."""
+        coll = cls.__new__(cls)
+        coll._set(ls, rs)
+        return coll
+
+    def _set(self, ls: np.ndarray, rs: np.ndarray):
+        if ls.size == 0:
             raise EmptyCollection("a collection needs at least one interval")
+        ls.flags.writeable = False
+        rs.flags.writeable = False
+        self._ls, self._rs = ls, rs
+
+    @cached_property
+    def intervals(self) -> tuple[Interval, ...]:
+        return tuple(map(Interval, self._ls.tolist(), self._rs.tolist()))
+
+    @cached_property
+    def coverage(self) -> tuple[np.ndarray, np.ndarray]:
+        """``coverage_cells`` of this collection, swept on first read and
+        shared (read-only) by ``build_iaa`` and ``level_lengths``."""
+        coords, counts = coverage_cells(self)
+        coords.flags.writeable = counts.flags.writeable = False
+        return coords, counts
 
     @property
     def n(self) -> int:
-        return len(self.intervals)
+        return self._ls.size
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.intervals)
 
+    def __eq__(self, other):
+        if not isinstance(other, IntervalCollection):
+            return NotImplemented
+        return self.intervals == other.intervals
+
+    def __hash__(self):
+        return hash(self.intervals)
+
+    def __repr__(self):
+        return f"IntervalCollection(intervals={self.intervals!r})"
+
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """(left, right) endpoint arrays in participant order."""
-        ls = np.array([iv.l for iv in self.intervals], dtype=np.float64)
-        rs = np.array([iv.r for iv in self.intervals], dtype=np.float64)
-        return ls, rs
+        """(left, right) endpoint arrays in participant order, read-only."""
+        return self._ls, self._rs
+
+
+def valid_endpoints(ls: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """Mask of the (l, r) pairs ``Interval`` accepts: ordered, with a finite
+    width (which also rules out infinite and NaN endpoints)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (ls <= rs) & np.isfinite(rs - ls)
 
 
 def collection(pairs: Iterable[tuple[float, float]]) -> IntervalCollection:
@@ -169,7 +217,7 @@ def level_sets(coll: IntervalCollection) -> list[DisjointRegion]:
     Regions are nested and their lengths are the agreement-level lengths the
     ratio measure is built from.
     """
-    coords, counts = coverage_cells(coll)
+    coords, counts = coll.coverage
     return [_cells_at_least(coords, counts, k) for k in range(1, coll.n + 1)]
 
 
@@ -197,7 +245,7 @@ def level_lengths(coll: IntervalCollection) -> np.ndarray:
     matching ``level_sets`` region, so both give identical bits (and printed
     digits). A numpy reduction or a suffix sum would reorder the additions.
     """
-    coords, counts = coverage_cells(coll)
+    coords, counts = coll.coverage
     padded = np.concatenate([[0], counts, [0]])  # coverage left/right of each coordinate
     step = np.diff(padded)
     rises, falls = np.flatnonzero(step > 0), np.flatnonzero(step < 0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .fuzzyset import DEFAULT_SAMPLES, attributes
 from .iaa import build_iaa
-from .intervals import Interval, IntervalCollection, make_interval
+from .intervals import Interval, IntervalCollection, make_interval, valid_endpoints
 
 CSV_HEADER = ["group", "participant_id", "term", "l", "r"]
 DEFAULT_SCALE = Interval(0.0, 10.0)
@@ -65,38 +66,71 @@ class SurveyRecord:
 
 @dataclass(frozen=True, eq=False)
 class SurveyDataset:
-    """Validated responses plus the scale they were collected on.
+    """Validated responses, stored as columns, plus the scale they were
+    collected on.
 
-    ``groups``, ``terms`` and the cell index behind ``group_collection`` are
-    built on first use, in one pass over the records.
+    Each text column is held as its distinct values in first-appearance order
+    plus one code per response; endpoints are read-only float arrays.
+    ``records`` builds the ``SurveyRecord`` tuple on first read, and the cell
+    index behind ``group_collection`` is built once, on first use.
     """
 
     scale: Interval
-    records: tuple[SurveyRecord, ...]
+    groups: tuple[str, ...]  # stored groups in first-appearance order
+    group_codes: np.ndarray
+    participant_ids: tuple[str, ...]
+    participant_codes: np.ndarray
+    term_names: tuple[str, ...]  # canonical terms in first-appearance order
+    term_codes: np.ndarray
+    l: np.ndarray
+    r: np.ndarray
 
     @cached_property
-    def _index(self) -> tuple[dict, dict]:
-        """Intervals per (group, term) cell, and records per term, in record order."""
-        cells: dict[tuple[str, str], list[Interval]] = {}
-        by_term: dict[str, list[SurveyRecord]] = {}
-        for rec in self.records:
-            cells.setdefault((rec.group, rec.term), []).append(rec.interval)
-            by_term.setdefault(rec.term, []).append(rec)
-        return cells, by_term
-
-    @cached_property
-    def groups(self) -> tuple[str, ...]:
-        """Stored groups in first-appearance order."""
-        return tuple(dict.fromkeys(group for group, _ in self._index[0]))
+    def records(self) -> tuple[SurveyRecord, ...]:
+        """One record per response, in response order."""
+        return tuple(
+            map(
+                SurveyRecord,
+                map(self.groups.__getitem__, self.group_codes.tolist()),
+                map(self.participant_ids.__getitem__, self.participant_codes.tolist()),
+                map(self.term_names.__getitem__, self.term_codes.tolist()),
+                map(Interval, self.l.tolist(), self.r.tolist()),
+            )
+        )
 
     @cached_property
     def terms(self) -> tuple[str, ...]:
         """Canonical questionnaire terms first, then extras as they appear."""
-        present = self._index[1]
+        present = self.term_names
         return (
             *(t for t in TERM_ORDER if t in present),
             *(t for t in present if t not in TERM_ORDER),
         )
+
+    @cached_property
+    def _index(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """Response numbers grouped by (group, term) cell and by term, each
+        group in response order, with the bounds of every group."""
+        nt = len(self.term_names)
+        cells = self.group_codes * nt + self.term_codes
+        return _grouped(cells, len(self.groups) * nt), _grouped(self.term_codes, nt)
+
+    def _term_rows(self, term: str) -> np.ndarray:
+        order, bounds = self._index[1]
+        t = self.term_names.index(term)
+        return order[bounds[t]:bounds[t + 1]]
+
+    def _cell_rows(self, group: str, term: str) -> np.ndarray:
+        order, bounds = self._index[0]
+        k = self.groups.index(group) * len(self.term_names) + self.term_names.index(term)
+        return order[bounds[k]:bounds[k + 1]]
+
+
+def _grouped(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions sorted stably by code, and the bounds of each code's run."""
+    bounds = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(codes, minlength=size), out=bounds[1:])
+    return np.argsort(codes, kind="stable"), bounds
 
 
 def _validate_record(
@@ -156,19 +190,35 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
     array of objects with the same keys. Every error carries the offending
     line (CSV) or record number (JSON). A participant may answer each
     (group, term) cell at most once.
+
+    The five fields are collected and checked a column at a time: names are
+    cleaned once per distinct value and endpoints converted with builtin
+    ``float``. When any check fails, the per-row validation runs instead and
+    raises the first error in line order, with the same message and
+    ``.line``; duplicates are reported only once every row is valid.
     """
     text = _read_text(source)
     if format == "csv":
-        numbered = _parse_csv(text, scale)
+        rows, lines = _csv_rows(text)
+        columns = _columns(rows)
+        per_row = _csv_records(rows, lines, scale)
     elif format == "json":
-        numbered = _parse_json(text, scale)
+        rows = _json_rows(text)
+        columns = _json_columns(rows)
+        per_row = _json_records(rows, scale)
     else:
         raise ValueError(f"format must be csv or json, got {format!r}")
-    _check_duplicates(numbered)
-    return SurveyDataset(scale=scale, records=tuple(rec for rec, _ in numbered))
+    ds = None if columns is None else _dataset(columns, scale)
+    if ds is None:
+        numbered = list(per_row)
+        _check_duplicates(numbered)
+        valid = [(r.group, r.participant_id, r.term, r.interval.l, r.interval.r) for r, _ in numbered]
+        ds = _dataset(_columns(valid), scale)
+    return ds
 
 
-def _parse_csv(text: str, scale: Interval) -> list[tuple[SurveyRecord, int]]:
+def _csv_rows(text: str) -> tuple[list[list[str]], list[int]]:
+    """Every non-blank row after the header, with its line number."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -178,25 +228,56 @@ def _parse_csv(text: str, scale: Interval) -> list[tuple[SurveyRecord, int]]:
         raise ParseError(
             f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}", line=1
         )
-    out = []
+    rows, lines = [], []
     for row in reader:
-        line = reader.line_num
+        # a 5-field row of blanks is kept here and skipped by the per-row path
+        if len(row) == 5 or any(cell.strip() for cell in row):
+            rows.append(row)
+            lines.append(reader.line_num)
+    return rows, lines
+
+
+def _columns(rows) -> list | None:
+    """The five columns of the rows, or None unless every row has five fields."""
+    if {*map(len, rows)} - {5}:
+        return None
+    return [list(map(operator.itemgetter(i), rows)) for i in range(5)]
+
+
+def _csv_records(rows, lines, scale: Interval):
+    """Per-row validation of the CSV rows, yielding (record, line)."""
+    for row, line in zip(rows, lines):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != 5:
             raise ParseError(f"expected 5 fields, got {len(row)}", line=line)
-        out.append((_validate_record(*row, scale=scale, line=line), line))
-    return out
+        yield _validate_record(*row, scale=scale, line=line), line
 
 
-def _parse_json(text: str, scale: Interval) -> list[tuple[SurveyRecord, int]]:
+def _json_rows(text: str) -> list:
     try:
         payload = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ParseError(f"invalid JSON: {exc}")
     if not isinstance(payload, list):
         raise ParseError("top-level JSON value must be an array of records")
-    out = []
+    return payload
+
+
+def _json_columns(payload: list) -> list | None:
+    """The five columns, names as ``str``, or None when a record is not an
+    object, lacks a key or has a boolean endpoint."""
+    try:
+        columns = [list(map(operator.itemgetter(key), payload)) for key in CSV_HEADER]
+    except (TypeError, KeyError):
+        return None
+    if bool in {*map(type, columns[3]), *map(type, columns[4])}:
+        return None
+    return [*(list(map(str, col)) for col in columns[:3]), *columns[3:]]
+
+
+def _json_records(payload: list, scale: Interval):
+    """Per-record validation of the JSON array, yielding (record, number)."""
     for i, obj in enumerate(payload, start=1):
         if not isinstance(obj, dict):
             raise ParseError("record must be an object", line=i)
@@ -207,35 +288,72 @@ def _parse_json(text: str, scale: Interval) -> list[tuple[SurveyRecord, int]]:
             str(obj["group"]), str(obj["participant_id"]), str(obj["term"]),
             obj["l"], obj["r"], scale=scale, line=i,
         )
-        out.append((rec, i))
-    return out
+        yield rec, i
+
+
+def _encode(column, clean) -> tuple[tuple, np.ndarray]:
+    """Distinct cleaned values in first-appearance order, and each row's
+    index into them; ``clean`` runs once per distinct raw value."""
+    names: dict = {}
+    code = {raw: names.setdefault(clean(raw), len(names)) for raw in dict.fromkeys(column)}
+    return tuple(names), np.fromiter(map(code.__getitem__, column), np.intp, len(column))
+
+
+def _repeats(cells: np.ndarray, pids: np.ndarray) -> bool:
+    """Whether any participant answers one (group, term) cell twice."""
+    order = np.lexsort((pids, cells))
+    cells, pids = cells[order], pids[order]
+    return bool(((cells[1:] == cells[:-1]) & (pids[1:] == pids[:-1])).any())
+
+
+def _dataset(columns, scale: Interval) -> SurveyDataset | None:
+    """The dataset over five raw columns, or None when any value fails a check."""
+    group_raw, pid_raw, term_raw, l_raw, r_raw = columns
+    groups, group_codes = _encode(group_raw, str.strip)
+    pids, pid_codes = _encode(pid_raw, str.strip)
+    terms, term_codes = _encode(term_raw, canonical_term)
+    if "" in groups or "" in pids or "" in terms or any(g in groups for g in DERIVED_GROUPS):
+        return None
+    try:
+        ls = np.array(list(map(float, l_raw)), dtype=np.float64)
+        rs = np.array(list(map(float, r_raw)), dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not (valid_endpoints(ls, rs) & (ls >= scale.l) & (rs <= scale.r)).all():
+        return None
+    if _repeats(group_codes * len(terms) + term_codes, pid_codes):
+        return None
+    for arr in (group_codes, pid_codes, term_codes, ls, rs):
+        arr.flags.writeable = False
+    return SurveyDataset(scale, groups, group_codes, pids, pid_codes, terms, term_codes, ls, rs)
 
 
 def group_collection(ds: SurveyDataset, group: str, term: str) -> IntervalCollection:
-    """Intervals of one (group, term) cell, in record order.
+    """Intervals of one (group, term) cell, in response order.
 
     "PS" pools the professional groups (Physiotherapist + Surgeon); "ALL"
-    pools every stored group.
+    pools every stored group. The endpoints are sliced from the dataset's
+    columns through its cell index.
     """
     term = canonical_term(term)
     if term not in ds.terms:
         raise UnknownTerm(f"term {term!r} not in dataset (has {', '.join(ds.terms)})")
     stored = ds.groups
-    cells, by_term = ds._index
     if group == "ALL":
-        matched = [r.interval for r in by_term[term]]
+        rows = ds._term_rows(term)
     elif group == "PS":
-        wanted = {g for g in stored if g in PROFESSIONAL_GROUPS}
+        wanted = [i for i, g in enumerate(stored) if g in PROFESSIONAL_GROUPS]
         if not wanted:
             raise UnknownGroup("no professional groups (Physiotherapist/Surgeon) in dataset")
-        matched = [r.interval for r in by_term[term] if r.group in wanted]
+        rows = ds._term_rows(term)
+        rows = rows[np.isin(ds.group_codes[rows], wanted)]
     elif group in stored:
-        matched = cells.get((group, term))
+        rows = ds._cell_rows(group, term)
     else:
         raise UnknownGroup(f"group {group!r} not in dataset (has {', '.join(stored)})")
-    if not matched:
+    if not rows.size:
         raise TooFewSources(f"no responses for group {group!r}, term {term!r}")
-    return IntervalCollection(matched)
+    return IntervalCollection._from_arrays(ds.l[rows], ds.r[rows])
 
 
 @dataclass(frozen=True)

@@ -19,3 +19,78 @@ def lattice_intervals(min_size=1, max_size=6, step=0.25):
     endpoint = st.integers(-200, 200).map(lambda k: k * step)
     pair = st.tuples(endpoint, endpoint).map(sorted)
     return st.lists(pair, min_size=min_size, max_size=max_size)
+
+
+def oracle_load_survey(text, format="csv", scale=None):
+    """The per-row survey loader the columnar one must agree with.
+
+    Validates one row (CSV) or record (JSON) at a time, in order, and only
+    then checks for duplicate responses. Returns the SurveyRecord tuple or
+    raises the first error.
+    """
+    import csv
+    import io
+    import json
+
+    from intervalagreement import InvalidInterval, ParseError, RangeError, make_interval
+    from intervalagreement.survey import CSV_HEADER, DEFAULT_SCALE, SurveyRecord, canonical_term
+
+    scale = scale or DEFAULT_SCALE
+
+    def validate(group, participant_id, term, l_raw, r_raw, line):
+        group, participant_id = group.strip(), participant_id.strip()
+        term = canonical_term(str(term))
+        if not group or not participant_id or not term:
+            raise ParseError("group, participant_id and term must be non-empty", line=line)
+        if group in ("PS", "ALL"):
+            raise ParseError(f"group name {group!r} is reserved for derived groups", line=line)
+        try:
+            if isinstance(l_raw, bool) or isinstance(r_raw, bool):
+                raise TypeError("a JSON boolean is not an endpoint")
+            l, r = float(l_raw), float(r_raw)
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(f"endpoints must be numbers, got ({l_raw!r}, {r_raw!r})", line=line)
+        try:
+            interval = make_interval(l, r)
+        except InvalidInterval as exc:
+            raise InvalidInterval(str(exc), line=line) from exc
+        if interval.l < scale.l or interval.r > scale.r:
+            raise RangeError(
+                f"interval [{interval.l}, {interval.r}] outside scale [{scale.l}, {scale.r}]",
+                line=line,
+            )
+        return SurveyRecord(group, participant_id, term, interval)
+
+    numbered = []
+    if format == "csv":
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader)
+        assert [h.strip().lower() for h in header] == CSV_HEADER
+        for row in reader:
+            line = reader.line_num
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != 5:
+                raise ParseError(f"expected 5 fields, got {len(row)}", line=line)
+            numbered.append((validate(*row, line=line), line))
+    else:
+        for i, obj in enumerate(json.loads(text), start=1):
+            if not isinstance(obj, dict):
+                raise ParseError("record must be an object", line=i)
+            missing = [k for k in CSV_HEADER if k not in obj]
+            if missing:
+                raise ParseError(f"missing keys: {', '.join(missing)}", line=i)
+            rec = validate(
+                str(obj["group"]), str(obj["participant_id"]), str(obj["term"]),
+                obj["l"], obj["r"], line=i,
+            )
+            numbered.append((rec, i))
+    seen = {}
+    for rec, line in numbered:
+        key = (rec.group, rec.participant_id, rec.term)
+        if key in seen:
+            raise ParseError(
+                f"duplicate response for {key} (first seen at line {seen[key]})", line=line
+            )
+        seen[key] = line
+    return tuple(rec for rec, _ in numbered)

@@ -3,10 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from intervalagreement.cli import main, parse_interval_lines
-from intervalagreement.errors import InvalidInterval, ParseError
+from intervalagreement.cli import _parse_each_line, main, parse_interval_lines
+from intervalagreement.errors import AgreementError, InvalidInterval, ParseError
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "survey_fixture.csv"
@@ -50,6 +53,33 @@ def test_parse_interval_lines_errors():
     assert info.value.line == 2
     with pytest.raises(ParseError, match="no intervals"):
         parse_interval_lines("# nothing\n")
+
+
+LINE_PIECES = [
+    "1,2", " 3 , 7 ", "2.5,2.5", "5,1", "0,inf", "nan,1", "-1e308,1e308", "1_0,2_0",
+    "a,1", "1;2", "1,2,3", ",", "", "   ", "# note", "2,4 # inline", "\t0 ,\u2003 9",
+]
+
+
+@given(st.lists(st.sampled_from(LINE_PIECES), max_size=8))
+def test_parse_interval_lines_matches_per_line_parser(lines):
+    text = "\n".join(lines)
+    try:
+        got = parse_interval_lines(text)
+    except AgreementError as exc:
+        got = (type(exc), str(exc), exc.line)
+    try:
+        want = _parse_each_line(text)
+    except AgreementError as exc:
+        assert got == (type(exc), str(exc), exc.line)
+        return
+    if not want:
+        assert got == (ParseError, "no intervals in input", None)
+        return
+    assert got.intervals == tuple(want)
+    ls, rs = got.endpoints()
+    assert np.array_equal(ls, [iv.l for iv in want])
+    assert np.array_equal(rs, [iv.r for iv in want])
 
 
 # ----------------------------------------------------------------------- gamma
@@ -145,6 +175,9 @@ def test_usage_errors_exit_2():
     for args in (
         ["gamma", "--alpha-cuts", "1"],
         ["gamma", "--samples", "1"],
+        ["gamma", "--samples", "10000002"],
+        ["gamma", "--alpha-cuts", "10001"],
+        ["report", "--mode", "alpha", "--samples", "99999999999"],
         ["gamma", "--scale", "5", "5"],
         ["bogus"],
     ):

@@ -99,6 +99,20 @@ def test_gaussian_validation():
         Gaussian(5, 1, domain=make_interval(100, 200)).window()
 
 
+@pytest.mark.filterwarnings("error")
+def test_gaussian_extreme_stddev():
+    # 2 * stddev**2 underflows to 0: membership would be NaN at the mean
+    with pytest.raises(ValueError, match="underflows"):
+        Gaussian(0, 1e-300)
+    assert Gaussian(0, 1e-150).membership(np.array([0.0, 1e-140])).tolist() == [1.0, 0.0]
+    # mean +/- 5 stddev overflows: no window, but a domain bounds it
+    with pytest.raises(InvalidDomain, match="wider than a float can measure"):
+        Gaussian(0, 1e308).window()
+    with pytest.raises(InvalidDomain):
+        Gaussian(0, 3e307).window()
+    assert Gaussian(0, 1e308, domain=make_interval(0, 10)).window() == make_interval(0, 10)
+
+
 def test_sampled_validation():
     with pytest.raises(ValueError):
         Sampled(np.array([0.0, 1.0, 3.0]), np.array([0.0, 0.5, 0.0]))

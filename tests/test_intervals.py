@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from intervalagreement import intervals as intervals_mod
 from intervalagreement import (
     CombinatorialLimit,
+    build_iaa,
+    gamma_exact,
     DisjointRegion,
     EmptyCollection,
     Interval,
@@ -74,6 +77,46 @@ def test_collection_preserves_order():
     coll = collection([(3, 5), (1, 2)])
     assert [(iv.l, iv.r) for iv in coll] == [(3.0, 5.0), (1.0, 2.0)]
     assert coll.n == 2
+
+
+@given(st.one_of(finite_intervals(), lattice_intervals()))
+def test_collection_from_arrays_matches_intervals(pairs):
+    ls, rs = (np.array([p[i] for p in pairs], dtype=np.float64) for i in (0, 1))
+    built = collection(pairs)
+    stored = IntervalCollection._from_arrays(ls, rs)
+    assert stored == built and stored.intervals == built.intervals
+    assert stored.n == built.n == len(pairs)
+    for a, b in zip(stored.endpoints(), built.endpoints()):
+        assert np.array_equal(a, b)
+    if built.n >= 2 and level_lengths(built)[0] > 0:
+        assert gamma_exact(stored).gamma == gamma_exact(built).gamma
+
+
+def test_collection_endpoints_are_read_only():
+    for coll in (collection([(1, 2), (0, 3)]), IntervalCollection._from_arrays(
+        np.array([1.0, 0.0]), np.array([2.0, 3.0]))):
+        ls, rs = coll.endpoints()
+        with pytest.raises(ValueError):
+            ls[0] = 5.0
+        with pytest.raises(ValueError):
+            rs[0] = 5.0
+        assert coll.intervals == (Interval(1.0, 2.0), Interval(0.0, 3.0))
+
+
+def test_collection_is_swept_once(monkeypatch):
+    calls = []
+    sweep = intervals_mod.coverage_cells
+
+    def counted(coll):
+        calls.append(coll)
+        return sweep(coll)
+
+    monkeypatch.setattr(intervals_mod, "coverage_cells", counted)
+    coll = collection(FIG_NONCONVEX)
+    build_iaa(coll)
+    assert gamma_exact(coll).gamma == pytest.approx(1 / 3)
+    level_sets(coll)
+    assert calls == [coll]
 
 
 def test_disjoint_region_rejects_touching_segments():

@@ -2,9 +2,14 @@ import json
 from io import BytesIO, StringIO
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intervalagreement import (
+    AgreementError,
+    Interval,
     InvalidInterval,
     ParseError,
     RangeError,
@@ -19,12 +24,16 @@ from intervalagreement import (
     report,
 )
 from intervalagreement.survey import (
+    CSV_HEADER,
+    TERM_ORDER,
     canonical_term,
     report_to_csv,
     report_to_json,
     series_to_csv,
     series_to_json,
 )
+
+from helpers import oracle_load_survey
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "survey_fixture.csv"
@@ -343,3 +352,145 @@ def test_series_render_formats():
     assert csv_text.splitlines()[4] == "7.5,0"
     pairs = json.loads(series_to_json(xs, mus))
     assert pairs[2] == [5.0, 1.0]
+
+
+# ------------------------------------------------- columnar loader vs per-row
+
+GROUP_NAMES = ["Patient", " Patient", "Surgeon", "Physiotherapist ", "Nurse"]
+PARTICIPANTS = ["P1", "P2", " P1", "P3", "7"]
+TERM_NAMES = ["ITD", "ED", "impossible to do", "Moderately  Difficult", "odd term"]
+FAULTS = [
+    "number", "bool", "reversed", "width", "nonfinite", "scale",
+    "empty", "reserved", "fields", "object", "duplicate",
+]
+
+
+def _key(row):
+    return row[0].strip(), row[1].strip(), canonical_term(row[2])
+
+
+def _json_record(rec):
+    if not isinstance(rec, list):  # a non-object record, or an object missing keys
+        return rec
+    return dict(zip(CSV_HEADER, rec if len(rec) == 5 else rec[:4]))
+
+
+@st.composite
+def survey_inputs(draw):
+    """(format, text) of a survey whose rows are valid apart from up to two
+    injected faults, with blank CSV rows sprinkled in."""
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    lattice = st.integers(0, 40).map(lambda k: k / 4)
+    row = st.tuples(
+        st.sampled_from(GROUP_NAMES), st.sampled_from(PARTICIPANTS),
+        st.sampled_from(TERM_NAMES), lattice, lattice,
+    ).map(lambda t: [t[0], t[1], t[2], min(t[3], t[4]), max(t[3], t[4])])
+    rows = draw(st.lists(row, max_size=12, unique_by=_key))
+    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=2)) if rows else []
+    records = [list(r) for r in rows]
+    for fault in faults:
+        i = draw(st.integers(0, len(records) - 1))
+        rec = records[i]
+        if not (isinstance(rec, list) and len(rec) == 5):  # already replaced by a fault
+            continue
+        if fault == "number":
+            rec[3] = draw(st.sampled_from(["abc", "", None, 10**400, [1]]))
+        elif fault == "bool":
+            rec[4] = True if fmt == "json" else "true"
+        elif fault == "reversed":
+            rec[3], rec[4] = 6.0, 4.0
+        elif fault == "width":
+            rec[3], rec[4] = -1e308, 1e308
+        elif fault == "nonfinite":
+            rec[draw(st.sampled_from([3, 4]))] = draw(st.sampled_from(["inf", "nan", "-inf"]))
+        elif fault == "scale":
+            rec[3], rec[4] = 9.0, 11.0
+        elif fault == "empty":
+            rec[draw(st.integers(0, 2))] = " "
+        elif fault == "reserved":
+            rec[0] = draw(st.sampled_from(["ALL", " PS "]))
+        elif fault == "fields":
+            records[i] = draw(st.sampled_from([rec[:4], rec + ["x"], {"group": rec[0]}]))
+        elif fault == "object":
+            records[i] = draw(st.sampled_from([[1, 2], 5, "row"]))
+        elif fault == "duplicate":
+            j = draw(st.integers(0, len(records) - 1))
+            if isinstance(records[j], list) and len(records[j]) >= 3:
+                records.insert(draw(st.integers(0, len(records))), records[j][:3] + [1.0, 2.0])
+    if fmt == "json":
+        return fmt, json.dumps([_json_record(rec) for rec in records])
+    lines = [",".join(CSV_HEADER)]
+    for rec in records:
+        if not isinstance(rec, list):
+            rec = ["Patient", "P9", "ED", rec]
+        lines.append(",".join("" if v is None else str(v) for v in rec))
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", " , , , , ", ",,"])))
+    return fmt, "\n".join(lines) + "\n"
+
+
+def _outcome(load):
+    try:
+        return load()
+    except AgreementError as exc:
+        return type(exc), str(exc), exc.line
+
+
+@given(survey_inputs())
+@settings(max_examples=400)
+def test_columnar_loader_matches_per_row_loader(case):
+    fmt, text = case
+    got = _outcome(lambda: load_survey(StringIO(text), format=fmt))
+    want = _outcome(lambda: oracle_load_survey(text, fmt))
+    if isinstance(want, tuple) and want and isinstance(want[0], type):
+        assert got == want
+        return
+    assert got.records == want
+    assert got.groups == tuple(dict.fromkeys(r.group for r in want))
+    present = dict.fromkeys(r.term for r in want)
+    assert got.terms == (
+        *(t for t in TERM_ORDER if t in present), *(t for t in present if t not in TERM_ORDER)
+    )
+    for group in (*got.groups, "PS", "ALL"):
+        for term in got.terms:
+            coll = _outcome(lambda: group_collection(got, group, term))
+            expected = _filtered_collection(got, group, term)
+            if not expected:
+                no_ps = group == "PS" and not {"Physiotherapist", "Surgeon"} & set(got.groups)
+                assert coll[0] is (UnknownGroup if no_ps else TooFewSources)
+                continue
+            ls, rs = coll.endpoints()
+            assert np.array_equal(ls, [iv.l for iv in expected])
+            assert np.array_equal(rs, [iv.r for iv in expected])
+
+
+@pytest.mark.parametrize(
+    "rows,error,line",
+    [
+        (["Patient,P01,ITD,4,2", "Patient,P02,ITD,0"], InvalidInterval, 2),
+        (["Patient,P02,ITD,0", "Patient,P01,ITD,4,2"], ParseError, 2),
+        (["Patient,P01,ITD,0,1", "Patient,P01,ITD,0,1", "Patient,P02,ITD,0"], ParseError, 4),
+        (["Patient,P01,ITD,0,1", "", " , , , , ", "Patient,P01,ITD,0,2"], ParseError, 5),
+    ],
+    ids=["reversed-before-short-row", "short-row-before-reversed",
+         "duplicate-after-every-row-validates", "blank-rows-keep-line-numbers"],
+)
+def test_first_error_in_line_order_wins(rows, error, line):
+    text = "group,participant_id,term,l,r\n" + "\n".join(rows) + "\n"
+    with pytest.raises(error) as info:
+        load_survey(StringIO(text))
+    assert info.value.line == line
+    assert (type(info.value), str(info.value)) == _outcome(lambda: oracle_load_survey(text))[:2]
+
+
+def test_blank_rows_skipped():
+    text = "group,participant_id,term,l,r\nPatient,P01,ITD,0,1\n , , , , \n\nPatient,P02,ITD,1,2\n"
+    ds = load_survey(StringIO(text))
+    assert ds.records == oracle_load_survey(text)
+    assert group_collection(ds, "ALL", "ITD").intervals == (Interval(0, 1), Interval(1, 2))
+
+
+def test_dataset_columns_are_read_only(ds):
+    for column in (ds.l, ds.r, ds.group_codes, ds.term_codes, ds.participant_codes):
+        with pytest.raises(ValueError):
+            column[0] = 0
