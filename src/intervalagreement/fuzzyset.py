@@ -3,8 +3,9 @@
 Four representations are supported: exact step functions (the natural output
 of interval aggregation), piecewise-linear shapes, Gaussians, and raw sampled
 grids. Alpha-cuts use the closed convention {x | mu(x) >= alpha}. Step
-functions get an exact cut path; every other shape goes through the sampled
-run-detection scan in :mod:`._kernels`.
+functions get an exact cut path; every other shape is sampled on a uniform
+grid, and a cut is the runs of grid points at or above alpha
+(:func:`.intervals.runs`).
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import EmptySet, InvalidAlpha, InvalidDomain
-from .intervals import DisjointRegion, Interval
+from .intervals import DisjointRegion, Interval, cells_at_least, runs
 
 DEFAULT_SAMPLES = 1001
 
@@ -47,6 +47,13 @@ def _as_float_array(values, name) -> np.ndarray:
     return arr
 
 
+def _check_span(arr, name):
+    """Reject a first-to-last span too wide for a float: lengths across it read inf."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(arr[-1] - arr[0]):
+            raise ValueError(f"{name} span [{arr[0]}, {arr[-1]}] is wider than a float can measure")
+
+
 def _check_unit_range(arr, name):
     if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
         raise ValueError(f"{name} must lie in [0, 1]")
@@ -67,7 +74,8 @@ class PiecewiseConstant(MembershipFunction):
         lv = _as_float_array(self.levels, "levels")
         if bp.size < 1 or lv.size != bp.size - 1:
             raise ValueError("need m+1 breakpoints for m cells")
-        if bp.size > 1 and not (np.diff(bp) > 0).all():
+        _check_span(bp, "breakpoints")
+        if not (bp[1:] > bp[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
         _check_unit_range(lv, "levels")
         object.__setattr__(self, "breakpoints", bp)
@@ -97,16 +105,7 @@ class PiecewiseConstant(MembershipFunction):
 
     def cut_segments(self, alpha: float) -> DisjointRegion:
         """Exact alpha-cut: merge adjacent cells whose level reaches alpha."""
-        mask = self.levels >= alpha
-        if not mask.any():
-            return DisjointRegion(())
-        padded = np.concatenate([[False], mask, [False]])
-        edges = np.flatnonzero(padded[1:] != padded[:-1])
-        bp = self.breakpoints
-        segs = tuple(
-            Interval(float(bp[a]), float(bp[b])) for a, b in zip(edges[0::2], edges[1::2])
-        )
-        return DisjointRegion(segs)
+        return cells_at_least(self.breakpoints, self.levels, alpha)
 
     def cut_length(self, alpha: float) -> float:
         widths = np.diff(self.breakpoints)
@@ -129,7 +128,8 @@ class PiecewiseLinear(MembershipFunction):
         mus = _as_float_array(self.mus, "mus")
         if xs.size < 2 or mus.size != xs.size:
             raise ValueError("need at least two (x, mu) vertices")
-        if not (np.diff(xs) >= 0).all():
+        _check_span(xs, "xs")
+        if not (xs[1:] >= xs[:-1]).all():
             raise ValueError("vertex x values must be sorted")
         _check_unit_range(mus, "mus")
         object.__setattr__(self, "xs", xs)
@@ -191,8 +191,12 @@ class Gaussian(MembershipFunction):
             raise ValueError("mean and stddev must be finite")
         if self.stddev <= 0:
             raise ValueError(f"stddev must be positive, got {self.stddev}")
-        if 2.0 * min(float(self.stddev), 1.0) ** 2 == 0.0:  # membership divides by 2 stddev^2
+        with np.errstate(over="ignore"):  # membership divides by 2 stddev^2
+            two_var = 2.0 * np.float64(self.stddev) ** 2
+        if two_var == 0.0:
             raise ValueError(f"stddev {self.stddev} is too small: 2 * stddev**2 underflows to 0")
+        if not np.isfinite(two_var):
+            raise ValueError(f"stddev {self.stddev} is too large: 2 * stddev**2 overflows")
         if self.domain is not None and self.domain.length == 0:
             raise InvalidDomain("Gaussian domain must be non-degenerate")
 
@@ -212,11 +216,6 @@ class Gaussian(MembershipFunction):
         lo, hi = float(self.mean) - half, float(self.mean) + half
         if self.domain is not None:
             lo, hi = max(lo, self.domain.l), min(hi, self.domain.r)
-        if not np.isfinite(hi - lo):
-            raise InvalidDomain(
-                f"Gaussian mean +/- {GAUSSIAN_WINDOW_SIGMAS} stddev window is wider "
-                "than a float can measure"
-            )
         if lo >= hi:
             raise InvalidDomain(
                 "Gaussian domain does not overlap the mean +/- "
@@ -237,7 +236,9 @@ class Sampled(MembershipFunction):
         mus = _as_float_array(self.mus, "mus")
         if xs.size < 2 or mus.size != xs.size:
             raise ValueError("need at least two grid points")
-        steps = np.diff(xs)
+        _check_span(xs, "xs")
+        with np.errstate(over="ignore"):  # an unsorted grid may still overflow a step
+            steps = np.diff(xs)
         if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError("grid must be uniformly spaced and increasing")
         _check_unit_range(mus, "mus")
@@ -252,10 +253,13 @@ class Sampled(MembershipFunction):
         x = np.asarray(x, dtype=np.float64)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        idx = np.rint((x - self.xs[0]) / self.spacing).astype(np.int64)
-        valid = (idx >= 0) & (idx < self.mus.size)
+        with np.errstate(over="ignore"):  # far off the grid reads +/-inf, masked below
+            pos = x - self.xs[0]
+            pos /= self.spacing  # in place: a 1M-point grid holds one array fewer
+        np.rint(pos, out=pos)
+        valid = (pos >= 0) & (pos < self.mus.size)  # off-grid positions may not fit an int
         out = np.zeros_like(x)
-        out[valid] = self.mus[idx[valid]]
+        out[valid] = self.mus[pos[valid].astype(np.int64)]
         if scalar:
             return float(out[0])
         return out
@@ -339,12 +343,7 @@ def alpha_length(
     discretised over the window and scanned for threshold runs, so the
     result can under-read each run by at most two grid steps.
     """
-    _check_alpha(alpha)
-    _check_samples(samples)
-    if _use_exact(mf, method):
-        return mf.cut_length(alpha)
-    xs, mus = sample_grid(mf, samples)
-    return _kernels.alpha_run_length(xs, mus, alpha)
+    return float(alpha_lengths(mf, [alpha], samples, method)[0])
 
 
 def alpha_lengths(
@@ -354,13 +353,18 @@ def alpha_lengths(
     method: str = "auto",
 ) -> np.ndarray:
     """alpha_length over a ladder of levels, sharing one sampling pass."""
+    alphas = tuple(alphas)  # read twice: validated, then measured
     for a in alphas:
         _check_alpha(a)
     _check_samples(samples)
     if _use_exact(mf, method):
         return np.array([mf.cut_length(a) for a in alphas])
     xs, mus = sample_grid(mf, samples)
-    return _kernels.alpha_run_lengths(xs, mus, np.asarray(alphas, dtype=np.float64))
+    lengths = []
+    for a in alphas:
+        starts, stops = runs(mus >= a)
+        lengths.append(float(np.sum(xs[stops - 1] - xs[starts])))
+    return np.array(lengths)
 
 
 def alpha_cut(
@@ -375,8 +379,8 @@ def alpha_cut(
     if _use_exact(mf, method):
         return AlphaCut(alpha, mf.cut_segments(alpha))
     xs, mus = sample_grid(mf, samples)
-    starts, ends = _kernels.run_bounds(mus, alpha)
-    segs = tuple(Interval(float(xs[a]), float(xs[b])) for a, b in zip(starts, ends))
+    starts, stops = runs(mus >= alpha)
+    segs = tuple(map(Interval, xs[starts].tolist(), xs[stops - 1].tolist()))
     return AlphaCut(alpha, DisjointRegion(segs))
 
 

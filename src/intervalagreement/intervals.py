@@ -198,17 +198,19 @@ def coverage_cells(coll: IntervalCollection) -> tuple[np.ndarray, np.ndarray]:
     return coords, counts
 
 
-def _cells_at_least(coords: np.ndarray, counts: np.ndarray, k: int) -> DisjointRegion:
-    """Merge adjacent cells whose coverage reaches k into closed segments."""
-    mask = counts >= k
-    if not mask.any():
-        return DisjointRegion(())
+def runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, stops) of each maximal run of True in a 1-D mask, stops
+    exclusive: run i is ``mask[starts[i]:stops[i]]``."""
     padded = np.concatenate([[False], mask, [False]])
     edges = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, stops = edges[0::2], edges[1::2]
-    return DisjointRegion(
-        tuple(Interval(float(coords[a]), float(coords[b])) for a, b in zip(starts, stops))
-    )
+    return edges[0::2], edges[1::2]
+
+
+def cells_at_least(edges: np.ndarray, values: np.ndarray, threshold) -> DisjointRegion:
+    """Merge adjacent cells whose value reaches `threshold` into closed
+    segments; cell j spans ``edges[j]`` to ``edges[j + 1]``."""
+    starts, stops = runs(values >= threshold)
+    return DisjointRegion(tuple(map(Interval, edges[starts].tolist(), edges[stops].tolist())))
 
 
 def level_sets(coll: IntervalCollection) -> list[DisjointRegion]:
@@ -218,7 +220,7 @@ def level_sets(coll: IntervalCollection) -> list[DisjointRegion]:
     ratio measure is built from.
     """
     coords, counts = coll.coverage
-    return [_cells_at_least(coords, counts, k) for k in range(1, coll.n + 1)]
+    return [cells_at_least(coords, counts, k) for k in range(1, coll.n + 1)]
 
 
 def _level_runs(at: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -94,3 +94,28 @@ def oracle_load_survey(text, format="csv", scale=None):
             )
         seen[key] = line
     return tuple(rec for rec, _ in numbered)
+
+
+def run_length_scan(xs, mus, alpha):
+    """The pure-Python threshold scan the sampled cut lengths must agree with.
+
+    Opens a run when mu climbs to >= alpha, closes it at the previous grid
+    point when mu drops below, and at the final point if the run is still
+    open. Single-point runs contribute zero length.
+    """
+    total = 0.0
+    left = 0.0
+    open_run = False
+    n = xs.shape[0]
+    for i in range(n):
+        if mus[i] < alpha:
+            if open_run:
+                total += xs[i - 1] - left
+            open_run = False
+        else:
+            if not open_run:
+                left = xs[i]
+            open_run = True
+    if open_run:
+        total += xs[n - 1] - left
+    return total

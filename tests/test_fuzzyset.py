@@ -105,12 +105,47 @@ def test_gaussian_extreme_stddev():
     with pytest.raises(ValueError, match="underflows"):
         Gaussian(0, 1e-300)
     assert Gaussian(0, 1e-150).membership(np.array([0.0, 1e-140])).tolist() == [1.0, 0.0]
-    # mean +/- 5 stddev overflows: no window, but a domain bounds it
-    with pytest.raises(InvalidDomain, match="wider than a float can measure"):
-        Gaussian(0, 1e308).window()
-    with pytest.raises(InvalidDomain):
-        Gaussian(0, 3e307).window()
-    assert Gaussian(0, 1e308, domain=make_interval(0, 10)).window() == make_interval(0, 10)
+    # 2 * stddev**2 overflows: membership would raise OverflowError or read NaN,
+    # with or without a domain
+    for stddev in (1e308, 3e307, 1.4e154, 9.5e153):
+        with pytest.raises(ValueError, match="overflows"):
+            Gaussian(0, stddev)
+        with pytest.raises(ValueError, match="overflows"):
+            Gaussian(0, stddev, domain=make_interval(0, 10))
+    widest = Gaussian(0, 9e153)
+    assert widest.membership(0.0) == 1.0
+    assert widest.window() == make_interval(-4.5e154, 4.5e154)
+    assert Gaussian(0, 9e153, domain=make_interval(0, 10)).window() == make_interval(0, 10)
+
+
+@pytest.mark.filterwarnings("error")
+def test_span_too_wide_for_a_float_is_rejected():
+    # last - first overflows: cut lengths would read inf and gamma NaN
+    for make in (
+        lambda: PiecewiseConstant(np.array([-1e308, 0, 1e308]), np.array([1.0, 0.5])),
+        lambda: PiecewiseConstant(np.array([-1e308, 1e308]), np.array([1.0])),
+        lambda: PiecewiseLinear(np.array([-1e308, 1e308]), np.array([1.0, 1.0])),
+        lambda: Sampled(np.array([-1e308, 1e308]), np.array([1.0, 1.0])),
+    ):
+        with pytest.raises(ValueError, match="wider than a float can measure"):
+            make()
+    # a finite span with overflowing steps is unsorted, and says so without a warning
+    xs = np.array([0.0, 1.7e308, -1.7e308, 0.0])
+    for cls in (PiecewiseLinear, Sampled):
+        with pytest.raises(ValueError, match="sorted|increasing"):
+            cls(xs, np.zeros(4))
+    with pytest.raises(ValueError, match="increasing"):
+        PiecewiseConstant(xs, np.zeros(3))
+    wide = PiecewiseConstant(np.array([-8e307, 0, 8e307]), np.array([1.0, 0.5]))
+    assert alpha_length(wide, 1.0) == 8e307
+
+
+@pytest.mark.filterwarnings("error")
+def test_sampled_membership_off_grid_is_zero():
+    mf = Sampled(np.linspace(0, 1, 11), np.ones(11))
+    assert mf.membership(1e300) == 0.0
+    x = np.array([-1e300, -np.inf, np.inf, np.nan, -0.06, 0.0, 1.04, 1.06, 1e300])
+    assert mf.membership(x).tolist() == [0, 0, 0, 0, 0, 1, 1, 0, 0]
 
 
 def test_sampled_validation():
