@@ -140,8 +140,10 @@ class PiecewiseLinear(MembershipFunction):
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         out = np.interp(x, self.xs, self.mus, left=0.0, right=0.0)
-        # closed-cut convention at vertices: exact hits take the max tied value
-        for xv in np.unique(self.xs):
+        # closed-cut convention at vertices: exact hits take the max tied value;
+        # interp already returns mus[j] at an untied vertex, so only ties are fixed
+        tied, counts = np.unique(self.xs, return_counts=True)
+        for xv in tied[counts > 1]:
             hits = x == xv
             if hits.any():
                 out[hits] = self.mus[self.xs == xv].max()
@@ -197,14 +199,29 @@ class Gaussian(MembershipFunction):
             raise ValueError(f"stddev {self.stddev} is too small: 2 * stddev**2 underflows to 0")
         if not np.isfinite(two_var):
             raise ValueError(f"stddev {self.stddev} is too large: 2 * stddev**2 overflows")
+        lo, hi = self._sigma_window()
+        if not lo < hi:
+            raise ValueError(
+                f"stddev {self.stddev} is below the float resolution of mean {self.mean}: "
+                f"mean +/- {GAUSSIAN_WINDOW_SIGMAS} stddev rounds to the mean"
+            )
         if self.domain is not None and self.domain.length == 0:
             raise InvalidDomain("Gaussian domain must be non-degenerate")
+
+    def _sigma_window(self) -> tuple[float, float]:
+        half = GAUSSIAN_WINDOW_SIGMAS * float(self.stddev)
+        return float(self.mean) - half, float(self.mean) + half
 
     def membership(self, x):
         x = np.asarray(x, dtype=np.float64)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        out = np.exp(-((x - self.mean) ** 2) / (2.0 * self.stddev**2))
+        with np.errstate(over="ignore"):  # far in the tails: inf, so exp reads 0
+            out = x - self.mean
+            np.square(out, out=out)
+            np.negative(out, out=out)
+            out /= 2.0 * self.stddev**2
+        np.exp(out, out=out)
         if self.domain is not None:
             out[(x < self.domain.l) | (x > self.domain.r)] = 0.0
         if scalar:
@@ -212,8 +229,7 @@ class Gaussian(MembershipFunction):
         return out
 
     def window(self) -> Interval:
-        half = GAUSSIAN_WINDOW_SIGMAS * float(self.stddev)
-        lo, hi = float(self.mean) - half, float(self.mean) + half
+        lo, hi = self._sigma_window()
         if self.domain is not None:
             lo, hi = max(lo, self.domain.l), min(hi, self.domain.r)
         if lo >= hi:
@@ -257,9 +273,10 @@ class Sampled(MembershipFunction):
             pos = x - self.xs[0]
             pos /= self.spacing  # in place: a 1M-point grid holds one array fewer
         np.rint(pos, out=pos)
-        valid = (pos >= 0) & (pos < self.mus.size)  # off-grid positions may not fit an int
-        out = np.zeros_like(x)
-        out[valid] = self.mus[pos[valid].astype(np.int64)]
+        off = ~((pos >= 0) & (pos < self.mus.size))  # NaN is off the grid too
+        np.copyto(pos, 0.0, where=off)  # off-grid positions may not fit an int
+        out = np.take(self.mus, pos.astype(np.int64), out=pos)
+        np.copyto(out, 0.0, where=off)
         if scalar:
             return float(out[0])
         return out
@@ -352,19 +369,39 @@ def alpha_lengths(
     samples: int = DEFAULT_SAMPLES,
     method: str = "auto",
 ) -> np.ndarray:
-    """alpha_length over a ladder of levels, sharing one sampling pass."""
+    """alpha_length over a ladder of levels, in any order.
+
+    One call samples the function once, on one grid shared by every level.
+    """
     alphas = tuple(alphas)  # read twice: validated, then measured
     for a in alphas:
         _check_alpha(a)
     _check_samples(samples)
     if _use_exact(mf, method):
         return np.array([mf.cut_length(a) for a in alphas])
-    xs, mus = sample_grid(mf, samples)
-    lengths = []
-    for a in alphas:
-        starts, stops = runs(mus >= a)
-        lengths.append(float(np.sum(xs[stops - 1] - xs[starts])))
-    return np.array(lengths)
+    return _grid_lengths(*sample_grid(mf, samples), alphas)
+
+
+def _grid_lengths(xs: np.ndarray, mus: np.ndarray, alphas: Sequence[float]) -> np.ndarray:
+    """Sampled cut length at each alpha: the runs of grid points at or above it.
+
+    Cuts are nested, so the levels are visited in ascending order and each
+    is scanned only from the previous level's first run start to its last
+    run stop; past an empty level every length is 0. The runs found are the
+    ones a full-grid scan finds, summed in the same order, so the lengths
+    are the same bits.
+    """
+    lengths = np.zeros(len(alphas))
+    lo, hi = 0, mus.size
+    for i in np.argsort(alphas, kind="stable"):
+        starts, stops = runs(mus[lo:hi] >= alphas[i])
+        if not starts.size:
+            break
+        starts += lo
+        stops += lo
+        lengths[i] = np.sum(xs[stops - 1] - xs[starts])
+        lo, hi = starts[0], stops[-1]
+    return lengths
 
 
 def alpha_cut(
@@ -397,7 +434,7 @@ def _height(mf: MembershipFunction, mus_grid: np.ndarray) -> float:
     return float(mus_grid.max())
 
 
-def _support_length(mf: MembershipFunction, samples: int) -> float:
+def _support_length(mf: MembershipFunction, xs: np.ndarray, mus_grid: np.ndarray) -> float:
     if isinstance(mf, PiecewiseConstant):
         widths = np.diff(mf.breakpoints)
         return float(widths[mf.levels > 0].sum()) if mf.levels.size else 0.0
@@ -407,7 +444,7 @@ def _support_length(mf: MembershipFunction, samples: int) -> float:
         # membership is analytically positive across the whole declared domain
         return mf.domain.length if mf.domain is not None else mf.window().length
     # sampled data: positivity below one quantisation step is noise
-    return alpha_length(mf, 1.0 / samples, samples)
+    return float(_grid_lengths(xs, mus_grid, [1.0 / xs.size])[0])
 
 
 def attributes(mf: MembershipFunction, samples: int = DEFAULT_SAMPLES) -> Attributes:
@@ -415,16 +452,24 @@ def attributes(mf: MembershipFunction, samples: int = DEFAULT_SAMPLES) -> Attrib
 
     The centroid is the membership-weighted mean over the discretised window
     for every representation, so analytic and sampled sets are directly
-    comparable. Raises EmptySet when the function is identically zero.
+    comparable. One call samples the function once: the centroid, the
+    height and the sampled core and support lengths all read that grid,
+    and they equal what ``alpha_length`` reports at 1 and 1/samples. Step
+    functions keep their exact core length. Raises EmptySet when the
+    function is identically zero.
     """
     xs, mus_grid = sample_grid(mf, samples)
     weight = float(mus_grid.sum())
     if weight == 0.0:
         raise EmptySet("membership is zero everywhere on the sampling grid; centroid undefined")
     centroid = float((xs * mus_grid).sum() / weight)
+    if isinstance(mf, PiecewiseConstant):
+        core = mf.cut_length(1.0)
+    else:
+        core = float(_grid_lengths(xs, mus_grid, [1.0])[0])
     return Attributes(
         height=_height(mf, mus_grid),
         centroid=centroid,
-        support_length=_support_length(mf, samples),
-        core_length=alpha_length(mf, 1.0, samples),
+        support_length=_support_length(mf, xs, mus_grid),
+        core_length=core,
     )

@@ -119,3 +119,16 @@ def run_length_scan(xs, mus, alpha):
     if open_run:
         total += xs[n - 1] - left
     return total
+
+
+def all_vertex_membership(xs, mus, x):
+    """PiecewiseLinear membership with the max over tied vertices fixed up by
+    comparing the input with every distinct vertex x, tied or not."""
+    import numpy as np
+
+    out = np.interp(x, xs, mus, left=0.0, right=0.0)
+    for xv in np.unique(xs):
+        hits = x == xv
+        if hits.any():
+            out[hits] = mus[xs == xv].max()
+    return out

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import intervalagreement.fuzzyset as fuzzyset_mod
 from intervalagreement import (
     EmptySet,
     Gaussian,
@@ -23,6 +24,8 @@ from intervalagreement import (
     trapezoidal,
     triangular,
 )
+
+from helpers import all_vertex_membership
 
 FIG_OVERLAP = [(2, 4), (2.5, 3.5)]
 FIG_NONCONVEX = [(2, 5), (3, 5), (6, 8), (3, 7)]
@@ -65,6 +68,32 @@ def test_piecewise_linear_vertical_jump_takes_max():
     assert mu(mf, 0.0) == 1.0
     assert mu(mf, 0.5) == 0.5
     assert mu(mf, -0.1) == 0.0
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-8, 8).map(lambda k: k / 4), st.integers(0, 4).map(lambda k: k / 4)),
+        min_size=2,
+        max_size=12,
+    ),
+    st.lists(st.integers(-40, 40).map(lambda k: k / 16), max_size=30),
+)
+def test_piecewise_linear_membership_matches_all_vertex_loop(vertices, probes):
+    # coarse lattices: vertices tie and probes land exactly on vertices
+    vertices.sort(key=lambda v: v[0])
+    xs, mus = (np.array(c) for c in zip(*vertices))
+    x = np.array(probes + xs.tolist() + [np.inf, -np.inf, np.nan])
+    got = PiecewiseLinear(xs, mus).membership(x)
+    assert got.tobytes() == all_vertex_membership(xs, mus, x).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_membership_far_in_the_tails_is_zero():
+    g = Gaussian(5, 1)
+    x = np.array([1e300, -1e300, np.inf, -np.inf, 5.0])
+    assert g.membership(x).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+    assert [g.membership(v) for v in x] == [0.0, 0.0, 0.0, 0.0, 1.0]
+    assert Gaussian(0, 1e-150).membership(1e5) == 0.0  # the division overflows
 
 
 def test_sampled_nearest_point():
@@ -116,6 +145,17 @@ def test_gaussian_extreme_stddev():
     assert widest.membership(0.0) == 1.0
     assert widest.window() == make_interval(-4.5e154, 4.5e154)
     assert Gaussian(0, 9e153, domain=make_interval(0, 10)).window() == make_interval(0, 10)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_stddev_below_the_means_resolution_is_rejected():
+    # mean +/- 5 stddev rounds back to the mean: the window would be empty
+    for mean, stddev in ((1.7e308, 1.0), (1.0, 1e-17), (-1e20, 100.0)):
+        with pytest.raises(ValueError, match="float resolution"):
+            Gaussian(mean, stddev)
+        with pytest.raises(ValueError, match="float resolution"):
+            Gaussian(mean, stddev, domain=make_interval(min(mean, 0.0), max(mean, 0.0) + 1.0))
+    assert Gaussian(1.0, 1e-15).window().length > 0
 
 
 @pytest.mark.filterwarnings("error")
@@ -263,6 +303,32 @@ def test_attributes_step_overlap():
     assert attrs.centroid == pytest.approx(3.0, abs=1e-9)
     assert attrs.support_length == 2.0
     assert attrs.core_length == 1.0
+
+
+ATTRIBUTE_SHAPES = [
+    Sampled(np.linspace(0, 4, 9), np.array([0, 0.2, 1, 1, 0.5, 1, 0.001, 0, 0.3])),
+    trapezoidal(0, 0, 2.5, 4),  # the vertical jump at 0 keeps 2 samples non-empty
+    Gaussian(5, 1, domain=make_interval(2, 9)),
+    build_iaa(collection(FIG_NONCONVEX)),
+]
+
+
+@pytest.mark.parametrize("mf", ATTRIBUTE_SHAPES, ids=lambda mf: type(mf).__name__)
+@pytest.mark.parametrize("samples", [2, 17, 1001])
+def test_attributes_samples_once_and_matches_alpha_length(monkeypatch, mf, samples):
+    calls = []
+    sample = fuzzyset_mod.sample_grid
+
+    def counted(f, n):
+        calls.append(n)
+        return sample(f, n)
+
+    monkeypatch.setattr(fuzzyset_mod, "sample_grid", counted)
+    attrs = attributes(mf, samples)
+    assert calls == [samples]
+    assert attrs.core_length == alpha_length(mf, 1.0, samples)
+    if isinstance(mf, Sampled):
+        assert attrs.support_length == alpha_length(mf, 1.0 / samples, samples)
 
 
 def test_attributes_empty_set():

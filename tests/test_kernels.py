@@ -65,6 +65,23 @@ def test_python_and_numpy_paths_agree(mus, alpha):
     assert run_length_scan(xs, mus, alpha) == pytest.approx(length, abs=1e-12)
 
 
+@given(
+    st.lists(st.floats(0, 1, allow_nan=False), min_size=2, max_size=60),
+    st.lists(st.sampled_from([0.05, 0.2, 0.5, 0.75, 0.999, 1.0]), max_size=12),
+    st.lists(st.floats(0.01, 1.0, allow_nan=False), max_size=4),
+)
+def test_unsorted_ladder_with_duplicates_matches_each_alpha(mus, repeated, free):
+    mus = np.asarray(mus)
+    xs = np.linspace(0, 10, mus.size)
+    mf = Sampled(xs, mus)
+    alphas = repeated + free + repeated[:3]
+    ladder = alpha_lengths(mf, alphas, samples=mus.size)
+    assert ladder.shape == (len(alphas),)
+    for a, length in zip(alphas, ladder):
+        assert length == alpha_length(mf, a, samples=mus.size)
+        assert run_length_scan(xs, mus, a) == pytest.approx(length, abs=1e-12)
+
+
 def test_dispatch_and_multi_alpha_agree():
     rng = np.random.default_rng(7)
     xs = np.linspace(0, 20, 5001)
