@@ -98,8 +98,9 @@ def gamma_alpha(
 
     Cut levels and weights are both i/cuts for i = 1..cuts, so on an
     aggregation-built step function with cuts equal to the participant count
-    this reproduces gamma_exact. Pass method="sampled" to force the
-    discretised scan even on step functions.
+    this reproduces gamma_exact. Cut lengths come from ``alpha_lengths``:
+    closed forms for step, piecewise-linear and Gaussian shapes, unless
+    method="sampled" forces the discretised scan.
     """
     if cuts < 2:
         raise InvalidCuts(f"need at least 2 alpha cuts, got {cuts}")

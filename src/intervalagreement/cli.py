@@ -41,7 +41,7 @@ def parse_interval_lines(text: str) -> IntervalCollection:
             fields.append(line.split(","))
     if not fields:
         raise ParseError("no intervals in input")
-    if {*map(len, fields)} == {2}:
+    if {*map(len, fields)} == {2} and "_" not in text:  # float() reads "1_0" as 10
         try:
             ls = np.array(list(map(float, map(itemgetter(0), fields))))
             rs = np.array(list(map(float, map(itemgetter(1), fields))))
@@ -64,6 +64,8 @@ def _parse_each_line(text: str) -> list[Interval]:
         if len(parts) != 2:
             raise ParseError(f"expected 'l,r', got {raw!r}", line=lineno)
         try:
+            if "_" in line:
+                raise ValueError("an endpoint has no digit separators")
             l, r = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParseError(f"endpoints must be numbers, got {raw!r}", line=lineno)
@@ -77,8 +79,7 @@ def _parse_each_line(text: str) -> list[Interval]:
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    return survey_mod.read_path(path)
 
 
 def _print_breakdown(breakdown: GammaBreakdown, out):

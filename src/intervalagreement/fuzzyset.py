@@ -2,10 +2,12 @@
 
 Four representations are supported: exact step functions (the natural output
 of interval aggregation), piecewise-linear shapes, Gaussians, and raw sampled
-grids. Alpha-cuts use the closed convention {x | mu(x) >= alpha}. Step
-functions get an exact cut path; every other shape is sampled on a uniform
-grid, and a cut is the runs of grid points at or above alpha
-(:func:`.intervals.runs`).
+grids. Alpha-cuts use the closed convention {x | mu(x) >= alpha}. Step,
+piecewise-linear and Gaussian shapes measure their cuts, height and support
+in closed form. A sampled grid, or any shape under ``method="sampled"``, is
+evaluated on a uniform grid over its window, and a cut is the runs of grid
+points at or above alpha (:func:`.intervals.runs`); such a cut length is off
+the true one by at most two grid steps per run of the cut.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySet, InvalidAlpha, InvalidDomain
-from .intervals import DisjointRegion, Interval, cells_at_least, runs
+from .intervals import DisjointRegion, Interval, cells_at_least, run_sums, runs
 
 DEFAULT_SAMPLES = 1001
 
@@ -27,14 +29,29 @@ class MembershipFunction:
     """Base for all membership representations.
 
     Subclasses provide vectorised ``membership`` and a bounded ``window``
-    over which sampling-based operations discretise.
+    over which sampling-based operations discretise. Closed-form shapes set
+    ``closed_form`` and give exact ``height()``, ``support_length()`` and
+    ``_cut_runs(alphas)``: (alpha index, left, right) of every maximal run
+    of every cut, by alpha, then left to right.
     """
+
+    closed_form = False
 
     def membership(self, x):
         raise NotImplementedError
 
     def window(self) -> Interval:
         raise NotImplementedError
+
+    def cut_lengths(self, alphas: np.ndarray) -> np.ndarray:
+        """Exact cut length at each alpha: its runs added left to right, as
+        ``DisjointRegion.total_length`` adds the ``cut_segments`` region."""
+        col, lefts, rights = self._cut_runs(alphas)
+        return run_sums(col, (rights - lefts).tolist(), alphas.size)
+
+    def cut_segments(self, alpha: float) -> DisjointRegion:
+        _, lefts, rights = self._cut_runs(np.array([alpha]))
+        return DisjointRegion(tuple(map(Interval, lefts.tolist(), rights.tolist())))
 
 
 def _as_float_array(values, name) -> np.ndarray:
@@ -68,6 +85,7 @@ class PiecewiseConstant(MembershipFunction):
 
     breakpoints: np.ndarray
     levels: np.ndarray
+    closed_form = True
 
     def __post_init__(self):
         bp = _as_float_array(self.breakpoints, "breakpoints")
@@ -107,9 +125,17 @@ class PiecewiseConstant(MembershipFunction):
         """Exact alpha-cut: merge adjacent cells whose level reaches alpha."""
         return cells_at_least(self.breakpoints, self.levels, alpha)
 
-    def cut_length(self, alpha: float) -> float:
+    def cut_lengths(self, alphas: np.ndarray) -> np.ndarray:
+        """Exact cut lengths: the numpy sum of the cell widths reaching each alpha."""
         widths = np.diff(self.breakpoints)
-        return float(widths[self.levels >= alpha].sum()) if self.levels.size else 0.0
+        return np.array([widths[self.levels >= a].sum() for a in alphas], dtype=np.float64)
+
+    def height(self) -> float:
+        return float(self.levels.max()) if self.levels.size else 0.0
+
+    def support_length(self) -> float:
+        widths = np.diff(self.breakpoints)
+        return float(widths[self.levels > 0].sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +148,7 @@ class PiecewiseLinear(MembershipFunction):
 
     xs: np.ndarray
     mus: np.ndarray
+    closed_form = True
 
     def __post_init__(self):
         xs = _as_float_array(self.xs, "xs")
@@ -160,6 +187,26 @@ class PiecewiseLinear(MembershipFunction):
         positive = (self.mus[:-1] > 0) | (self.mus[1:] > 0)
         return float(widths[positive].sum())
 
+    def height(self) -> float:
+        return float(self.mus.max())
+
+    def _cut_runs(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Segment j's piece is where its line is >= alpha; a vertical jump's
+        piece is the point itself when either end reaches alpha (the
+        max-of-ties rule). Pieces are ordered and meet only at vertices, so,
+        as in ``intervals._merge``, a piece opens a run unless it touches
+        the piece before it."""
+        x0, x1 = self.xs[:-1, None], self.xs[1:, None]
+        m0, m1 = self.mus[:-1, None], self.mus[1:, None]
+        in0, in1 = m0 >= alphas, m1 >= alphas
+        t = np.divide(alphas - m0, m1 - m0, out=np.zeros(in0.shape), where=in0 != in1)
+        at = np.clip(x0 + (x1 - x0) * t, x0, x1)
+        col, seg = np.nonzero((in0 | in1).T)
+        lefts, rights = np.where(in0, x0, at)[seg, col], np.where(in1, x1, at)[seg, col]
+        opens = np.ones(col.size, dtype=bool)
+        opens[1:] = (col[1:] != col[:-1]) | (lefts[1:] > rights[:-1])
+        return col[opens], lefts[opens], rights[np.roll(opens, -1)]
+
 
 def triangular(a: float, b: float, c: float) -> PiecewiseLinear:
     """Triangle rising from a to a peak of 1 at b, back to zero at c."""
@@ -187,6 +234,7 @@ class Gaussian(MembershipFunction):
     mean: float
     stddev: float
     domain: Interval | None = None
+    closed_form = True
 
     def __post_init__(self):
         if not (np.isfinite(self.mean) and np.isfinite(self.stddev)):
@@ -238,6 +286,23 @@ class Gaussian(MembershipFunction):
                 f"{GAUSSIAN_WINDOW_SIGMAS} stddev window"
             )
         return Interval(lo, hi)
+
+    def height(self) -> float:
+        w = self.window()  # the peak, or the window end nearest to it
+        return float(self.membership(min(max(self.mean, w.l), w.r)))
+
+    def support_length(self) -> float:
+        # membership is analytically positive across the whole declared domain
+        return self.domain.length if self.domain is not None else self.window().length
+
+    def _cut_runs(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """mean +/- stddev sqrt(-2 ln alpha), clipped to the window as the
+        sampled path clips it."""
+        w = self.window()
+        half = self.stddev * np.sqrt(-2.0 * np.log(alphas))
+        lo, hi = np.maximum(self.mean - half, w.l), np.minimum(self.mean + half, w.r)
+        col = np.flatnonzero(lo <= hi)
+        return col, lo[col], hi[col]
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,16 +401,13 @@ def sample_grid(mf: MembershipFunction, samples: int) -> tuple[np.ndarray, np.nd
     return xs, np.asarray(mf.membership(xs), dtype=np.float64)
 
 
-def _use_exact(mf, method: str) -> bool:
-    if method == "auto":
-        return isinstance(mf, PiecewiseConstant)
-    if method == "exact":
-        if not isinstance(mf, PiecewiseConstant):
-            raise ValueError("exact alpha-cuts require a piecewise-constant function")
-        return True
-    if method == "sampled":
-        return False
-    raise ValueError(f"method must be auto|exact|sampled, got {method!r}")
+def _sampled(mf: MembershipFunction, method: str) -> bool:
+    """Whether `method` measures mf's cuts on a sampled grid rather than exactly."""
+    if method not in ("auto", "exact", "sampled"):
+        raise ValueError(f"method must be auto|exact|sampled, got {method!r}")
+    if method == "exact" and not mf.closed_form:
+        raise ValueError(f"{type(mf).__name__} has no closed-form alpha-cuts")
+    return method == "sampled" or not mf.closed_form
 
 
 def alpha_length(
@@ -356,9 +418,11 @@ def alpha_length(
 ) -> float:
     """Length of the alpha-cut.
 
-    Step functions are measured exactly from their cells; other shapes are
-    discretised over the window and scanned for threshold runs, so the
-    result can under-read each run by at most two grid steps.
+    "auto" and "exact" measure step, piecewise-linear and Gaussian shapes in
+    closed form ("exact" raises ValueError on a ``Sampled`` grid). A sampled
+    grid, or any shape under "sampled", is evaluated on `samples` points over
+    its window and scanned for threshold runs, which is off the true length
+    by at most two grid steps per run of the cut.
     """
     return float(alpha_lengths(mf, [alpha], samples, method)[0])
 
@@ -371,15 +435,16 @@ def alpha_lengths(
 ) -> np.ndarray:
     """alpha_length over a ladder of levels, in any order.
 
-    One call samples the function once, on one grid shared by every level.
+    A closed form measures the whole ladder at once; the sampled path
+    samples the function once, on one grid shared by every level.
     """
     alphas = tuple(alphas)  # read twice: validated, then measured
     for a in alphas:
         _check_alpha(a)
     _check_samples(samples)
-    if _use_exact(mf, method):
-        return np.array([mf.cut_length(a) for a in alphas])
-    return _grid_lengths(*sample_grid(mf, samples), alphas)
+    if _sampled(mf, method):
+        return _grid_lengths(*sample_grid(mf, samples), alphas)
+    return mf.cut_lengths(np.array(alphas, dtype=np.float64))
 
 
 def _grid_lengths(xs: np.ndarray, mus: np.ndarray, alphas: Sequence[float]) -> np.ndarray:
@@ -410,10 +475,11 @@ def alpha_cut(
     samples: int = DEFAULT_SAMPLES,
     method: str = "auto",
 ) -> AlphaCut:
-    """The alpha-cut region itself (alpha_length equals its total length)."""
+    """The alpha-cut region, by ``alpha_length``'s method; sampled runs span
+    their first to last grid point."""
     _check_alpha(alpha)
     _check_samples(samples)
-    if _use_exact(mf, method):
+    if not _sampled(mf, method):
         return AlphaCut(alpha, mf.cut_segments(alpha))
     xs, mus = sample_grid(mf, samples)
     starts, stops = runs(mus >= alpha)
@@ -421,55 +487,28 @@ def alpha_cut(
     return AlphaCut(alpha, DisjointRegion(segs))
 
 
-def _height(mf: MembershipFunction, mus_grid: np.ndarray) -> float:
-    if isinstance(mf, PiecewiseConstant):
-        return float(mf.levels.max()) if mf.levels.size else 0.0
-    if isinstance(mf, PiecewiseLinear):
-        return float(mf.mus.max())
-    if isinstance(mf, Gaussian):
-        w = mf.window()
-        if w.l <= mf.mean <= w.r:
-            return 1.0
-        return float(max(mf.membership(w.l), mf.membership(w.r)))
-    return float(mus_grid.max())
-
-
-def _support_length(mf: MembershipFunction, xs: np.ndarray, mus_grid: np.ndarray) -> float:
-    if isinstance(mf, PiecewiseConstant):
-        widths = np.diff(mf.breakpoints)
-        return float(widths[mf.levels > 0].sum()) if mf.levels.size else 0.0
-    if isinstance(mf, PiecewiseLinear):
-        return mf.support_length()
-    if isinstance(mf, Gaussian):
-        # membership is analytically positive across the whole declared domain
-        return mf.domain.length if mf.domain is not None else mf.window().length
-    # sampled data: positivity below one quantisation step is noise
-    return float(_grid_lengths(xs, mus_grid, [1.0 / xs.size])[0])
-
-
 def attributes(mf: MembershipFunction, samples: int = DEFAULT_SAMPLES) -> Attributes:
     """Height, centroid, support and core lengths.
 
     The centroid is the membership-weighted mean over the discretised window
     for every representation, so analytic and sampled sets are directly
-    comparable. One call samples the function once: the centroid, the
-    height and the sampled core and support lengths all read that grid,
-    and they equal what ``alpha_length`` reports at 1 and 1/samples. Step
-    functions keep their exact core length. Raises EmptySet when the
-    function is identically zero.
+    comparable; one call samples the function once. Closed-form shapes take
+    their exact height, support and core (the cut at 1); a ``Sampled`` grid
+    reads them off that grid, with the support cut at 1/samples (positivity
+    below one quantisation step is noise). Raises EmptySet when the function
+    is identically zero.
     """
     xs, mus_grid = sample_grid(mf, samples)
     weight = float(mus_grid.sum())
     if weight == 0.0:
         raise EmptySet("membership is zero everywhere on the sampling grid; centroid undefined")
     centroid = float((xs * mus_grid).sum() / weight)
-    if isinstance(mf, PiecewiseConstant):
-        core = mf.cut_length(1.0)
+    if mf.closed_form:
+        height, support = mf.height(), mf.support_length()
+        (core,) = mf.cut_lengths(np.array([1.0]))
     else:
-        core = float(_grid_lengths(xs, mus_grid, [1.0])[0])
+        height = float(mus_grid.max())
+        support, core = _grid_lengths(xs, mus_grid, [1.0 / xs.size, 1.0])
     return Attributes(
-        height=_height(mf, mus_grid),
-        centroid=centroid,
-        support_length=_support_length(mf, xs, mus_grid),
-        core_length=core,
+        height=height, centroid=centroid, support_length=float(support), core_length=float(core)
     )

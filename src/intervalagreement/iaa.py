@@ -24,7 +24,6 @@ class AgreementFS(PiecewiseConstant):
     """
 
     n: int
-    source: IntervalCollection
 
     def __post_init__(self):
         super().__post_init__()
@@ -39,5 +38,4 @@ def build_iaa(coll: IntervalCollection) -> AgreementFS:
         breakpoints=coords,
         levels=counts / coll.n,
         n=coll.n,
-        source=coll,
     )

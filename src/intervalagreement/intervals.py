@@ -41,10 +41,6 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.l <= x <= self.r
 
-    def intersect(self, other: "Interval") -> "Interval | None":
-        lo, hi = max(self.l, other.l), min(self.r, other.r)
-        return Interval(lo, hi) if lo <= hi else None
-
 
 def make_interval(l: float, r: float) -> Interval:
     """Validated constructor; raises InvalidInterval on reversed or non-finite
@@ -150,9 +146,6 @@ class DisjointRegion:
     def is_empty(self) -> bool:
         return not self.segments
 
-    def contains(self, x: float) -> bool:
-        return any(seg.contains(x) for seg in self.segments)
-
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.segments)
 
@@ -213,6 +206,16 @@ def cells_at_least(edges: np.ndarray, values: np.ndarray, threshold) -> Disjoint
     return DisjointRegion(tuple(map(Interval, edges[starts].tolist(), edges[stops].tolist())))
 
 
+def run_sums(keys: np.ndarray, widths: list[float], size: int) -> np.ndarray:
+    """Total width per key 0..size-1, for run widths ordered by key, then by
+    position. Each key's widths are added left to right with builtin ``sum``:
+    the float operations ``DisjointRegion.total_length`` performs on the
+    region of those runs, so both give identical bits (and printed digits).
+    A numpy reduction or a suffix sum would reorder the additions."""
+    bounds = np.searchsorted(keys, np.arange(size + 1)).tolist()
+    return np.array([sum(widths[a:b]) for a, b in zip(bounds, bounds[1:])], dtype=np.float64)
+
+
 def level_sets(coll: IntervalCollection) -> list[DisjointRegion]:
     """Entry k-1 is the region where at least k of the n intervals overlap.
 
@@ -240,12 +243,8 @@ def level_lengths(coll: IntervalCollection) -> np.ndarray:
     rise in coverage from a to b at a coordinate opens a run for each level
     a+1..b, and a fall from b to a closes them. Runs of one level are
     disjoint, so the i-th opening at level k pairs with its i-th closing, and
-    all levels together hold at most n runs.
-
-    Each level's run lengths are added left to right with builtin ``sum``:
-    the float operations ``DisjointRegion.total_length`` performs on the
-    matching ``level_sets`` region, so both give identical bits (and printed
-    digits). A numpy reduction or a suffix sum would reorder the additions.
+    all levels together hold at most n runs, summed by ``run_sums`` to the
+    bits of the matching ``level_sets`` region's total length.
     """
     coords, counts = coll.coverage
     padded = np.concatenate([[0], counts, [0]])  # coverage left/right of each coordinate
@@ -253,11 +252,9 @@ def level_lengths(coll: IntervalCollection) -> np.ndarray:
     rises, falls = np.flatnonzero(step > 0), np.flatnonzero(step < 0)
     level, start = _level_runs(rises, padded[rises], padded[rises + 1])
     _, stop = _level_runs(falls, padded[falls + 1], padded[falls])
-    widths = (coords[stop] - coords[start]).tolist()
     top = int(level[-1]) if level.size else 0
-    bounds = np.searchsorted(level, np.arange(1, top + 2)).tolist()
     lengths = np.zeros(coll.n)
-    lengths[:top] = [sum(widths[a:b]) for a, b in zip(bounds, bounds[1:])]
+    lengths[:top] = run_sums(level - 1, (coords[stop] - coords[start]).tolist(), top)
     return lengths
 
 

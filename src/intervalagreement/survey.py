@@ -15,6 +15,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -146,6 +147,8 @@ def _validate_record(
     try:
         if isinstance(l_raw, bool) or isinstance(r_raw, bool):
             raise TypeError("a JSON boolean is not an endpoint")
+        if "_" in f"{l_raw}{r_raw}":
+            raise ValueError("float() reads '1_0' as 10; an endpoint has no digit separators")
         l, r = float(l_raw), float(r_raw)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"endpoints must be numbers, got ({l_raw!r}, {r_raw!r})", line=line)
@@ -172,14 +175,26 @@ def _check_duplicates(records: Iterable[tuple[SurveyRecord, int]]):
         seen[key] = line
 
 
+def _decode(data: bytes) -> str:
+    """UTF-8 text of raw input; invalid bytes raise ParseError at their line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"input is not valid UTF-8: {exc.reason} at byte {exc.start}", line=line)
+
+
+def read_path(path) -> str:
+    """A UTF-8 file's text with universal newlines, as text-mode reading gives it."""
+    with open(path, "rb") as fh:
+        return _decode(fh.read()).replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read_text(source) -> str:
     """Whole input as text, without a leading UTF-8 byte-order mark."""
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_text(encoding="utf-8")
-    else:
-        data = source.read()
+    data = read_path(source) if isinstance(source, (str, Path)) else source.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = _decode(data)
     return data.removeprefix("\ufeff")
 
 
@@ -201,6 +216,9 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
     if format == "csv":
         rows, lines = _csv_rows(text)
         columns = _columns(rows)
+        # float() reads "1_0" as 10; leave such endpoints to the per-row check
+        if columns and "_" in text.partition("\n")[2] and "_" in "".join(columns[3] + columns[4]):
+            columns = None
         per_row = _csv_records(rows, lines, scale)
     elif format == "json":
         rows = _json_rows(text)
@@ -220,20 +238,22 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
 def _csv_rows(text: str) -> tuple[list[list[str]], list[int]]:
     """Every non-blank row after the header, with its line number."""
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input; expected header " + ",".join(CSV_HEADER))
-    if [h.strip().lower() for h in header] != CSV_HEADER:
-        raise ParseError(
-            f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}", line=1
-        )
     rows, lines = [], []
-    for row in reader:
-        # a 5-field row of blanks is kept here and skipped by the per-row path
-        if len(row) == 5 or any(cell.strip() for cell in row):
-            rows.append(row)
-            lines.append(reader.line_num)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty input; expected header " + ",".join(CSV_HEADER))
+        if [h.strip().lower() for h in header] != CSV_HEADER:
+            raise ParseError(
+                f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}", line=1
+            )
+        for row in reader:
+            # a 5-field row of blanks is kept here and skipped by the per-row path
+            if len(row) == 5 or any(cell.strip() for cell in row):
+                rows.append(row)
+                lines.append(reader.line_num)
+    except csv.Error as exc:  # a field over the size limit, or a stray carriage return
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
     return rows, lines
 
 
@@ -257,23 +277,27 @@ def _csv_records(rows, lines, scale: Interval):
 def _json_rows(text: str) -> list:
     try:
         payload = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
-        raise ParseError(f"invalid JSON: {exc}")
+    except (ValueError, RecursionError) as exc:  # also a too-long integer, or too deep nesting
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, list):
         raise ParseError("top-level JSON value must be an array of records")
     return payload
 
 
 def _json_columns(payload: list) -> list | None:
-    """The five columns, names as ``str``, or None when a record is not an
-    object, lacks a key or has a boolean endpoint."""
+    """The five columns, names as ``str``, or None unless every record is an
+    object with every key, string or number names and number endpoints."""
     try:
         columns = [list(map(operator.itemgetter(key), payload)) for key in CSV_HEADER]
     except (TypeError, KeyError):
         return None
-    if bool in {*map(type, columns[3]), *map(type, columns[4])}:
+    names, ends = {*map(type, chain(*columns[:3]))}, {*map(type, chain(*columns[3:]))}
+    if not (names <= {str, int, float} and ends <= {int, float}):
         return None
     return [*(list(map(str, col)) for col in columns[:3]), *columns[3:]]
+
+
+_JSON_KINDS = {dict: "an object", list: "an array", bool: "a boolean", type(None): "null"}
 
 
 def _json_records(payload: list, scale: Interval):
@@ -284,6 +308,10 @@ def _json_records(payload: list, scale: Interval):
         missing = [k for k in CSV_HEADER if k not in obj]
         if missing:
             raise ParseError(f"missing keys: {', '.join(missing)}", line=i)
+        for key in CSV_HEADER[:3]:
+            if type(obj[key]) in _JSON_KINDS:
+                kind = _JSON_KINDS[type(obj[key])]
+                raise ParseError(f"{key} must be a string or a number, not {kind}", line=i)
         rec = _validate_record(
             str(obj["group"]), str(obj["participant_id"]), str(obj["term"]),
             obj["l"], obj["r"], scale=scale, line=i,

@@ -47,6 +47,8 @@ def oracle_load_survey(text, format="csv", scale=None):
         try:
             if isinstance(l_raw, bool) or isinstance(r_raw, bool):
                 raise TypeError("a JSON boolean is not an endpoint")
+            if "_" in f"{l_raw}{r_raw}":
+                raise ValueError("float() accepts digit separators; endpoints may not")
             l, r = float(l_raw), float(r_raw)
         except (TypeError, ValueError, OverflowError):
             raise ParseError(f"endpoints must be numbers, got ({l_raw!r}, {r_raw!r})", line=line)
@@ -80,6 +82,12 @@ def oracle_load_survey(text, format="csv", scale=None):
             missing = [k for k in CSV_HEADER if k not in obj]
             if missing:
                 raise ParseError(f"missing keys: {', '.join(missing)}", line=i)
+            for key in CSV_HEADER[:3]:
+                kind = {dict: "an object", list: "an array", bool: "a boolean", type(None): "null"}
+                if type(obj[key]) in kind:
+                    raise ParseError(
+                        f"{key} must be a string or a number, not {kind[type(obj[key])]}", line=i
+                    )
             rec = validate(
                 str(obj["group"]), str(obj["participant_id"]), str(obj["term"]),
                 obj["l"], obj["r"], line=i,

@@ -111,6 +111,9 @@ def test_criterion_2_gaussian_scale_invariance():
         for sigma, got in values.items():
             assert got == pytest.approx(ANALYTIC_GAUSSIAN_GAMMA, abs=1e-3), (sigma, got)
             assert abs(got - REFERENCE_GAUSSIAN_GAMMA) <= 0.02, (sigma, got)
+        # the closed-form cuts meet the oracle to rounding
+        exact = gamma_alpha(Gaussian(5, 1, domain=make_interval(0, 10)), cuts=10).gamma
+        assert exact == pytest.approx(ANALYTIC_GAUSSIAN_GAMMA, abs=1e-12)
 
 
 def test_criterion_3_oracle_equivalence():

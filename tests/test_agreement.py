@@ -114,19 +114,28 @@ def test_gamma_alpha_gaussian_reference_value():
     # sampled estimate sits on the analytic ratio value; 0.6518 is the
     # published reference figure for this configuration
     g = Gaussian(5, 1, domain=make_interval(0, 10))
-    got = gamma_alpha(g, cuts=10, samples=10001).gamma
+    got = gamma_alpha(g, cuts=10, samples=10001, method="sampled").gamma
     assert got == pytest.approx(GAUSSIAN_GAMMA_10, abs=5e-4)
     assert abs(got - 0.6518) <= 0.02
 
 
 def test_gamma_alpha_triangular_shape_scale_free():
     gammas = [
-        gamma_alpha(triangular(*abc), cuts=10, samples=10001).gamma
+        gamma_alpha(triangular(*abc), cuts=10, samples=10001, method="sampled").gamma
         for abc in [(0, 1, 2), (5, 6, 7), (0, 10, 20)]
     ]
     for g in gammas:
         assert g == pytest.approx(TRIANGULAR_GAMMA_10, abs=5e-4)
     assert max(gammas) - min(gammas) <= 1e-3
+
+
+def test_gamma_alpha_exact_on_closed_forms():
+    for sigma, domain in ((1, (0, 10)), (0.1, (0, 10)), (2, (-5, 15)), (7.5, None)):
+        g = Gaussian(5, sigma, domain=make_interval(*domain) if domain else None)
+        assert gamma_alpha(g, cuts=10).gamma == pytest.approx(GAUSSIAN_GAMMA_10, abs=1e-12)
+    for abc in [(0, 1, 2), (5, 6, 7), (0, 10, 20)]:
+        got = gamma_alpha(triangular(*abc), cuts=10, method="exact").gamma
+        assert got == pytest.approx(TRIANGULAR_GAMMA_10, abs=1e-12)
 
 
 def test_gamma_alpha_validation():

@@ -53,6 +53,10 @@ def test_parse_interval_lines_errors():
     assert info.value.line == 2
     with pytest.raises(ParseError, match="no intervals"):
         parse_interval_lines("# nothing\n")
+    # float() would read 1_0 as 10
+    with pytest.raises(ParseError, match="line 2: endpoints must be numbers"):
+        parse_interval_lines("0,1\n1_0,2_0\n")
+    assert parse_interval_lines("# per_line comment\n0,1\n").endpoints()[1].tolist() == [1.0]
 
 
 LINE_PIECES = [
@@ -167,6 +171,22 @@ def test_series_unknown_group(capsys):
 
 def test_missing_file_is_data_error(capsys):
     assert main(["gamma", "--input", "/nonexistent/file.txt"]) == 1
+
+
+def test_invalid_utf8_input_file_is_data_error(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0,1\n\xff\xfe1,2\n")
+    assert main(["gamma", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 2: input is not valid UTF-8: invalid start byte at byte 4\n"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_input_file_newlines_read_as_text(tmp_path, capsys, newline):
+    path = tmp_path / "survey.csv"
+    path.write_bytes(FIXTURE.read_bytes().replace(b"\n", newline.encode()))
+    assert main(["report", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == (DATA / "report_golden.csv").read_text()
 
 
 # ------------------------------------------------------------------ exit codes

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import intervalagreement.fuzzyset as fuzzyset_mod
+from intervalagreement.fuzzyset import alpha_lengths
 from intervalagreement import (
     EmptySet,
     Gaussian,
@@ -19,6 +21,7 @@ from intervalagreement import (
     attributes,
     build_iaa,
     collection,
+    gamma_alpha,
     make_interval,
     mu,
     trapezoidal,
@@ -228,7 +231,7 @@ def test_alpha_cut_identical_pair():
 
 
 def test_alpha_cut_triangular_sampled():
-    cut = alpha_cut(triangular(0, 1, 2), 0.5, samples=1001)
+    cut = alpha_cut(triangular(0, 1, 2), 0.5, samples=1001, method="sampled")
     (seg,) = cut.region.segments
     assert seg.l == pytest.approx(0.5, abs=2e-3)
     assert seg.r == pytest.approx(1.5, abs=2e-3)
@@ -241,8 +244,12 @@ def test_alpha_validation():
             alpha_length(fs, bad)
     with pytest.raises(ValueError):
         alpha_length(fs, 0.5, samples=1)
-    with pytest.raises(ValueError):
-        alpha_length(triangular(0, 1, 2), 0.5, method="exact")
+    # every shape but a sampled grid has a closed-form cut
+    assert alpha_length(triangular(0, 1, 2), 0.5, method="exact") == 1.0
+    with pytest.raises(ValueError, match="no closed-form"):
+        alpha_length(Sampled(np.linspace(0, 1, 11), np.ones(11)), 0.5, method="exact")
+    with pytest.raises(ValueError, match="method"):
+        alpha_length(fs, 0.5, method="fast")
 
 
 def test_step_exact_matches_forced_sampling():
@@ -272,8 +279,8 @@ def test_alpha_cut_monotone(a1, a2):
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9])
 def test_estimator_converges_with_resolution(mf, width, alpha):
     for samples in (101, 501, 1001):
-        coarse = alpha_length(mf, alpha, samples)
-        fine = alpha_length(mf, alpha, 2 * samples)
+        coarse = alpha_length(mf, alpha, samples, method="sampled")
+        fine = alpha_length(mf, alpha, 2 * samples, method="sampled")
         assert abs(coarse - fine) <= 2 * width / samples
 
 
@@ -348,6 +355,8 @@ def test_gaussian_support_spans_declared_domain():
     attrs = attributes(Gaussian(5, 0.1, domain=make_interval(0, 10)))
     assert attrs.support_length == 10.0
     assert attrs.height == 1.0
+    # a domain beside the mean: the height is at the window end nearest to it
+    assert attributes(Gaussian(5, 1, domain=make_interval(6, 12))).height == math.exp(-0.5)
 
 
 def test_core_positive_implies_full_height():
@@ -363,3 +372,146 @@ def test_degenerate_point_collection_is_empty_set():
     assert mu(fs, 3.0) == 0.0
     with pytest.raises(EmptySet):
         attributes(fs)
+
+
+# ------------------------------------------------------------ closed-form cuts
+
+LADDER = np.array([1e-9, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+
+
+@pytest.mark.parametrize(
+    "abcd", [(0, 1, 1, 2), (1, 4, 4, 9), (-3, -3, -3, 5), (0, 2, 6, 9), (0, 0, 2.5, 4), (-1, 0.5, 0.75, 8)]
+)
+def test_triangle_and_trapezoid_cuts_match_closed_form(abcd):
+    a, b, c, d = abcd
+    mf = triangular(a, b, d) if b == c else trapezoidal(a, b, c, d)
+    expected = (d - a) - LADDER * ((b - a) + (d - c))
+    assert np.abs(alpha_lengths(mf, LADDER) - expected).max() <= 1e-12
+    for alpha in LADDER:
+        (seg,) = alpha_cut(mf, alpha).region
+        assert seg.l == pytest.approx(a + alpha * (b - a), abs=1e-12)
+        assert seg.r == pytest.approx(d - alpha * (d - c), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mf,lo,hi",
+    [
+        (Gaussian(5, 1), 0, 10),
+        (Gaussian(-2.5, 0.3, domain=make_interval(-10, 10)), -4, -1),
+        (Gaussian(5, 1, domain=make_interval(4, 10)), 4, 10),  # clipped on the left
+        (Gaussian(5, 1, domain=make_interval(6, 12)), 6, 10),  # mean outside the domain
+    ],
+)
+def test_gaussian_cuts_match_closed_form(mf, lo, hi):
+    half = mf.stddev * np.sqrt(-2 * np.log(LADDER))
+    expected = np.maximum(np.minimum(mf.mean + half, hi) - np.maximum(mf.mean - half, lo), 0)
+    assert np.abs(alpha_lengths(mf, LADDER) - expected).max() <= 1e-12
+    if mf.domain is None:  # unclipped above alpha = exp(-12.5): the textbook width
+        assert np.abs(alpha_lengths(mf, LADDER[1:]) - 2 * half[1:]).max() <= 1e-12
+
+
+# Lattice vertices tie, run flat at a lattice alpha and jump. The sampled scan
+# thresholds rounded memberships, so a slope within an ulp of flat (or a
+# domain so narrow that exp() reads 1 across it) could make it read a long
+# run the exact cut rightly calls a point; the lattices keep those out.
+vertex_xs = st.integers(-8, 8).map(lambda k: k / 4)
+vertex_mus = st.integers(0, 8).map(lambda k: k / 8)
+cut_alphas = st.one_of(st.integers(1, 8).map(lambda k: k / 8), st.floats(1e-6, 1))
+
+
+def _gaussian(mean, stddev, lo, hi):
+    """Gaussian whose domain, if any, ends at lattice multiples of stddev."""
+    if lo != hi:
+        try:
+            lo, hi = sorted((mean + lo / 4 * stddev, mean + hi / 4 * stddev))
+            g = Gaussian(mean, stddev, domain=make_interval(lo, hi))
+            g.window()
+            return g
+        except InvalidDomain:  # the domain misses mean +/- 5 stddev
+            pass
+    return Gaussian(mean, stddev)
+
+
+closed_form_shapes = st.one_of(
+    st.lists(st.tuples(vertex_xs, vertex_mus), min_size=2, max_size=10).map(
+        lambda v: PiecewiseLinear(*(np.array(c) for c in zip(*sorted(v, key=lambda p: p[0]))))
+    ),
+    st.builds(
+        _gaussian, st.floats(-10, 10), st.floats(0.05, 5), st.integers(-32, 32), st.integers(-32, 32)
+    ),
+)
+
+
+@given(closed_form_shapes, st.lists(cut_alphas, min_size=1, max_size=6))
+def test_closed_form_cuts_against_sampled_scan(mf, alphas):
+    samples = 2001
+    exact = alpha_lengths(mf, alphas)
+    sampled = alpha_lengths(mf, alphas, samples, method="sampled")
+    h = mf.window().length / (samples - 1)
+    for alpha, got, scan in zip(alphas, exact, sampled):
+        region = alpha_cut(mf, alpha).region
+        # one region per cut, bit-equal to its length
+        assert region.total_length == got
+        # the sampled scan is off by at most two grid steps per run
+        assert abs(got - scan) <= 2 * h * max(1, len(region.segments)) + 1e-12
+        # runs lie in the cut, and the gaps between them do not
+        for seg in region:
+            ends = mf.membership(np.array([seg.l, (seg.l + seg.r) / 2, seg.r]))
+            assert (ends >= alpha - 1e-9).all()
+        for left, right in zip(region.segments, region.segments[1:]):
+            assert mf.membership((left.r + right.l) / 2) < alpha + 1e-9
+
+
+SAWTOOTH_XS = np.cumsum(np.random.default_rng(7).uniform(0.1, 1.0, 40))
+
+CUT_SHAPES = [
+    *ATTRIBUTE_SHAPES,
+    # a dozen runs per cut: their left-to-right sum must match the region's
+    PiecewiseLinear(SAWTOOTH_XS, np.tile([0.0, 1.0], 20)),
+    triangular(1, 4, 9),
+    PiecewiseLinear(np.array([0, 0, 1, 1, 1, 2.0]), np.array([0, 1, 0.5, 0.2, 0.9, 0])),
+    Gaussian(5, 1, domain=make_interval(6, 12)),
+]
+
+
+@pytest.mark.parametrize("mf", CUT_SHAPES, ids=lambda mf: type(mf).__name__)
+@pytest.mark.parametrize("method", ["auto", "sampled"])
+def test_alpha_cut_total_equals_alpha_length(mf, method):
+    for alpha in (0.01, *np.arange(1, 11) / 10):
+        total = alpha_cut(mf, alpha, 501, method=method).region.total_length
+        length = alpha_length(mf, alpha, 501, method=method)
+        if method == "auto" and mf.closed_form and not isinstance(mf, PiecewiseConstant):
+            assert total == length
+        else:
+            # step and sampled lengths keep their numpy sums (pinned bits),
+            # which may add the runs in another order than the region does
+            assert total == pytest.approx(length, rel=1e-12, abs=1e-12)
+
+
+SAMPLED_DIGEST = "7408dd8aa08236f3c789741e116e19f344f4ef110a95722d704a6d1873a00282"
+
+
+def _sampled_outputs():
+    shapes = [
+        *ATTRIBUTE_SHAPES,
+        Gaussian(5, 1, domain=make_interval(0, 10)),
+        triangular(1, 4, 9),
+        trapezoidal(0, 2, 6, 9),
+    ]
+    ladder = [0.7, 0.1, 0.7, 1.0, 0.05, 0.3]
+    values = []
+    for mf in shapes:
+        for samples in (17, 1001):
+            values += alpha_lengths(mf, ladder, samples, method="sampled").tolist()
+            values += [gamma_alpha(mf, 10, samples, method="sampled").gamma]
+            for alpha in ladder:
+                cut = alpha_cut(mf, alpha, samples, method="sampled")
+                values += [v for seg in cut.region for v in (seg.l, seg.r)]
+    return np.array(values, dtype="<f8")
+
+
+def test_sampled_method_keeps_its_bits():
+    # digest of the sampled path's lengths, gammas and cut ends, taken before
+    # the closed-form cuts were added; method="sampled" is the cross-check
+    digest = hashlib.sha256(_sampled_outputs().tobytes()).hexdigest()
+    assert digest == SAMPLED_DIGEST

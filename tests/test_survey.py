@@ -134,6 +134,58 @@ def test_json_integer_literal_too_long_rejected():
         load_survey(StringIO(text % ("1" * 5000)), format="json")
 
 
+HEADER = "group,participant_id,term,l,r\n"
+
+
+def test_invalid_utf8_is_parse_error(tmp_path):
+    data = (HEADER + "Patient,P01,ITD,1,2\n").encode() + b"\xff\xfe1,2\n"
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    for source in (BytesIO(data), path, str(path)):
+        with pytest.raises(ParseError, match="not valid UTF-8") as info:
+            load_survey(source)
+        assert info.value.line == 3
+
+
+def test_oversized_csv_field_is_parse_error():
+    text = HEADER + "Patient,P01,ITD,1,2\n" + "x" * 131_073 + ",P02,ITD,1,2\n"
+    with pytest.raises(ParseError, match="malformed CSV: field larger") as info:
+        load_survey(StringIO(text))
+    assert info.value.line == 3
+
+
+def test_deeply_nested_json_is_parse_error():
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_survey(StringIO("[" * 100_000), format="json")
+
+
+@pytest.mark.parametrize(
+    "key,value,kind",
+    [("group", {"a": 1}, "an object"), ("participant_id", None, "null"),
+     ("term", ["ITD"], "an array"), ("group", True, "a boolean")],
+)
+def test_json_names_must_be_strings_or_numbers(key, value, kind):
+    good = {"group": "Patient", "participant_id": 7, "term": "ITD", "l": 1, "r": 2}
+    assert load_survey(StringIO(json.dumps([good])), format="json").participant_ids == ("7",)
+    with pytest.raises(ParseError) as info:
+        load_survey(StringIO(json.dumps([good, {**good, key: value}])), format="json")
+    assert str(info.value) == f"line 2: {key} must be a string or a number, not {kind}"
+
+
+def test_underscore_endpoints_rejected():
+    # float() reads 0_5,1_0 as 5,10: inside the scale, so only the check stops it
+    with pytest.raises(ParseError, match="endpoints must be numbers") as info:
+        load_survey(StringIO(HEADER + "Patient,P_01,ITD,1,2\nPatient,P_02,ITD,0_5,1_0\n"))
+    assert info.value.line == 3
+    record = {"group": "Patient", "participant_id": "P01", "term": "ITD", "l": "1_0", "r": 10}
+    with pytest.raises(ParseError, match="endpoints must be numbers") as info:
+        load_survey(StringIO(json.dumps([record])), format="json")
+    assert info.value.line == 1
+    # underscores elsewhere keep the columnar path
+    ds = load_survey(StringIO(HEADER + "Pa_tient,P_01,IT_D,1,2\n"))
+    assert (ds.groups, ds.participant_ids, ds.term_names) == (("Pa_tient",), ("P_01",), ("IT_D",))
+
+
 def test_out_of_scale_reports_line():
     text = "group,participant_id,term,l,r\nSurgeon,S03,NAAD,9,11\n"
     with pytest.raises(RangeError, match="line 2"):
@@ -361,7 +413,7 @@ PARTICIPANTS = ["P1", "P2", " P1", "P3", "7"]
 TERM_NAMES = ["ITD", "ED", "impossible to do", "Moderately  Difficult", "odd term"]
 FAULTS = [
     "number", "bool", "reversed", "width", "nonfinite", "scale",
-    "empty", "reserved", "fields", "object", "duplicate",
+    "empty", "reserved", "fields", "object", "duplicate", "underscore", "name",
 ]
 
 
@@ -413,6 +465,10 @@ def survey_inputs(draw):
             records[i] = draw(st.sampled_from([rec[:4], rec + ["x"], {"group": rec[0]}]))
         elif fault == "object":
             records[i] = draw(st.sampled_from([[1, 2], 5, "row"]))
+        elif fault == "underscore":
+            rec[draw(st.sampled_from([3, 4]))] = draw(st.sampled_from(["1_0", "0_5", "1_0.0"]))
+        elif fault == "name":
+            rec[draw(st.integers(0, 2))] = draw(st.sampled_from([{"a": 1}, None, ["P1"], True, 7]))
         elif fault == "duplicate":
             j = draw(st.integers(0, len(records) - 1))
             if isinstance(records[j], list) and len(records[j]) >= 3:
