@@ -41,7 +41,8 @@ def parse_interval_lines(text: str) -> IntervalCollection:
             fields.append(line.split(","))
     if not fields:
         raise ParseError("no intervals in input")
-    if {*map(len, fields)} == {2} and "_" not in text:  # float() reads "1_0" as 10
+    # float() reads "1_0" as 10 and "١" as 1; the per-line parser rejects both
+    if {*map(len, fields)} == {2} and "_" not in text and text.isascii():
         try:
             ls = np.array(list(map(float, map(itemgetter(0), fields))))
             rs = np.array(list(map(float, map(itemgetter(1), fields))))
@@ -64,8 +65,8 @@ def _parse_each_line(text: str) -> list[Interval]:
         if len(parts) != 2:
             raise ParseError(f"expected 'l,r', got {raw!r}", line=lineno)
         try:
-            if "_" in line:
-                raise ValueError("an endpoint has no digit separators")
+            if "_" in line or not (parts[0] + parts[1]).isascii():
+                raise ValueError("an endpoint has no digit separators or non-ASCII digits")
             l, r = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParseError(f"endpoints must be numbers, got {raw!r}", line=lineno)

@@ -6,8 +6,13 @@ grids. Alpha-cuts use the closed convention {x | mu(x) >= alpha}. Step,
 piecewise-linear and Gaussian shapes measure their cuts, height and support
 in closed form. A sampled grid, or any shape under ``method="sampled"``, is
 evaluated on a uniform grid over its window, and a cut is the runs of grid
-points at or above alpha (:func:`.intervals.runs`); such a cut length is off
-the true one by at most two grid steps per run of the cut.
+points at or above alpha (:func:`.intervals.ladder_runs`); such a cut length
+is off the true one by at most two grid steps per run of the cut.
+
+Every path yields (alpha index, left, right) runs, by alpha, then left to
+right; :func:`.intervals.run_sums` adds them into lengths and
+:func:`.intervals.run_regions` builds the regions, so each cut's length is its
+region's ``total_length`` to the bit.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySet, InvalidAlpha, InvalidDomain
-from .intervals import DisjointRegion, Interval, cells_at_least, run_sums, runs
+from .intervals import DisjointRegion, Interval, ladder_runs, run_regions, run_sums
 
 DEFAULT_SAMPLES = 1001
 
@@ -28,30 +33,23 @@ GAUSSIAN_WINDOW_SIGMAS = 5.0
 class MembershipFunction:
     """Base for all membership representations.
 
-    Subclasses provide vectorised ``membership`` and a bounded ``window``
-    over which sampling-based operations discretise. Closed-form shapes set
-    ``closed_form`` and give exact ``height()``, ``support_length()`` and
-    ``_cut_runs(alphas)``: (alpha index, left, right) of every maximal run
-    of every cut, by alpha, then left to right.
+    Subclasses provide ``_membership`` of a float array and a bounded
+    ``window`` over which sampling-based operations discretise. Closed-form
+    shapes set ``closed_form`` and give exact ``height()``,
+    ``support_length()`` and ``_cut_runs(alphas)``: (alpha index, left,
+    right) of every maximal run of every cut, by alpha, then left to right.
     """
 
     closed_form = False
 
     def membership(self, x):
-        raise NotImplementedError
+        """mu at each x, vectorised; a scalar x gives a float."""
+        x = np.asarray(x, dtype=np.float64)
+        out = self._membership(np.atleast_1d(x))
+        return float(out[0]) if x.ndim == 0 else out
 
     def window(self) -> Interval:
         raise NotImplementedError
-
-    def cut_lengths(self, alphas: np.ndarray) -> np.ndarray:
-        """Exact cut length at each alpha: its runs added left to right, as
-        ``DisjointRegion.total_length`` adds the ``cut_segments`` region."""
-        col, lefts, rights = self._cut_runs(alphas)
-        return run_sums(col, (rights - lefts).tolist(), alphas.size)
-
-    def cut_segments(self, alpha: float) -> DisjointRegion:
-        _, lefts, rights = self._cut_runs(np.array([alpha]))
-        return DisjointRegion(tuple(map(Interval, lefts.tolist(), rights.tolist())))
 
 
 def _as_float_array(values, name) -> np.ndarray:
@@ -99,10 +97,7 @@ class PiecewiseConstant(MembershipFunction):
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "levels", lv)
 
-    def membership(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+    def _membership(self, x):
         out = np.zeros_like(x)
         bp, lv = self.breakpoints, self.levels
         if lv.size:
@@ -114,21 +109,10 @@ class PiecewiseConstant(MembershipFunction):
             on_edge = (xin == bp[idx]) & (idx >= 1)
             val = np.where(on_edge, np.maximum(val, lv[np.maximum(idx - 1, 0)]), val)
             out[inside] = val
-        if scalar:
-            return float(out[0])
         return out
 
     def window(self) -> Interval:
         return Interval(float(self.breakpoints[0]), float(self.breakpoints[-1]))
-
-    def cut_segments(self, alpha: float) -> DisjointRegion:
-        """Exact alpha-cut: merge adjacent cells whose level reaches alpha."""
-        return cells_at_least(self.breakpoints, self.levels, alpha)
-
-    def cut_lengths(self, alphas: np.ndarray) -> np.ndarray:
-        """Exact cut lengths: the numpy sum of the cell widths reaching each alpha."""
-        widths = np.diff(self.breakpoints)
-        return np.array([widths[self.levels >= a].sum() for a in alphas], dtype=np.float64)
 
     def height(self) -> float:
         return float(self.levels.max()) if self.levels.size else 0.0
@@ -136,6 +120,12 @@ class PiecewiseConstant(MembershipFunction):
     def support_length(self) -> float:
         widths = np.diff(self.breakpoints)
         return float(widths[self.levels > 0].sum())
+
+    def _cut_runs(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Runs of adjacent cells whose level reaches alpha; cell j spans
+        ``breakpoints[j]`` to ``breakpoints[j + 1]``."""
+        col, start, stop = ladder_runs(self.levels, alphas)
+        return col, self.breakpoints[start], self.breakpoints[stop]
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,10 +152,7 @@ class PiecewiseLinear(MembershipFunction):
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "mus", mus)
 
-    def membership(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+    def _membership(self, x):
         out = np.interp(x, self.xs, self.mus, left=0.0, right=0.0)
         # closed-cut convention at vertices: exact hits take the max tied value;
         # interp already returns mus[j] at an untied vertex, so only ties are fixed
@@ -174,8 +161,6 @@ class PiecewiseLinear(MembershipFunction):
             hits = x == xv
             if hits.any():
                 out[hits] = self.mus[self.xs == xv].max()
-        if scalar:
-            return float(out[0])
         return out
 
     def window(self) -> Interval:
@@ -260,10 +245,7 @@ class Gaussian(MembershipFunction):
         half = GAUSSIAN_WINDOW_SIGMAS * float(self.stddev)
         return float(self.mean) - half, float(self.mean) + half
 
-    def membership(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+    def _membership(self, x):
         with np.errstate(over="ignore"):  # far in the tails: inf, so exp reads 0
             out = x - self.mean
             np.square(out, out=out)
@@ -272,8 +254,6 @@ class Gaussian(MembershipFunction):
         np.exp(out, out=out)
         if self.domain is not None:
             out[(x < self.domain.l) | (x > self.domain.r)] = 0.0
-        if scalar:
-            return float(out[0])
         return out
 
     def window(self) -> Interval:
@@ -330,10 +310,7 @@ class Sampled(MembershipFunction):
     def spacing(self) -> float:
         return float((self.xs[-1] - self.xs[0]) / (self.xs.size - 1))
 
-    def membership(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+    def _membership(self, x):
         with np.errstate(over="ignore"):  # far off the grid reads +/-inf, masked below
             pos = x - self.xs[0]
             pos /= self.spacing  # in place: a 1M-point grid holds one array fewer
@@ -342,8 +319,6 @@ class Sampled(MembershipFunction):
         np.copyto(pos, 0.0, where=off)  # off-grid positions may not fit an int
         out = np.take(self.mus, pos.astype(np.int64), out=pos)
         np.copyto(out, 0.0, where=off)
-        if scalar:
-            return float(out[0])
         return out
 
     def window(self) -> Interval:
@@ -410,13 +385,32 @@ def _sampled(mf: MembershipFunction, method: str) -> bool:
     return method == "sampled" or not mf.closed_form
 
 
+def _runs(mf: MembershipFunction, alphas, samples: int, method: str, grid=None):
+    """(alpha index, left, right) of every maximal run of every cut, by alpha,
+    then left to right: a closed form's ``_cut_runs``, or the runs of grid
+    points at or above each alpha on ``grid`` (sampled when not given), each
+    spanning its first to last point."""
+    alphas = np.array(alphas, dtype=np.float64)
+    if not _sampled(mf, method):
+        return mf._cut_runs(alphas)
+    xs, mus = grid or sample_grid(mf, samples)
+    col, start, stop = ladder_runs(mus, alphas)
+    return col, xs[start], xs[stop - 1]
+
+
+def _lengths(mf: MembershipFunction, alphas, samples: int, method: str, grid=None) -> np.ndarray:
+    """Each cut's length: its ``_runs`` added left to right (``run_sums``)."""
+    col, lefts, rights = _runs(mf, alphas, samples, method, grid)
+    return run_sums(col, (rights - lefts).tolist(), len(alphas))
+
+
 def alpha_length(
     mf: MembershipFunction,
     alpha: float,
     samples: int = DEFAULT_SAMPLES,
     method: str = "auto",
 ) -> float:
-    """Length of the alpha-cut.
+    """Length of the alpha-cut, bit-equal to ``alpha_cut(...).total_length``.
 
     "auto" and "exact" measure step, piecewise-linear and Gaussian shapes in
     closed form ("exact" raises ValueError on a ``Sampled`` grid). A sampled
@@ -436,37 +430,14 @@ def alpha_lengths(
     """alpha_length over a ladder of levels, in any order.
 
     A closed form measures the whole ladder at once; the sampled path
-    samples the function once, on one grid shared by every level.
+    samples the function once, on one grid shared by every level. Each cut's
+    runs are added left to right, as its region's ``total_length`` adds them.
     """
     alphas = tuple(alphas)  # read twice: validated, then measured
     for a in alphas:
         _check_alpha(a)
     _check_samples(samples)
-    if _sampled(mf, method):
-        return _grid_lengths(*sample_grid(mf, samples), alphas)
-    return mf.cut_lengths(np.array(alphas, dtype=np.float64))
-
-
-def _grid_lengths(xs: np.ndarray, mus: np.ndarray, alphas: Sequence[float]) -> np.ndarray:
-    """Sampled cut length at each alpha: the runs of grid points at or above it.
-
-    Cuts are nested, so the levels are visited in ascending order and each
-    is scanned only from the previous level's first run start to its last
-    run stop; past an empty level every length is 0. The runs found are the
-    ones a full-grid scan finds, summed in the same order, so the lengths
-    are the same bits.
-    """
-    lengths = np.zeros(len(alphas))
-    lo, hi = 0, mus.size
-    for i in np.argsort(alphas, kind="stable"):
-        starts, stops = runs(mus[lo:hi] >= alphas[i])
-        if not starts.size:
-            break
-        starts += lo
-        stops += lo
-        lengths[i] = np.sum(xs[stops - 1] - xs[starts])
-        lo, hi = starts[0], stops[-1]
-    return lengths
+    return _lengths(mf, alphas, samples, method)
 
 
 def alpha_cut(
@@ -475,16 +446,12 @@ def alpha_cut(
     samples: int = DEFAULT_SAMPLES,
     method: str = "auto",
 ) -> AlphaCut:
-    """The alpha-cut region, by ``alpha_length``'s method; sampled runs span
-    their first to last grid point."""
+    """The alpha-cut region, from the runs ``alpha_length`` measures; sampled
+    runs span their first to last grid point."""
     _check_alpha(alpha)
     _check_samples(samples)
-    if not _sampled(mf, method):
-        return AlphaCut(alpha, mf.cut_segments(alpha))
-    xs, mus = sample_grid(mf, samples)
-    starts, stops = runs(mus >= alpha)
-    segs = tuple(map(Interval, xs[starts].tolist(), xs[stops - 1].tolist()))
-    return AlphaCut(alpha, DisjointRegion(segs))
+    (region,) = run_regions(*_runs(mf, [alpha], samples, method), 1)
+    return AlphaCut(alpha, region)
 
 
 def attributes(mf: MembershipFunction, samples: int = DEFAULT_SAMPLES) -> Attributes:
@@ -505,10 +472,10 @@ def attributes(mf: MembershipFunction, samples: int = DEFAULT_SAMPLES) -> Attrib
     centroid = float((xs * mus_grid).sum() / weight)
     if mf.closed_form:
         height, support = mf.height(), mf.support_length()
-        (core,) = mf.cut_lengths(np.array([1.0]))
+        (core,) = _lengths(mf, [1.0], samples, "auto")
     else:
         height = float(mus_grid.max())
-        support, core = _grid_lengths(xs, mus_grid, [1.0 / xs.size, 1.0])
+        support, core = _lengths(mf, [1.0 / xs.size, 1.0], samples, "auto", (xs, mus_grid))
     return Attributes(
         height=height, centroid=centroid, support_length=float(support), core_length=float(core)
     )

@@ -2,6 +2,11 @@
 
 All operations treat intervals as closed sets but measure lengths, so overlaps
 at a single point (touching intervals, zero-width responses) carry no weight.
+
+Where values reach a threshold is found as (key, start, stop) runs, by key,
+then position: ``level_runs`` for every level of a coverage count at once,
+``ladder_runs`` for a few float thresholds (the α-cuts in ``fuzzyset``).
+``run_sums`` turns runs into lengths and ``run_regions`` into regions.
 """
 
 from __future__ import annotations
@@ -194,16 +199,10 @@ def coverage_cells(coll: IntervalCollection) -> tuple[np.ndarray, np.ndarray]:
 def runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(starts, stops) of each maximal run of True in a 1-D mask, stops
     exclusive: run i is ``mask[starts[i]:stops[i]]``."""
-    padded = np.concatenate([[False], mask, [False]])
+    padded = np.zeros(mask.size + 2, dtype=bool)
+    padded[1:-1] = mask
     edges = np.flatnonzero(padded[1:] != padded[:-1])
     return edges[0::2], edges[1::2]
-
-
-def cells_at_least(edges: np.ndarray, values: np.ndarray, threshold) -> DisjointRegion:
-    """Merge adjacent cells whose value reaches `threshold` into closed
-    segments; cell j spans ``edges[j]`` to ``edges[j + 1]``."""
-    starts, stops = runs(values >= threshold)
-    return DisjointRegion(tuple(map(Interval, edges[starts].tolist(), edges[stops].tolist())))
 
 
 def run_sums(keys: np.ndarray, widths: list[float], size: int) -> np.ndarray:
@@ -216,17 +215,33 @@ def run_sums(keys: np.ndarray, widths: list[float], size: int) -> np.ndarray:
     return np.array([sum(widths[a:b]) for a, b in zip(bounds, bounds[1:])], dtype=np.float64)
 
 
-def level_sets(coll: IntervalCollection) -> list[DisjointRegion]:
-    """Entry k-1 is the region where at least k of the n intervals overlap.
-
-    Regions are nested and their lengths are the agreement-level lengths the
-    ratio measure is built from.
-    """
-    coords, counts = coll.coverage
-    return [cells_at_least(coords, counts, k) for k in range(1, coll.n + 1)]
+def run_regions(keys: np.ndarray, lefts: np.ndarray, rights: np.ndarray, size: int) -> list:
+    """One ``DisjointRegion`` per key 0..size-1, for runs ordered as ``run_sums``'s."""
+    bounds = np.searchsorted(keys, np.arange(size + 1)).tolist()
+    segs = list(map(Interval, lefts.tolist(), rights.tolist()))
+    return [DisjointRegion(tuple(segs[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
-def _level_runs(at: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def ladder_runs(values: np.ndarray, thresholds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, start, stop) of every maximal run of ``values >= thresholds[i]``,
+    by i, then by position; stops exclusive. Cuts are nested, so thresholds
+    are visited in ascending order, each scanning only the span of the one
+    before's runs; past an empty cut every higher one is empty too."""
+    thresholds = np.asarray(thresholds, dtype=np.float64).tolist()
+    none = np.zeros(0, dtype=np.intp)
+    starts, stops = [none] * len(thresholds), [none] * len(thresholds)
+    lo, hi = 0, values.size
+    for i in sorted(range(len(thresholds)), key=thresholds.__getitem__):
+        run_starts, run_stops = runs(values[lo:hi] >= thresholds[i])
+        if not run_starts.size:
+            break
+        starts[i], stops[i] = run_starts + lo, run_stops + lo
+        lo, hi = starts[i][0], stops[i][-1]
+    keys = np.arange(len(thresholds)).repeat([s.size for s in starts])
+    return keys, np.concatenate([none, *starts]), np.concatenate([none, *stops])
+
+
+def _level_marks(at: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(level, coordinate index) for each level lo+1..hi at each index in `at`,
     ordered by level, then by position."""
     reps = hi - lo
@@ -236,25 +251,42 @@ def _level_runs(at: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndar
     return level[order], idx[order]
 
 
+def level_runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k - 1, start, stop) of every maximal run of ``counts >= k``, for all
+    levels k at once, by level, then by position; stops exclusive. A rise
+    from a to b opens a run for each level a+1..b and a fall closes them;
+    one level's runs are disjoint, so its i-th opening pairs with its i-th
+    closing."""
+    padded = np.concatenate([[0], counts, [0]])  # count left/right of each boundary
+    step = np.diff(padded)
+    rises, falls = np.flatnonzero(step > 0), np.flatnonzero(step < 0)
+    level, start = _level_marks(rises, padded[rises], padded[rises + 1])
+    _, stop = _level_marks(falls, padded[falls + 1], padded[falls])
+    return level - 1, start, stop
+
+
+def level_sets(coll: IntervalCollection) -> list[DisjointRegion]:
+    """Entry k-1 is the region where at least k of the n intervals overlap.
+
+    Regions are nested and their lengths are the agreement-level lengths the
+    ratio measure is built from; all come from one ``level_runs``, in O(n log n).
+    """
+    coords, counts = coll.coverage
+    key, start, stop = level_runs(counts)
+    return run_regions(key, coords[start], coords[stop], coll.n)
+
+
 def level_lengths(coll: IntervalCollection) -> np.ndarray:
     """Total length per agreement level, index k-1 for level k, in O(n log n).
 
-    Every maximal run of every level comes out of the one coverage sweep: a
-    rise in coverage from a to b at a coordinate opens a run for each level
-    a+1..b, and a fall from b to a closes them. Runs of one level are
-    disjoint, so the i-th opening at level k pairs with its i-th closing, and
-    all levels together hold at most n runs, summed by ``run_sums`` to the
-    bits of the matching ``level_sets`` region's total length.
+    The runs of every level (``level_runs``, at most n in all) are summed by
+    ``run_sums`` to the bits of each ``level_sets`` region's total length.
     """
     coords, counts = coll.coverage
-    padded = np.concatenate([[0], counts, [0]])  # coverage left/right of each coordinate
-    step = np.diff(padded)
-    rises, falls = np.flatnonzero(step > 0), np.flatnonzero(step < 0)
-    level, start = _level_runs(rises, padded[rises], padded[rises + 1])
-    _, stop = _level_runs(falls, padded[falls + 1], padded[falls])
-    top = int(level[-1]) if level.size else 0
+    key, start, stop = level_runs(counts)
+    top = int(key[-1]) + 1 if key.size else 0
     lengths = np.zeros(coll.n)
-    lengths[:top] = run_sums(level - 1, (coords[stop] - coords[start]).tolist(), top)
+    lengths[:top] = run_sums(key, (coords[stop] - coords[start]).tolist(), top)
     return lengths
 
 

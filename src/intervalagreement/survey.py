@@ -147,8 +147,9 @@ def _validate_record(
     try:
         if isinstance(l_raw, bool) or isinstance(r_raw, bool):
             raise TypeError("a JSON boolean is not an endpoint")
-        if "_" in f"{l_raw}{r_raw}":
-            raise ValueError("float() reads '1_0' as 10; an endpoint has no digit separators")
+        ends = str(l_raw).strip() + str(r_raw).strip()
+        if "_" in ends or not ends.isascii():
+            raise ValueError("float() reads '1_0' as 10 and '١' as 1; an endpoint has neither")
         l, r = float(l_raw), float(r_raw)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"endpoints must be numbers, got ({l_raw!r}, {r_raw!r})", line=line)
@@ -216,9 +217,11 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
     if format == "csv":
         rows, lines = _csv_rows(text)
         columns = _columns(rows)
-        # float() reads "1_0" as 10; leave such endpoints to the per-row check
-        if columns and "_" in text.partition("\n")[2] and "_" in "".join(columns[3] + columns[4]):
-            columns = None
+        # float() reads "1_0" as 10 and "١" as 1; leave such endpoints to the per-row check
+        if columns and ("_" in text.partition("\n")[2] or not text.isascii()):
+            ends = "".join(columns[3] + columns[4])
+            if "_" in ends or not ends.isascii():
+                columns = None
         per_row = _csv_records(rows, lines, scale)
     elif format == "json":
         rows = _json_rows(text)

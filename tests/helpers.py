@@ -47,8 +47,9 @@ def oracle_load_survey(text, format="csv", scale=None):
         try:
             if isinstance(l_raw, bool) or isinstance(r_raw, bool):
                 raise TypeError("a JSON boolean is not an endpoint")
-            if "_" in f"{l_raw}{r_raw}":
-                raise ValueError("float() accepts digit separators; endpoints may not")
+            for raw in (l_raw, r_raw):  # float() also reads "1_0" and "١"; endpoints may not
+                if "_" in str(raw) or not str(raw).strip().isascii():
+                    raise ValueError(f"not a plain ASCII number: {raw!r}")
             l, r = float(l_raw), float(r_raw)
         except (TypeError, ValueError, OverflowError):
             raise ParseError(f"endpoints must be numbers, got ({l_raw!r}, {r_raw!r})", line=line)
@@ -102,6 +103,22 @@ def oracle_load_survey(text, format="csv", scale=None):
             )
         seen[key] = line
     return tuple(rec for rec, _ in numbered)
+
+
+def oracle_level_sets(coll):
+    """The per-level region builder ``level_sets`` must agree with: for each
+    level k, the maximal runs of coverage cells with count >= k, merged into
+    closed segments (cell j spans coords[j] to coords[j + 1]). O(n) per level."""
+    from intervalagreement import DisjointRegion, Interval
+    from intervalagreement.intervals import coverage_cells, runs
+
+    coords, counts = coverage_cells(coll)
+    regions = []
+    for k in range(1, coll.n + 1):
+        starts, stops = runs(counts >= k)
+        segs = map(Interval, coords[starts].tolist(), coords[stops].tolist())
+        regions.append(DisjointRegion(tuple(segs)))
+    return regions
 
 
 def run_length_scan(xs, mus, alpha):

@@ -110,6 +110,18 @@ def test_gamma_alpha_matches_exact_on_step_set():
     assert gamma_alpha(fs, cuts=2).gamma == pytest.approx(0.5, abs=1e-12)
 
 
+@given(st.one_of(finite_intervals(2, 12), lattice_intervals(2, 12)))
+def test_gamma_alpha_on_aggregate_equals_gamma_exact(pairs):
+    # with one cut per participant the step set's cuts are the agreement
+    # levels, measured from the same runs and summed in the same order
+    coll = collection(pairs)
+    assume(level_lengths(coll)[0] > 0.0)
+    alpha = gamma_alpha(build_iaa(coll), cuts=coll.n)
+    exact = gamma_exact(coll)
+    assert alpha.gamma == exact.gamma
+    assert np.array_equal(alpha.lengths, exact.lengths)
+
+
 def test_gamma_alpha_gaussian_reference_value():
     # sampled estimate sits on the analytic ratio value; 0.6518 is the
     # published reference figure for this configuration

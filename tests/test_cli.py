@@ -59,9 +59,30 @@ def test_parse_interval_lines_errors():
     assert parse_interval_lines("# per_line comment\n0,1\n").endpoints()[1].tolist() == [1.0]
 
 
+@pytest.mark.parametrize("line", ["\u0661,\u0662", "\uff11,\uff12", "1,\u0662", "\u0967.5,3"])
+def test_non_ascii_digits_rejected(line):
+    # float() reads Arabic-Indic, full-width and Devanagari digits as 1, 2, ...
+    with pytest.raises(ParseError, match="line 2: endpoints must be numbers") as info:
+        parse_interval_lines(f"0,1\n{line}\n")
+    assert info.value.line == 2
+    # non-ASCII elsewhere is fine: a comment, or whitespace around an endpoint
+    coll = parse_interval_lines("# \u0661 \u00fcber\n0,\u2003 1\n")
+    assert coll.endpoints()[1].tolist() == [1.0]
+
+
+def test_gamma_rejects_non_ascii_digits(tmp_path, capsys):
+    path = tmp_path / "iv.txt"
+    path.write_text("0,4\n\u0661,\u0662\n", encoding="utf-8")
+    assert main(["gamma", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2: endpoints must be numbers" in captured.err
+
+
 LINE_PIECES = [
     "1,2", " 3 , 7 ", "2.5,2.5", "5,1", "0,inf", "nan,1", "-1e308,1e308", "1_0,2_0",
     "a,1", "1;2", "1,2,3", ",", "", "   ", "# note", "2,4 # inline", "\t0 ,\u2003 9",
+    "\u0661,\u0662", "# \u00fcber", "1,\uff12",
 ]
 
 

@@ -23,7 +23,14 @@ from intervalagreement import (
     union_region,
 )
 
-from helpers import FIG_FULLCORE, FIG_NONCONVEX, FIG_OVERLAP, finite_intervals, lattice_intervals
+from helpers import (
+    FIG_FULLCORE,
+    FIG_NONCONVEX,
+    FIG_OVERLAP,
+    finite_intervals,
+    lattice_intervals,
+    oracle_level_sets,
+)
 
 
 def seg_tuples(region):
@@ -183,7 +190,7 @@ def test_zero_width_counts_toward_n_but_not_length():
 
 
 def _region_lengths(coll):
-    return np.array([region.total_length for region in level_sets(coll)])
+    return np.array([region.total_length for region in oracle_level_sets(coll)])
 
 
 @pytest.mark.parametrize(
@@ -205,6 +212,7 @@ def _region_lengths(coll):
 def test_level_lengths_bit_equal_to_level_sets_cases(pairs):
     coll = collection(pairs)
     assert np.array_equal(level_lengths(coll), _region_lengths(coll))
+    assert level_sets(coll) == oracle_level_sets(coll)
 
 
 @given(st.one_of(finite_intervals(max_size=12), lattice_intervals(max_size=12)))
@@ -213,6 +221,16 @@ def test_level_lengths_bit_equal_to_level_sets(pairs):
     lengths = level_lengths(coll)
     assert lengths.dtype == np.float64 and lengths.shape == (coll.n,)
     assert np.array_equal(lengths, _region_lengths(coll))
+
+
+@given(st.one_of(finite_intervals(max_size=12), lattice_intervals(max_size=12)))
+def test_level_sets_match_per_level_oracle(pairs):
+    # the per-level builder is independent of level_runs, which serves both
+    # level_sets and level_lengths
+    coll = collection(pairs)
+    regions = level_sets(coll)
+    assert len(regions) == coll.n
+    assert regions == oracle_level_sets(coll)
 
 
 # ---------------------------------------------------------------------- oracle

@@ -1,13 +1,13 @@
-"""Sampled alpha-cuts: threshold runs on a grid, against a pure-Python scan."""
+"""Threshold runs: sampled alpha-cuts against a pure-Python scan, and the
+run enumerators (``runs``, ``ladder_runs``, ``level_runs``) against masks."""
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from intervalagreement import Sampled, alpha_cut, alpha_length
 from intervalagreement.fuzzyset import alpha_lengths
-from intervalagreement.intervals import runs
+from intervalagreement.intervals import ladder_runs, level_runs, runs
 
 from helpers import run_length_scan
 
@@ -62,7 +62,7 @@ def test_python_and_numpy_paths_agree(mus, alpha):
     mus = np.asarray(mus)
     xs = np.linspace(0, 10, mus.size)
     (length,) = alpha_lengths(Sampled(xs, mus), [alpha], samples=mus.size)
-    assert run_length_scan(xs, mus, alpha) == pytest.approx(length, abs=1e-12)
+    assert run_length_scan(xs, mus, alpha) == length
 
 
 @given(
@@ -79,7 +79,7 @@ def test_unsorted_ladder_with_duplicates_matches_each_alpha(mus, repeated, free)
     assert ladder.shape == (len(alphas),)
     for a, length in zip(alphas, ladder):
         assert length == alpha_length(mf, a, samples=mus.size)
-        assert run_length_scan(xs, mus, a) == pytest.approx(length, abs=1e-12)
+        assert run_length_scan(xs, mus, a) == length
 
 
 def test_dispatch_and_multi_alpha_agree():
@@ -92,8 +92,8 @@ def test_dispatch_and_multi_alpha_agree():
     assert np.array_equal(alpha_lengths(mf, iter(alphas), samples=xs.size), ladder)
     for a, expected in zip(alphas, ladder):
         assert alpha_length(mf, a, samples=xs.size) == expected
-        assert alpha_cut(mf, a, samples=xs.size).total_length == pytest.approx(expected, abs=1e-12)
-        assert run_length_scan(xs, mus, a) == pytest.approx(expected, abs=1e-12)
+        assert alpha_cut(mf, a, samples=xs.size).total_length == expected
+        assert run_length_scan(xs, mus, a) == expected
 
 
 @given(st.lists(st.booleans(), max_size=80))
@@ -106,3 +106,42 @@ def test_runs_rebuild_mask(bits):
     assert np.array_equal(rebuilt, mask)
     # maximal runs: each non-empty, separated from the next by a False
     assert (stops > starts).all() and (starts[1:] > stops[:-1]).all()
+
+
+def _rebuilt_masks(keys, starts, stops, size, length):
+    """One boolean mask per key from (key, start, stop) runs, after checking
+    the runs are ordered by key, then by position, non-empty and maximal."""
+    order = np.lexsort((starts, keys))
+    assert np.array_equal(order, np.arange(keys.size))
+    masks = np.zeros((size, length), dtype=bool)
+    for k in range(size):
+        a, b = starts[keys == k], stops[keys == k]
+        assert (b > a).all() and (a[1:] > b[:-1]).all()
+        for lo, hi in zip(a, b):
+            masks[k, lo:hi] = True
+    return masks
+
+
+@given(
+    st.lists(st.floats(0, 1, allow_nan=False), max_size=60),
+    st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.75, 1.0]), max_size=8),
+    st.lists(st.floats(0, 1, allow_nan=False), max_size=4),
+)
+def test_ladder_runs_rebuild_each_threshold(values, repeated, free):
+    values = np.asarray(values, dtype=np.float64)
+    thresholds = repeated + free + repeated[:3]  # unsorted, with duplicates
+    keys, starts, stops = ladder_runs(values, thresholds)
+    masks = _rebuilt_masks(keys, starts, stops, len(thresholds), values.size)
+    for t, mask in zip(thresholds, masks):
+        assert np.array_equal(mask, values >= t)
+
+
+@given(st.lists(st.integers(0, 6), max_size=60))
+def test_level_runs_rebuild_each_level(counts):
+    counts = np.asarray(counts, dtype=np.int64)
+    keys, starts, stops = level_runs(counts)
+    top = int(counts.max(initial=0))
+    assert keys.size == 0 or int(keys[-1]) == top - 1
+    masks = _rebuilt_masks(keys, starts, stops, top, counts.size)
+    for k, mask in enumerate(masks, start=1):
+        assert np.array_equal(mask, counts >= k)

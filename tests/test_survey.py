@@ -186,6 +186,21 @@ def test_underscore_endpoints_rejected():
     assert (ds.groups, ds.participant_ids, ds.term_names) == (("Pa_tient",), ("P_01",), ("IT_D",))
 
 
+def test_non_ascii_digit_endpoints_rejected():
+    # float() reads "\u0661" (Arabic-Indic one) as 1 and "\uff12" (full-width two) as 2
+    text = HEADER + "Patient,P01,ITD,1,2\nPatient,P02,ITD,\u0661,\uff12\n"
+    with pytest.raises(ParseError, match="endpoints must be numbers") as info:
+        load_survey(StringIO(text))
+    assert info.value.line == 3
+    record = {"group": "Patient", "participant_id": "P01", "term": "ITD", "l": 1, "r": "\u0662"}
+    with pytest.raises(ParseError, match="endpoints must be numbers") as info:
+        load_survey(StringIO(json.dumps([{**record, "r": 2}, record])), format="json")
+    assert info.value.line == 2
+    # non-ASCII names, and non-ASCII space around an endpoint, still load
+    ds = load_survey(StringIO(HEADER + "Patient,P\u00fc,ITD,1,\u00a02\n"))
+    assert ds.participant_ids == ("P\u00fc",) and ds.r.tolist() == [2.0]
+
+
 def test_out_of_scale_reports_line():
     text = "group,participant_id,term,l,r\nSurgeon,S03,NAAD,9,11\n"
     with pytest.raises(RangeError, match="line 2"):
@@ -413,7 +428,7 @@ PARTICIPANTS = ["P1", "P2", " P1", "P3", "7"]
 TERM_NAMES = ["ITD", "ED", "impossible to do", "Moderately  Difficult", "odd term"]
 FAULTS = [
     "number", "bool", "reversed", "width", "nonfinite", "scale",
-    "empty", "reserved", "fields", "object", "duplicate", "underscore", "name",
+    "empty", "reserved", "fields", "object", "duplicate", "underscore", "name", "digits",
 ]
 
 
@@ -467,6 +482,8 @@ def survey_inputs(draw):
             records[i] = draw(st.sampled_from([[1, 2], 5, "row"]))
         elif fault == "underscore":
             rec[draw(st.sampled_from([3, 4]))] = draw(st.sampled_from(["1_0", "0_5", "1_0.0"]))
+        elif fault == "digits":  # non-ASCII digits float() would read
+            rec[draw(st.sampled_from([3, 4]))] = draw(st.sampled_from(["\u0661", "\uff15.5"]))
         elif fault == "name":
             rec[draw(st.integers(0, 2))] = draw(st.sampled_from([{"a": 1}, None, ["P1"], True, 7]))
         elif fault == "duplicate":
