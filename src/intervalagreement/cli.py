@@ -3,13 +3,23 @@
 Interval lists are one `l,r` pair per line with `#` comments; survey data is
 CSV or JSON per the survey module. All output is deterministic: identical
 inputs and flags produce identical bytes.
+
+Each subcommand takes only the flags it reads, and argparse rejects a bad
+value with exit 2. ``--scale`` defaults to the set's hull in ``build`` and to
+``survey.DEFAULT_SCALE`` elsewhere.
+
+    gamma   --input --mode --alpha-cuts --samples
+    build   --input --samples --scale --format
+    attrs   --input --samples
+    report  --input --mode --alpha-cuts --samples --scale --format --input-format
+    series  --input --samples --scale --format --input-format --group --term
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from io import StringIO
 from operator import itemgetter
 
 import numpy as np
@@ -19,7 +29,7 @@ from .agreement import GammaBreakdown, gamma_alpha, gamma_exact
 from .errors import AgreementError, InvalidInterval, ParseError
 from .fuzzyset import attributes
 from .iaa import build_iaa
-from .intervals import Interval, IntervalCollection, make_interval, valid_endpoints
+from .intervals import Interval, IntervalCollection, make_interval, plain, valid_endpoints
 
 # upper bounds on the size flags, so a typo cannot ask for an unbounded allocation
 MAX_SAMPLES = 10_000_001
@@ -41,8 +51,8 @@ def parse_interval_lines(text: str) -> IntervalCollection:
             fields.append(line.split(","))
     if not fields:
         raise ParseError("no intervals in input")
-    # float() reads "1_0" as 10 and "١" as 1; the per-line parser rejects both
-    if {*map(len, fields)} == {2} and "_" not in text and text.isascii():
+    # endpoints that are not plain are left to the per-line parser, which rejects them
+    if {*map(len, fields)} == {2} and plain(text):
         try:
             ls = np.array(list(map(float, map(itemgetter(0), fields))))
             rs = np.array(list(map(float, map(itemgetter(1), fields))))
@@ -65,8 +75,8 @@ def _parse_each_line(text: str) -> list[Interval]:
         if len(parts) != 2:
             raise ParseError(f"expected 'l,r', got {raw!r}", line=lineno)
         try:
-            if "_" in line or not (parts[0] + parts[1]).isascii():
-                raise ValueError("an endpoint has no digit separators or non-ASCII digits")
+            if not plain(parts[0] + parts[1]):
+                raise ValueError("an endpoint has digit separators or non-ASCII digits")
             l, r = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParseError(f"endpoints must be numbers, got {raw!r}", line=lineno)
@@ -97,32 +107,25 @@ def _print_breakdown(breakdown: GammaBreakdown, out):
     out.write("".join(lines))
 
 
-def cmd_gamma(args) -> int:
+def cmd_gamma(args) -> None:
     coll = parse_interval_lines(_read_input(args.input))
     if args.mode == "exact":
         breakdown = gamma_exact(coll)
     else:
         breakdown = gamma_alpha(build_iaa(coll), cuts=args.alpha_cuts, samples=args.samples)
     _print_breakdown(breakdown, sys.stdout)
-    return 0
 
 
-def cmd_build(args) -> int:
+def cmd_build(args) -> None:
     coll = parse_interval_lines(_read_input(args.input))
     fs = build_iaa(coll)
     window = Interval(*args.scale) if args.scale else fs.window()
     xs = np.linspace(window.l, window.r, args.samples)
-    mus = fs.membership(xs)
-    text = (
-        survey_mod.series_to_json(xs, mus)
-        if args.format == "json"
-        else survey_mod.series_to_csv(xs, mus)
-    )
-    sys.stdout.write(text)
-    return 0
+    to_text = survey_mod.series_to_json if args.format == "json" else survey_mod.series_to_csv
+    sys.stdout.write(to_text(xs, fs.membership(xs)))
 
 
-def cmd_attrs(args) -> int:
+def cmd_attrs(args) -> None:
     coll = parse_interval_lines(_read_input(args.input))
     fs = build_iaa(coll)
     attrs = attributes(fs, samples=args.samples)
@@ -131,50 +134,71 @@ def cmd_attrs(args) -> int:
     print(f"support = {attrs.support_length:.6g}")
     print(f"core = {attrs.core_length:.6g}")
     print(f"n = {coll.n}")
-    return 0
 
 
 def _load_dataset(args) -> survey_mod.SurveyDataset:
-    scale = Interval(*(args.scale or (0.0, 10.0)))
-    text = _read_input(args.input)
-    return survey_mod.load_survey(StringIO(text), format=args.input_format, scale=scale)
+    source = sys.stdin if args.input == "-" else args.input
+    scale = Interval(*args.scale) if args.scale else survey_mod.DEFAULT_SCALE
+    return survey_mod.load_survey(source, format=args.input_format, scale=scale)
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     ds = _load_dataset(args)
     rep = survey_mod.report(
         ds, mode=args.mode, alpha_cuts=args.alpha_cuts, samples=args.samples
     )
-    text = (
-        survey_mod.report_to_json(rep)
-        if args.format == "json"
-        else survey_mod.report_to_csv(rep)
-    )
-    sys.stdout.write(text)
+    to_text = survey_mod.report_to_json if args.format == "json" else survey_mod.report_to_csv
+    sys.stdout.write(to_text(rep))
     for group, term, reason in rep.skipped:
         print(f"skipped {group}/{term}: {reason}", file=sys.stderr)
-    return 0
 
 
-def cmd_series(args) -> int:
+def cmd_series(args) -> None:
     ds = _load_dataset(args)
     xs, mus = survey_mod.emit_series(ds, args.group, args.term, samples=args.samples)
-    text = (
-        survey_mod.series_to_json(xs, mus)
-        if args.format == "json"
-        else survey_mod.series_to_csv(xs, mus)
-    )
-    sys.stdout.write(text)
-    return 0
+    to_text = survey_mod.series_to_json if args.format == "json" else survey_mod.series_to_csv
+    sys.stdout.write(to_text(xs, mus))
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--input", default="-", metavar="PATH|-", help="input file or - for stdin")
-    p.add_argument("--alpha-cuts", type=int, default=10, dest="alpha_cuts", metavar="K")
-    p.add_argument("--samples", type=int, default=1001, metavar="S")
-    p.add_argument("--scale", type=float, nargs=2, default=None, metavar=("LO", "HI"))
-    p.add_argument("--mode", choices=["exact", "alpha"], default="exact")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+def _number_type(read, low, high):
+    """argparse type: plain text that ``read`` turns into a number in [low, high]."""
+
+    def number(text: str):
+        if not plain(text):
+            raise ValueError(text)
+        x = read(text)
+        if not low <= x <= high:
+            raise argparse.ArgumentTypeError(f"must be from {low} to {high}, got {text}")
+        return x
+
+    return number
+
+
+# every flag a subcommand can take, with its add_argument keywords
+_FLAGS = {
+    "--input": dict(default="-", metavar="PATH|-", help="input file or - for stdin"),
+    "--mode": dict(choices=["exact", "alpha"], default="exact"),
+    "--alpha-cuts": dict(type=_number_type(int, 2, MAX_ALPHA_CUTS), default=10, metavar="K"),
+    "--samples": dict(type=_number_type(int, 2, MAX_SAMPLES), default=1001, metavar="S"),
+    "--scale": dict(type=_number_type(float, -math.inf, math.inf), nargs=2, metavar=("LO", "HI")),
+    "--format": dict(choices=["csv", "json"], default="csv"),
+    "--input-format": dict(choices=["csv", "json"], default="csv"),
+    "--group": dict(required=True),
+    "--term": dict(required=True),
+}
+
+# each subcommand's handler, help line and the only flags it takes
+_COMMANDS = {
+    "gamma": (cmd_gamma, "agreement ratio of an interval list",
+              "--input --mode --alpha-cuts --samples"),
+    "build": (cmd_build, "sampled membership series of an interval list",
+              "--input --samples --scale --format"),
+    "attrs": (cmd_attrs, "fuzzy-set attributes of an interval list", "--input --samples"),
+    "report": (cmd_report, "per-group agreement table from survey data",
+               "--input --mode --alpha-cuts --samples --scale --format --input-format"),
+    "series": (cmd_series, "membership series of one survey cell",
+               "--input --samples --scale --format --input-format --group --term"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,52 +207,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Agreement modelling of interval-valued responses via fuzzy sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gamma", help="agreement ratio of an interval list")
-    _add_common(p)
-    p.set_defaults(func=cmd_gamma)
-
-    p = sub.add_parser("build", help="sampled membership series of an interval list")
-    _add_common(p)
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("attrs", help="fuzzy-set attributes of an interval list")
-    _add_common(p)
-    p.set_defaults(func=cmd_attrs)
-
-    p = sub.add_parser("report", help="per-group agreement table from survey data")
-    _add_common(p)
-    p.add_argument("--input-format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("series", help="membership series of one survey cell")
-    _add_common(p)
-    p.add_argument("--input-format", choices=["csv", "json"], default="csv")
-    p.add_argument("--group", required=True)
-    p.add_argument("--term", required=True)
-    p.set_defaults(func=cmd_series)
-
+    for name, (func, help, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.alpha_cuts < 2:
-        parser.error("--alpha-cuts must be >= 2")
-    if args.alpha_cuts > MAX_ALPHA_CUTS:
-        parser.error(f"--alpha-cuts must be <= {MAX_ALPHA_CUTS}")
-    if args.samples < 2:
-        parser.error("--samples must be >= 2")
-    if args.samples > MAX_SAMPLES:
-        parser.error(f"--samples must be <= {MAX_SAMPLES}")
-    if args.scale is not None and args.scale[0] >= args.scale[1]:
-        parser.error("--scale LO must be below HI")
+    scale = getattr(args, "scale", None)
+    if scale is not None and not (scale[0] < scale[1] and math.isfinite(scale[1] - scale[0])):
+        parser.error("--scale needs finite LO < HI")
     try:
-        return args.func(args)
-    except AgreementError as exc:
+        args.func(args)
+    except (AgreementError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0

@@ -118,6 +118,12 @@ class IntervalCollection:
         return self._ls, self._rs
 
 
+def plain(text: str) -> bool:
+    """Whether number text may go to builtin ``float`` or ``int``: ASCII and
+    without ``_``, since both read "1_0" as 10 and "١" as 1."""
+    return text.isascii() and "_" not in text
+
+
 def valid_endpoints(ls: np.ndarray, rs: np.ndarray) -> np.ndarray:
     """Mask of the (l, r) pairs ``Interval`` accepts: ordered, with a finite
     width (which also rules out infinite and NaN endpoints)."""

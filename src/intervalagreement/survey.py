@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fuzzyset import DEFAULT_SAMPLES, attributes
 from .iaa import build_iaa
-from .intervals import Interval, IntervalCollection, make_interval, valid_endpoints
+from .intervals import Interval, IntervalCollection, make_interval, plain, valid_endpoints
 
 CSV_HEADER = ["group", "participant_id", "term", "l", "r"]
 DEFAULT_SCALE = Interval(0.0, 10.0)
@@ -147,9 +147,8 @@ def _validate_record(
     try:
         if isinstance(l_raw, bool) or isinstance(r_raw, bool):
             raise TypeError("a JSON boolean is not an endpoint")
-        ends = str(l_raw).strip() + str(r_raw).strip()
-        if "_" in ends or not ends.isascii():
-            raise ValueError("float() reads '1_0' as 10 and '١' as 1; an endpoint has neither")
+        if not plain(str(l_raw).strip() + str(r_raw).strip()):
+            raise ValueError("an endpoint has digit separators or non-ASCII digits")
         l, r = float(l_raw), float(r_raw)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"endpoints must be numbers, got ({l_raw!r}, {r_raw!r})", line=line)
@@ -217,10 +216,9 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
     if format == "csv":
         rows, lines = _csv_rows(text)
         columns = _columns(rows)
-        # float() reads "1_0" as 10 and "١" as 1; leave such endpoints to the per-row check
-        if columns and ("_" in text.partition("\n")[2] or not text.isascii()):
-            ends = "".join(columns[3] + columns[4])
-            if "_" in ends or not ends.isascii():
+        # endpoints that are not plain are left to the per-row check
+        if columns and not plain(text.partition("\n")[2]):
+            if not plain("".join(columns[3] + columns[4])):
                 columns = None
         per_row = _csv_records(rows, lines, scale)
     elif format == "json":

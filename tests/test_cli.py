@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intervalagreement.cli import _parse_each_line, main, parse_interval_lines
+from intervalagreement.cli import _parse_each_line, build_parser, main, parse_interval_lines
 from intervalagreement.errors import AgreementError, InvalidInterval, ParseError
 
 DATA = Path(__file__).parent / "data"
@@ -219,11 +220,69 @@ def test_usage_errors_exit_2():
         ["gamma", "--samples", "10000002"],
         ["gamma", "--alpha-cuts", "10001"],
         ["report", "--mode", "alpha", "--samples", "99999999999"],
-        ["gamma", "--scale", "5", "5"],
+        ["build", "--scale", "5", "5"],
+        ["report", "--scale", "5", "5"],
         ["bogus"],
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2, proc.stderr
+
+
+FLAGS = {
+    "gamma": ["--input", "--mode", "--alpha-cuts", "--samples"],
+    "build": ["--input", "--samples", "--scale", "--format"],
+    "attrs": ["--input", "--samples"],
+    "report": ["--input", "--mode", "--alpha-cuts", "--samples", "--scale", "--format",
+               "--input-format"],
+    "series": ["--input", "--samples", "--scale", "--format", "--input-format", "--group",
+               "--term"],
+}
+# a valid value for every flag any subcommand takes
+FLAG_VALUES = {
+    "--input": ["-"], "--mode": ["alpha"], "--alpha-cuts": ["3"], "--samples": ["5"],
+    "--scale": ["0", "10"], "--format": ["json"], "--input-format": ["json"],
+    "--group": ["ALL"], "--term": ["ED"],
+}
+
+
+def test_each_subcommand_takes_only_its_flags():
+    actions = build_parser()._actions
+    (subparsers,) = [a.choices for a in actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers) == list(FLAGS)
+    for name, p in subparsers.items():
+        options = [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+        assert options == FLAGS[name], name
+
+
+@pytest.mark.parametrize("command", list(FLAGS))
+def test_flags_a_subcommand_does_not_read_exit_2(command, capsys):
+    required = [a for flag in ("--group", "--term") if flag in FLAGS[command]
+                for a in (flag, *FLAG_VALUES[flag])]
+    for flag in FLAG_VALUES.keys() - FLAGS[command]:
+        with pytest.raises(SystemExit) as info:
+            main([command, *required, flag, *FLAG_VALUES[flag]])
+        assert info.value.code == 2
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["report", "--scale", "\u0660", "\u0661\u0660"],  # float() reads Arabic-Indic digits
+    ["build", "--scale", "0", "1_0"],
+    ["gamma", "--alpha-cuts", "\u0661\u0660"],
+    ["gamma", "--samples", "1_001"],
+    ["attrs", "--samples", "\uff15"],
+    ["report", "--scale", "nan", "10"],
+    ["build", "--scale", "0", "inf"],
+    ["series", "--scale", "inf", "inf", "--group", "ALL", "--term", "ED"],
+    ["report", "--scale", "-1" + "0" * 308, "1e308"],  # the width overflows a float
+])
+def test_flag_values_that_are_not_plain_or_finite_exit_2(args, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*args, "--input", str(FIXTURE)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
 
 
 def test_help_exits_zero_everywhere():
