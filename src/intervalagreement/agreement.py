@@ -64,7 +64,9 @@ def _breakdown(lengths: np.ndarray, weights: np.ndarray) -> GammaBreakdown:
     """Assemble the ratio from level lengths (index 0 = lowest level).
 
     A term's ratio is 0 where the lower level has no length; gamma is the
-    left-to-right builtin sum of weight * ratio over the weight sum.
+    left-to-right sum of weight * ratio over the weight sum: the last partial
+    sum of ``np.cumsum``, which adds in order (``np.sum`` is pairwise, and
+    builtin ``sum`` compensates from Python 3.12 on).
     """
     lengths = np.asarray(lengths, dtype=np.float64)
     if lengths[0] == 0.0:
@@ -73,7 +75,7 @@ def _breakdown(lengths: np.ndarray, weights: np.ndarray) -> GammaBreakdown:
     prev = lengths[:-1]
     ratios = np.divide(lengths[1:], prev, out=np.zeros(prev.size), where=prev > 0.0)
     weight_sum = float(weights.sum())
-    gamma = sum((weights * ratios).tolist()) / weight_sum
+    gamma = np.cumsum(weights * ratios)[-1] / weight_sum
     return GammaBreakdown(
         gamma=float(gamma), lengths=lengths, weights=weights, ratios=ratios, weight_sum=weight_sum
     )

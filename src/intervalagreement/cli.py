@@ -18,9 +18,12 @@ value with exit 2. ``--scale`` defaults to the set's hull in ``build`` and to
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import re
 import sys
-from operator import itemgetter
+from itertools import repeat
+from operator import contains
 
 import numpy as np
 
@@ -39,23 +42,23 @@ MAX_ALPHA_CUTS = 10_000
 def parse_interval_lines(text: str) -> IntervalCollection:
     """One interval per line as `l,r`; blank lines and `#` comments ignored.
 
-    Endpoints are converted with builtin ``float`` and checked a column at a
-    time, and the collection is built from the arrays. When any line fails a
-    check, the per-line parser runs instead and raises the first error, with
-    its line number.
+    When every line holds one comma, the lines are joined and split once,
+    and the endpoint columns are converted with builtin ``float`` and checked
+    a column at a time. When any line fails a check, the per-line parser runs
+    instead and raises the first error, with its line number.
     """
-    fields = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            fields.append(line.split(","))
-    if not fields:
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    lines = list(filter(str.strip, lines))
+    if not lines:
         raise ParseError("no intervals in input")
+    fields = ",".join(lines).split(",")
     # endpoints that are not plain are left to the per-line parser, which rejects them
-    if {*map(len, fields)} == {2} and plain(text):
+    if len(fields) == 2 * len(lines) and all(map(contains, lines, repeat(","))) and plain(text):
         try:
-            ls = np.array(list(map(float, map(itemgetter(0), fields))))
-            rs = np.array(list(map(float, map(itemgetter(1), fields))))
+            ls = np.array(list(map(float, fields[0::2])))
+            rs = np.array(list(map(float, fields[1::2])))
         except ValueError:  # not a number: the per-line parser reports where
             pass
         else:
@@ -94,17 +97,30 @@ def _read_input(path: str) -> str:
 
 
 def _print_breakdown(breakdown: GammaBreakdown, out):
-    # bare value first for easy piping, then one line per agreement level
-    lengths = breakdown.lengths.tolist()
-    lines = [f"{breakdown.gamma:.6f}\n"]
-    for i, (weight, ratio) in enumerate(
-        zip(breakdown.weights.tolist(), breakdown.ratios.tolist()), start=2
-    ):
-        lines.append(
-            f"level {i}: weight={weight:.6f} length={lengths[i - 1]:.6f} "
-            f"prev={lengths[i - 2]:.6f} ratio={ratio:.6f}\n"
-        )
-    out.write("".join(lines))
+    # bare value first for easy piping, then one line per agreement level,
+    # filled a column at a time
+    weights = breakdown.weights.tolist()
+    # past the last non-zero length (the first one never is), length, prev and
+    # ratio all read 0 (no length is -0.0: run_sums adds from +0.0), so only
+    # the weight is formatted
+    head = min(int(np.flatnonzero(breakdown.lengths)[-1]) + 1, len(weights))
+    # each length is formatted once, for its own line and for the next one's prev
+    shown = list(map("%.6f".__mod__, breakdown.lengths[: head + 1].tolist()))
+    cols = [None] * (5 * head)
+    cols[0::5] = range(2, head + 2)
+    cols[1::5] = weights[:head]
+    cols[2::5] = shown[1:]
+    cols[3::5] = shown[:-1]
+    cols[4::5] = breakdown.ratios[:head].tolist()
+    zeros = [None] * (2 * (len(weights) - head))
+    zeros[0::2] = range(head + 2, len(weights) + 2)
+    zeros[1::2] = weights[head:]
+    out.write(
+        "%.6f\n" % breakdown.gamma
+        + "level %d: weight=%.6f length=%s prev=%s ratio=%.6f\n" * head % tuple(cols)
+        + "level %d: weight=%.6f length=0.000000 prev=0.000000 ratio=0.000000\n"
+        * (len(zeros) // 2) % tuple(zeros)
+    )
 
 
 def cmd_gamma(args) -> None:
@@ -201,7 +217,14 @@ _COMMANDS = {
 }
 
 
+# argparse 3.11 reads only -<digits> and -<digits>.<digits> as negative numbers,
+# so a value such as -1e3 or -inf would be taken for an option string
+_NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf)", re.IGNORECASE)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``iaa`` argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="iaa",
         description="Agreement modelling of interval-valued responses via fuzzy sets.",
@@ -209,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for flag in flags.split():
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)

@@ -401,7 +401,7 @@ def _runs(mf: MembershipFunction, alphas, samples: int, method: str, grid=None):
 def _lengths(mf: MembershipFunction, alphas, samples: int, method: str, grid=None) -> np.ndarray:
     """Each cut's length: its ``_runs`` added left to right (``run_sums``)."""
     col, lefts, rights = _runs(mf, alphas, samples, method, grid)
-    return run_sums(col, (rights - lefts).tolist(), len(alphas))
+    return run_sums(col, rights - lefts, len(alphas))
 
 
 def alpha_length(

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import add
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -151,7 +152,8 @@ class DisjointRegion:
 
     @property
     def total_length(self) -> float:
-        return float(sum(seg.length for seg in self.segments))
+        # left to right on every Python: builtin sum compensates from 3.12 on
+        return reduce(add, (seg.length for seg in self.segments), 0.0)
 
     @property
     def is_empty(self) -> bool:
@@ -211,14 +213,16 @@ def runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges[0::2], edges[1::2]
 
 
-def run_sums(keys: np.ndarray, widths: list[float], size: int) -> np.ndarray:
+def run_sums(keys: np.ndarray, widths: np.ndarray, size: int) -> np.ndarray:
     """Total width per key 0..size-1, for run widths ordered by key, then by
-    position. Each key's widths are added left to right with builtin ``sum``:
-    the float operations ``DisjointRegion.total_length`` performs on the
-    region of those runs, so both give identical bits (and printed digits).
-    A numpy reduction or a suffix sum would reorder the additions."""
-    bounds = np.searchsorted(keys, np.arange(size + 1)).tolist()
-    return np.array([sum(widths[a:b]) for a, b in zip(bounds, bounds[1:])], dtype=np.float64)
+    position. ``np.add.at`` is unbuffered and applies the widths in index
+    order, so each key's widths are added left to right from 0.0: the float
+    operations ``DisjointRegion.total_length`` performs on the region of
+    those runs, and both give identical bits (and printed digits). A numpy
+    reduction or a suffix sum would reorder the additions."""
+    sums = np.zeros(size)
+    np.add.at(sums, keys, widths)
+    return sums
 
 
 def run_regions(keys: np.ndarray, lefts: np.ndarray, rights: np.ndarray, size: int) -> list:
@@ -292,7 +296,7 @@ def level_lengths(coll: IntervalCollection) -> np.ndarray:
     key, start, stop = level_runs(counts)
     top = int(key[-1]) + 1 if key.size else 0
     lengths = np.zeros(coll.n)
-    lengths[:top] = run_sums(key, (coords[stop] - coords[start]).tolist(), top)
+    lengths[:top] = run_sums(key, coords[stop] - coords[start], top)
     return lengths
 
 

@@ -157,3 +157,35 @@ def all_vertex_membership(xs, mus, x):
         if hits.any():
             out[hits] = mus[xs == xv].max()
     return out
+
+
+def oracle_run_sums(keys, widths, size):
+    """The per-key builtin-``sum`` summation ``run_sums`` replaced: each key's
+    widths (runs ordered by key, then position) sliced out and added left to
+    right from 0. Written as a loop, since builtin ``sum`` compensates from
+    Python 3.12 on; on 3.11 the two give the same bits."""
+    import numpy as np
+
+    bounds = np.searchsorted(keys, np.arange(size + 1)).tolist()
+    widths = list(widths)
+    sums = []
+    for a, b in zip(bounds, bounds[1:]):
+        total = 0
+        for w in widths[a:b]:
+            total += w
+        sums.append(total)
+    return np.array(sums, dtype=np.float64)
+
+
+def oracle_print_breakdown(breakdown, out):
+    """The per-line ``iaa gamma`` printer: one f-string per agreement level."""
+    lengths = breakdown.lengths.tolist()
+    lines = [f"{breakdown.gamma:.6f}\n"]
+    for i, (weight, ratio) in enumerate(
+        zip(breakdown.weights.tolist(), breakdown.ratios.tolist()), start=2
+    ):
+        lines.append(
+            f"level {i}: weight={weight:.6f} length={lengths[i - 1]:.6f} "
+            f"prev={lengths[i - 2]:.6f} ratio={ratio:.6f}\n"
+        )
+    out.write("".join(lines))

@@ -72,7 +72,10 @@ def _termwise_breakdown(lengths, weights):
             GammaTerm(float(weights[i]), float(lengths[i]), float(lengths[i - 1]), float(ratio))
         )
     weight_sum = float(weights[1:].sum())
-    return sum(t.weight * t.ratio for t in terms) / weight_sum, tuple(terms), weight_sum
+    gamma = 0.0
+    for t in terms:  # in order: builtin sum compensates from Python 3.12 on
+        gamma += t.weight * t.ratio
+    return gamma / weight_sum, tuple(terms), weight_sum
 
 
 @given(st.one_of(finite_intervals(2, 12), lattice_intervals(2, 12)))

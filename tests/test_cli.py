@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import subprocess
 import sys
@@ -6,11 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from intervalagreement.cli import _parse_each_line, build_parser, main, parse_interval_lines
+from intervalagreement import build_iaa, collection, gamma_alpha, gamma_exact
+from intervalagreement.cli import (
+    _parse_each_line,
+    _print_breakdown,
+    build_parser,
+    main,
+    parse_interval_lines,
+)
 from intervalagreement.errors import AgreementError, InvalidInterval, ParseError
+
+from helpers import finite_intervals, lattice_intervals, oracle_print_breakdown
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "survey_fixture.csv"
@@ -58,6 +68,13 @@ def test_parse_interval_lines_errors():
     with pytest.raises(ParseError, match="line 2: endpoints must be numbers"):
         parse_interval_lines("0,1\n1_0,2_0\n")
     assert parse_interval_lines("# per_line comment\n0,1\n").endpoints()[1].tolist() == [1.0]
+
+
+def test_line_without_comma_is_not_paired_across_lines():
+    # one field on line 1 and three on line 2 still split into four fields
+    with pytest.raises(ParseError, match="expected 'l,r'") as info:
+        parse_interval_lines("1\n2,3,4\n")
+    assert info.value.line == 1
 
 
 @pytest.mark.parametrize("line", ["\u0661,\u0662", "\uff11,\uff12", "1,\u0662", "\u0967.5,3"])
@@ -130,6 +147,31 @@ def test_gamma_single_interval_is_data_error(tmp_path, capsys):
     path.write_text("2,4\n")
     assert main(["gamma", "--input", str(path)]) == 1
     assert "at least 2" in capsys.readouterr().err
+
+
+@given(
+    st.one_of(
+        finite_intervals(2, 30),
+        lattice_intervals(2, 30),
+        # one interval repeated: every level is non-zero, so there is no zero tail
+        st.tuples(lattice_intervals(1, 1), st.integers(2, 30)).map(lambda t: t[0] * t[1]),
+    ),
+    st.integers(2, 12),
+)
+@example([(2, 4), (2.5, 3.5)], 2)
+@example([(2, 5)] * 6, 3)
+@example([(0, 1), (2, 3), (4, 5), (6, 7)], 4)  # every level past the first is zero
+def test_print_breakdown_matches_per_line_printer(pairs, cuts):
+    coll = collection(pairs)
+    try:
+        breakdowns = [gamma_exact(coll), gamma_alpha(build_iaa(coll), cuts=cuts)]
+    except AgreementError:  # every interval has zero width
+        assume(False)
+    for breakdown in breakdowns:
+        got, want = io.StringIO(), io.StringIO()
+        _print_breakdown(breakdown, got)
+        oracle_print_breakdown(breakdown, want)
+        assert got.getvalue() == want.getvalue()
 
 
 def test_gamma_alpha_mode(intervals_file, capsys):
@@ -283,6 +325,56 @@ def test_flag_values_that_are_not_plain_or_finite_exit_2(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: " in captured.err
+
+
+def test_scale_reads_any_negative_number(capsys):
+    # argparse 3.11 alone takes -1e3 for an option string: "expected 2 arguments"
+    assert main(["report", "--input", str(FIXTURE), "--scale", "-1e3", "10"]) == 0
+    exponent = capsys.readouterr()
+    assert main(["report", "--input", str(FIXTURE), "--scale", "-1000", "10"]) == 0
+    assert exponent == capsys.readouterr()
+
+
+@pytest.mark.parametrize("low, message", [
+    ("-inf", "--scale needs finite LO < HI"),
+    ("-x", "argument --scale: expected 2 arguments"),
+], ids=["minus-inf", "minus-letter"])
+def test_scale_negative_looking_values_exit_2(low, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["report", "--input", str(FIXTURE), "--scale", low, "10"])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def _call_main(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_built_once_answers_as_a_fresh_one(intervals_file, capsys):
+    calls = [
+        ["gamma", "--input", intervals_file],
+        ["report", "--input", str(FIXTURE), "--format", "json"],
+        ["gamma", "--alpha-cuts", "1", "--input", intervals_file],
+        ["attrs", "--input", intervals_file],
+        ["report", "--help"],
+        ["gamma", "--input", intervals_file, "--mode", "alpha"],
+        ["series", "--input", str(FIXTURE), "--group", "ALL"],  # no --term
+        ["build", "--input", intervals_file, "--scale", "-1e3", "10", "--samples", "5"],
+        ["--help"],
+    ]
+    assert build_parser() is build_parser()
+    warm = [_call_main(argv, capsys) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_call_main(argv, capsys))
+    assert warm == fresh
+    assert [code for code, _, _ in warm] == [0, 0, 2, 0, 0, 0, 2, 0, 0]
 
 
 def test_help_exits_zero_everywhere():

@@ -30,6 +30,7 @@ from helpers import (
     finite_intervals,
     lattice_intervals,
     oracle_level_sets,
+    oracle_run_sums,
 )
 
 
@@ -231,6 +232,32 @@ def test_level_sets_match_per_level_oracle(pairs):
     regions = level_sets(coll)
     assert len(regions) == coll.n
     assert regions == oracle_level_sets(coll)
+
+
+# widths of mixed magnitude, so a reordered addition changes the bits
+run_width = st.one_of(
+    st.floats(0, 1e17, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.0, 2**-53, 0.1, 1e16, 3.0]),
+)
+
+
+@given(st.lists(st.lists(run_width, max_size=40), max_size=8), st.integers(0, 4))
+def test_run_sums_bit_equal_to_per_key_sum(per_key, extra):
+    # entry k holds key k's run widths in position order: empty entries are
+    # keys with no runs, and `extra` asks for sizes past the last key
+    keys = np.arange(len(per_key)).repeat([len(ws) for ws in per_key])
+    widths = np.array([w for ws in per_key for w in ws], dtype=np.float64)
+    size = len(per_key) + extra
+    got = intervals_mod.run_sums(keys, widths, size)
+    assert got.dtype == np.float64 and got.shape == (size,)
+    assert np.array_equal(got, oracle_run_sums(keys, widths, size))
+
+
+def test_total_length_adds_left_to_right():
+    # 1e16 + 1 rounds back to 1e16 at every step; a compensated sum (builtin
+    # sum from Python 3.12 on) would read 1e16 + 4
+    segments = (Interval(-1e16 - 10, -10), *(Interval(2 * i, 2 * i + 1) for i in range(4)))
+    assert DisjointRegion(segments).total_length == 1e16
 
 
 # ---------------------------------------------------------------------- oracle
