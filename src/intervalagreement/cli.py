@@ -8,7 +8,7 @@ Each subcommand takes only the flags it reads, and argparse rejects a bad
 value with exit 2. ``--scale`` defaults to the set's hull in ``build`` and to
 ``survey.DEFAULT_SCALE`` elsewhere.
 
-    gamma   --input --mode --alpha-cuts --samples
+    gamma   --input --mode --alpha-cuts
     build   --input --samples --scale --format
     attrs   --input --samples
     report  --input --mode --alpha-cuts --samples --scale --format --input-format
@@ -28,11 +28,11 @@ from operator import contains
 import numpy as np
 
 from . import survey as survey_mod
-from .agreement import GammaBreakdown, gamma_alpha, gamma_exact
-from .errors import AgreementError, InvalidInterval, ParseError
+from .agreement import GammaBreakdown
+from .errors import AgreementError, ParseError
 from .fuzzyset import attributes
 from .iaa import build_iaa
-from .intervals import Interval, IntervalCollection, make_interval, plain, valid_endpoints
+from .intervals import Interval, IntervalCollection, endpoint_arrays, plain, read_interval
 
 # upper bounds on the size flags, so a typo cannot ask for an unbounded allocation
 MAX_SAMPLES = 10_000_001
@@ -43,9 +43,9 @@ def parse_interval_lines(text: str) -> IntervalCollection:
     """One interval per line as `l,r`; blank lines and `#` comments ignored.
 
     When every line holds one comma, the lines are joined and split once,
-    and the endpoint columns are converted with builtin ``float`` and checked
-    a column at a time. When any line fails a check, the per-line parser runs
-    instead and raises the first error, with its line number.
+    and the endpoint columns are checked a column at a time. When any line
+    fails a check, the per-line parser runs instead and raises the first
+    error, with its line number.
     """
     lines = text.splitlines()
     if "#" in text:
@@ -53,17 +53,13 @@ def parse_interval_lines(text: str) -> IntervalCollection:
     lines = list(filter(str.strip, lines))
     if not lines:
         raise ParseError("no intervals in input")
-    fields = ",".join(lines).split(",")
-    # endpoints that are not plain are left to the per-line parser, which rejects them
-    if len(fields) == 2 * len(lines) and all(map(contains, lines, repeat(","))) and plain(text):
-        try:
-            ls = np.array(list(map(float, fields[0::2])))
-            rs = np.array(list(map(float, fields[1::2])))
-        except ValueError:  # not a number: the per-line parser reports where
-            pass
-        else:
-            if valid_endpoints(ls, rs).all():
-                return IntervalCollection._from_arrays(ls, rs)
+    joined = ",".join(lines)
+    fields = joined.split(",")
+    # endpoints that are not plain are left to the per-line parser; comments may hold any text
+    if len(fields) == 2 * len(lines) and all(map(contains, lines, repeat(","))) and plain(joined):
+        ends = endpoint_arrays(fields[0::2], fields[1::2])
+        if ends is not None:
+            return IntervalCollection._from_arrays(*ends)
     return IntervalCollection(_parse_each_line(text))
 
 
@@ -77,23 +73,13 @@ def _parse_each_line(text: str) -> list[Interval]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise ParseError(f"expected 'l,r', got {raw!r}", line=lineno)
-        try:
-            if not plain(parts[0] + parts[1]):
-                raise ValueError("an endpoint has digit separators or non-ASCII digits")
-            l, r = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ParseError(f"endpoints must be numbers, got {raw!r}", line=lineno)
-        try:
-            intervals.append(make_interval(l, r))
-        except InvalidInterval as exc:
-            raise InvalidInterval(str(exc), line=lineno) from exc
+        intervals.append(read_interval(*parts, lineno, raw))
     return intervals
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return survey_mod.read_path(path)
+def _source(path: str):
+    # stdin is read as bytes, as a file is; a stand-in without a byte buffer as text
+    return getattr(sys.stdin, "buffer", sys.stdin) if path == "-" else path
 
 
 def _print_breakdown(breakdown: GammaBreakdown, out):
@@ -124,16 +110,12 @@ def _print_breakdown(breakdown: GammaBreakdown, out):
 
 
 def cmd_gamma(args) -> None:
-    coll = parse_interval_lines(_read_input(args.input))
-    if args.mode == "exact":
-        breakdown = gamma_exact(coll)
-    else:
-        breakdown = gamma_alpha(build_iaa(coll), cuts=args.alpha_cuts, samples=args.samples)
-    _print_breakdown(breakdown, sys.stdout)
+    coll = parse_interval_lines(survey_mod.read_text(_source(args.input)))
+    _print_breakdown(survey_mod.cell_gamma(coll, args.mode, args.alpha_cuts), sys.stdout)
 
 
 def cmd_build(args) -> None:
-    coll = parse_interval_lines(_read_input(args.input))
+    coll = parse_interval_lines(survey_mod.read_text(_source(args.input)))
     fs = build_iaa(coll)
     window = Interval(*args.scale) if args.scale else fs.window()
     xs = np.linspace(window.l, window.r, args.samples)
@@ -142,7 +124,7 @@ def cmd_build(args) -> None:
 
 
 def cmd_attrs(args) -> None:
-    coll = parse_interval_lines(_read_input(args.input))
+    coll = parse_interval_lines(survey_mod.read_text(_source(args.input)))
     fs = build_iaa(coll)
     attrs = attributes(fs, samples=args.samples)
     print(f"height = {attrs.height:.6g}")
@@ -153,9 +135,8 @@ def cmd_attrs(args) -> None:
 
 
 def _load_dataset(args) -> survey_mod.SurveyDataset:
-    source = sys.stdin if args.input == "-" else args.input
     scale = Interval(*args.scale) if args.scale else survey_mod.DEFAULT_SCALE
-    return survey_mod.load_survey(source, format=args.input_format, scale=scale)
+    return survey_mod.load_survey(_source(args.input), format=args.input_format, scale=scale)
 
 
 def cmd_report(args) -> None:
@@ -205,8 +186,7 @@ _FLAGS = {
 
 # each subcommand's handler, help line and the only flags it takes
 _COMMANDS = {
-    "gamma": (cmd_gamma, "agreement ratio of an interval list",
-              "--input --mode --alpha-cuts --samples"),
+    "gamma": (cmd_gamma, "agreement ratio of an interval list", "--input --mode --alpha-cuts"),
     "build": (cmd_build, "sampled membership series of an interval list",
               "--input --samples --scale --format"),
     "attrs": (cmd_attrs, "fuzzy-set attributes of an interval list", "--input --samples"),

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import CombinatorialLimit, EmptyCollection, InvalidInterval
+from .errors import CombinatorialLimit, EmptyCollection, InvalidInterval, ParseError
 
 ORACLE_TUPLE_LIMIT = 10**6
 
@@ -125,11 +125,36 @@ def plain(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def valid_endpoints(ls: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """Mask of the (l, r) pairs ``Interval`` accepts: ordered, with a finite
-    width (which also rules out infinite and NaN endpoints)."""
+def read_interval(l_raw, r_raw, line: int, shown) -> Interval:
+    """The interval of one raw endpoint pair, each number text or a JSON number.
+    Errors carry ``line``, and quote a pair that is not two numbers as ``shown``."""
+    try:
+        if isinstance(l_raw, bool) or isinstance(r_raw, bool):
+            raise TypeError("a JSON boolean is not an endpoint")
+        if not plain(str(l_raw).strip() + str(r_raw).strip()):
+            raise ValueError("an endpoint has digit separators or non-ASCII digits")
+        l, r = float(l_raw), float(r_raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"endpoints must be numbers, got {shown!r}", line=line)
+    try:
+        return make_interval(l, r)
+    except InvalidInterval as exc:
+        raise InvalidInterval(str(exc), line=line) from exc
+
+
+def endpoint_arrays(l_raw, r_raw) -> tuple[np.ndarray, np.ndarray] | None:
+    """Float arrays of two columns of plain endpoints, or None unless every
+    pair is one ``Interval`` accepts: ordered, with a finite width (which
+    also rules out infinite and NaN endpoints)."""
+    try:
+        ls = np.array(list(map(float, l_raw)), dtype=np.float64)
+        rs = np.array(list(map(float, r_raw)), dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
     with np.errstate(over="ignore", invalid="ignore"):
-        return (ls <= rs) & np.isfinite(rs - ls)
+        if ((ls <= rs) & np.isfinite(rs - ls)).all():
+            return ls, rs
+    return None
 
 
 def collection(pairs: Iterable[tuple[float, float]]) -> IntervalCollection:

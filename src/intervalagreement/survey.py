@@ -23,7 +23,6 @@ import numpy as np
 
 from .agreement import GammaBreakdown, gamma_alpha, gamma_exact
 from .errors import (
-    InvalidInterval,
     ParseError,
     RangeError,
     TooFewSources,
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .fuzzyset import DEFAULT_SAMPLES, attributes
 from .iaa import build_iaa
-from .intervals import Interval, IntervalCollection, make_interval, plain, valid_endpoints
+from .intervals import Interval, IntervalCollection, endpoint_arrays, plain, read_interval
 
 CSV_HEADER = ["group", "participant_id", "term", "l", "r"]
 DEFAULT_SCALE = Interval(0.0, 10.0)
@@ -144,18 +143,7 @@ def _validate_record(
         raise ParseError("group, participant_id and term must be non-empty", line=line)
     if group in DERIVED_GROUPS:
         raise ParseError(f"group name {group!r} is reserved for derived groups", line=line)
-    try:
-        if isinstance(l_raw, bool) or isinstance(r_raw, bool):
-            raise TypeError("a JSON boolean is not an endpoint")
-        if not plain(str(l_raw).strip() + str(r_raw).strip()):
-            raise ValueError("an endpoint has digit separators or non-ASCII digits")
-        l, r = float(l_raw), float(r_raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"endpoints must be numbers, got ({l_raw!r}, {r_raw!r})", line=line)
-    try:
-        interval = make_interval(l, r)
-    except InvalidInterval as exc:
-        raise InvalidInterval(str(exc), line=line) from exc
+    interval = read_interval(l_raw, r_raw, line, (l_raw, r_raw))
     if interval.l < scale.l or interval.r > scale.r:
         raise RangeError(
             f"interval [{interval.l}, {interval.r}] outside scale [{scale.l}, {scale.r}]",
@@ -184,17 +172,20 @@ def _decode(data: bytes) -> str:
         raise ParseError(f"input is not valid UTF-8: {exc.reason} at byte {exc.start}", line=line)
 
 
-def read_path(path) -> str:
-    """A UTF-8 file's text with universal newlines, as text-mode reading gives it."""
-    with open(path, "rb") as fh:
-        return _decode(fh.read()).replace("\r\n", "\n").replace("\r", "\n")
+def read_text(source) -> str:
+    """The whole input of a path or open stream as text, without a leading
+    UTF-8 byte-order mark.
 
-
-def _read_text(source) -> str:
-    """Whole input as text, without a leading UTF-8 byte-order mark."""
-    data = read_path(source) if isinstance(source, (str, Path)) else source.read()
+    A path or a binary stream is decoded as UTF-8 and read with universal
+    newlines, as text-mode reading gives it; a text stream is read as is.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            data = fh.read()
+    else:
+        data = source.read()
     if isinstance(data, bytes):
-        data = _decode(data)
+        data = _decode(data).replace("\r\n", "\n").replace("\r", "\n")
     return data.removeprefix("\ufeff")
 
 
@@ -212,7 +203,7 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
     raises the first error in line order, with the same message and
     ``.line``; duplicates are reported only once every row is valid.
     """
-    text = _read_text(source)
+    text = read_text(source)
     if format == "csv":
         rows, lines = _csv_rows(text)
         columns = _columns(rows)
@@ -343,12 +334,11 @@ def _dataset(columns, scale: Interval) -> SurveyDataset | None:
     terms, term_codes = _encode(term_raw, canonical_term)
     if "" in groups or "" in pids or "" in terms or any(g in groups for g in DERIVED_GROUPS):
         return None
-    try:
-        ls = np.array(list(map(float, l_raw)), dtype=np.float64)
-        rs = np.array(list(map(float, r_raw)), dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+    ends = endpoint_arrays(l_raw, r_raw)
+    if ends is None:
         return None
-    if not (valid_endpoints(ls, rs) & (ls >= scale.l) & (rs <= scale.r)).all():
+    ls, rs = ends
+    if not ((ls >= scale.l) & (rs <= scale.r)).all():
         return None
     if _repeats(group_codes * len(terms) + term_codes, pid_codes):
         return None
@@ -405,11 +395,12 @@ class AgreementReport:
     skipped: tuple[tuple[str, str, str], ...] = ()
 
 
-def _cell_gamma(coll, fs, mode: str, alpha_cuts: int, samples: int) -> GammaBreakdown:
+def cell_gamma(coll: IntervalCollection, mode: str, alpha_cuts: int) -> GammaBreakdown:
+    """γ of a collection, exact or from ``alpha_cuts`` α-cuts of its agreement set."""
     if mode == "exact":
         return gamma_exact(coll)
     if mode == "alpha":
-        return gamma_alpha(fs, cuts=alpha_cuts, samples=samples)
+        return gamma_alpha(build_iaa(coll), cuts=alpha_cuts)
     raise ValueError(f"mode must be exact or alpha, got {mode!r}")
 
 
@@ -438,7 +429,7 @@ def report(
                 continue
             fs = build_iaa(coll)
             attrs = attributes(fs, samples=samples)
-            breakdown = _cell_gamma(coll, fs, mode, alpha_cuts, samples)
+            breakdown = cell_gamma(coll, mode, alpha_cuts)
             rows.append(
                 ReportRow(
                     group=group,

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from intervalagreement import build_iaa, collection, gamma_alpha, gamma_exact
+from intervalagreement import build_iaa, cli, collection, gamma_alpha, gamma_exact
 from intervalagreement.cli import (
     _parse_each_line,
     _print_breakdown,
@@ -86,6 +87,15 @@ def test_non_ascii_digits_rejected(line):
     # non-ASCII elsewhere is fine: a comment, or whitespace around an endpoint
     coll = parse_interval_lines("# \u0661 \u00fcber\n0,\u2003 1\n")
     assert coll.endpoints()[1].tolist() == [1.0]
+
+
+def test_non_ascii_comment_keeps_the_column_path(monkeypatch):
+    def per_line(text):
+        raise AssertionError("the per-line parser ran")
+
+    monkeypatch.setattr(cli, "_parse_each_line", per_line)
+    coll = parse_interval_lines("# Sch\u00e4tzungen\n0,1\n2,3  # \u0661 \u00fcber\n")
+    assert coll.endpoints()[0].tolist() == [0.0, 2.0]
 
 
 def test_gamma_rejects_non_ascii_digits(tmp_path, capsys):
@@ -245,6 +255,37 @@ def test_invalid_utf8_input_file_is_data_error(tmp_path, capsys):
     assert err == "error: line 2: input is not valid UTF-8: invalid start byte at byte 4\n"
 
 
+def test_invalid_utf8_on_stdin_reads_as_from_a_file(tmp_path):
+    data = b"0,1\n\xff\xfe1,2\n"
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict"}
+    runs = [
+        subprocess.run([sys.executable, "-m", "intervalagreement", "gamma", *args],
+                       input=data, capture_output=True, env=env)
+        for args in (["--input", str(path)], ["--input", "-"])
+    ]
+    want = b"error: line 2: input is not valid UTF-8: invalid start byte at byte 4\n"
+    for proc in runs:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", want)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma"], ["gamma", "--mode", "alpha"], ["attrs"], ["build", "--samples", "5"],
+])
+def test_bom_and_crlf_interval_list_reads_as_the_plain_list(tmp_path, monkeypatch, capsys, argv):
+    plain_path, bom_path = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain_path.write_text(FIG_NONCONVEX_TEXT)
+    data = b"\xef\xbb\xbf" + FIG_NONCONVEX_TEXT.replace("\n", "\r\n").encode()
+    bom_path.write_bytes(data)
+    want = _call_main([*argv, "--input", str(plain_path)], capsys)
+    assert want[0] == 0
+    assert _call_main([*argv, "--input", str(bom_path)], capsys) == want
+    # stdin with a byte buffer, as a real one has, reads as a file does
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert _call_main([*argv, "--input", "-"], capsys) == want
+
+
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
 def test_input_file_newlines_read_as_text(tmp_path, capsys, newline):
     path = tmp_path / "survey.csv"
@@ -258,9 +299,10 @@ def test_input_file_newlines_read_as_text(tmp_path, capsys, newline):
 def test_usage_errors_exit_2():
     for args in (
         ["gamma", "--alpha-cuts", "1"],
-        ["gamma", "--samples", "1"],
-        ["gamma", "--samples", "10000002"],
+        ["attrs", "--samples", "1"],
+        ["build", "--samples", "10000002"],
         ["gamma", "--alpha-cuts", "10001"],
+        ["gamma", "--samples", "5"],  # gamma reads no samples
         ["report", "--mode", "alpha", "--samples", "99999999999"],
         ["build", "--scale", "5", "5"],
         ["report", "--scale", "5", "5"],
@@ -271,7 +313,7 @@ def test_usage_errors_exit_2():
 
 
 FLAGS = {
-    "gamma": ["--input", "--mode", "--alpha-cuts", "--samples"],
+    "gamma": ["--input", "--mode", "--alpha-cuts"],
     "build": ["--input", "--samples", "--scale", "--format"],
     "attrs": ["--input", "--samples"],
     "report": ["--input", "--mode", "--alpha-cuts", "--samples", "--scale", "--format",
@@ -311,7 +353,7 @@ def test_flags_a_subcommand_does_not_read_exit_2(command, capsys):
     ["report", "--scale", "\u0660", "\u0661\u0660"],  # float() reads Arabic-Indic digits
     ["build", "--scale", "0", "1_0"],
     ["gamma", "--alpha-cuts", "\u0661\u0660"],
-    ["gamma", "--samples", "1_001"],
+    ["build", "--samples", "1_001"],
     ["attrs", "--samples", "\uff15"],
     ["report", "--scale", "nan", "10"],
     ["build", "--scale", "0", "inf"],

@@ -2,12 +2,14 @@
 
 Arbitrary bytes and text go through the survey loader (CSV and JSON, as
 text, bytes and a file), the interval-list parser and the CLI reading a
-file. The only outcomes allowed are a result (exit 0), an AgreementError
-(exit 1) or a usage error (exit 2); anything else is a traceback.
+file and, with the same answer, stdin. The only outcomes allowed are a
+result (exit 0), an AgreementError (exit 1) or a usage error (exit 2);
+anything else is a traceback.
 """
 
 import contextlib
 import io
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -51,7 +53,7 @@ def test_parse_interval_lines_parse_or_agreement_error(text):
 
 
 ARGVS = [
-    ["gamma"], ["gamma", "--mode", "alpha", "--samples", "11"], ["build", "--samples", "5"],
+    ["gamma"], ["gamma", "--mode", "alpha", "--alpha-cuts", "7"], ["build", "--samples", "5"],
     ["attrs", "--samples", "7"], ["report"], ["report", "--input-format", "json"],
     ["report", "--mode", "alpha", "--samples", "9", "--alpha-cuts", "3"],
     ["series", "--group", "ALL", "--term", "ITD", "--samples", "3"],
@@ -64,15 +66,27 @@ def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input"
 
 
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @FUZZ
 @given(raw, st.sampled_from(ARGVS))
 def test_cli_on_a_file_exits_0_1_or_2(fuzz_file, data, argv):
     fuzz_file.write_bytes(data)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main([*argv, "--input", str(fuzz_file)])
-        except SystemExit as exc:  # argparse rejects the flags
-            code = exc.code
+    code, out, err = _run_main([*argv, "--input", str(fuzz_file)])
     assert code in (0, 1, 2)
-    assert (code == 1) == err.getvalue().startswith("error: ")
+    assert (code == 1) == err.startswith("error: ")
+    # stdin with a byte buffer, as a real one has, gives the file's answer
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data))
+    try:
+        assert _run_main([*argv, "--input", "-"]) == (code, out, err)
+    finally:
+        sys.stdin = saved

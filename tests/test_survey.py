@@ -27,6 +27,7 @@ from intervalagreement.survey import (
     CSV_HEADER,
     TERM_ORDER,
     canonical_term,
+    read_text,
     report_to_csv,
     report_to_json,
     series_to_csv,
@@ -145,6 +146,17 @@ def test_invalid_utf8_is_parse_error(tmp_path):
         with pytest.raises(ParseError, match="not valid UTF-8") as info:
             load_survey(source)
         assert info.value.line == 3
+
+
+def test_read_text_same_for_path_bytes_and_text_stream(tmp_path):
+    rows = ["Patient,P01,ITD,1,2", "Patient,P02,ITD,2,3", "Surgeon,S01,ED,0,1"]
+    data = b"\xef\xbb\xbf" + (HEADER + rows[0] + "\r\n" + rows[1] + "\r" + rows[2] + "\n").encode()
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as text_stream:
+        texts = [read_text(path), read_text(str(path)), read_text(BytesIO(data)),
+                 read_text(text_stream)]
+    assert texts == [HEADER + "\n".join(rows) + "\n"] * 4
 
 
 def test_oversized_csv_field_is_parse_error():
