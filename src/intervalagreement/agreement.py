@@ -16,9 +16,11 @@ import numpy as np
 
 from .errors import EmptySet, EmptySupport, InvalidCuts, TooFewSources
 from .fuzzyset import DEFAULT_SAMPLES, MembershipFunction, _check_samples, alpha_lengths
-from .intervals import IntervalCollection, level_lengths
+from .intervals import IntervalCollection, level_lengths, run_sums
 
 __all__ = ["GammaTerm", "GammaBreakdown", "gamma_exact", "gamma_alpha", "jaccard"]
+
+_ZERO_WIDTH = "every source has zero width; no lengths to compare"
 
 
 @dataclass(frozen=True)
@@ -60,34 +62,42 @@ class GammaBreakdown:
         )
 
 
-def _breakdown(lengths: np.ndarray, weights: np.ndarray) -> GammaBreakdown:
-    """Assemble the ratio from level lengths (index 0 = lowest level).
+def gamma_sums(lengths: np.ndarray, weights: np.ndarray, size: np.ndarray):
+    """Ratios and γ numerators of cells whose level lengths and weights lie
+    cell after cell, ``size`` per cell, lowest level first. A level's ratio is
+    its length over the one below's, or 0 where that has no length or the
+    level is its cell's first; the weighted ratios of a cell are added left to
+    right from 0.0 (``run_sums``), as ``np.cumsum`` adds them."""
+    prev = lengths[:-1]
+    below = prev > 0.0
+    below[np.cumsum(size)[:-1] - 1] = False  # a cell's first level is over the last cell's top
+    ratios = np.divide(lengths[1:], prev, out=np.zeros(prev.size), where=below)
+    cell = np.repeat(np.arange(size.size), size)[1:]
+    return ratios, run_sums(cell, weights[1:] * ratios, size.size)
 
-    A term's ratio is 0 where the lower level has no length; gamma is the
-    left-to-right sum of weight * ratio over the weight sum: the last partial
-    sum of ``np.cumsum``, which adds in order (``np.sum`` is pairwise, and
-    builtin ``sum`` compensates from Python 3.12 on).
-    """
+
+def _breakdown(lengths: np.ndarray, weights: np.ndarray) -> GammaBreakdown:
+    """Assemble the ratio from level lengths (index 0 = lowest level): the
+    ``gamma_sums`` numerator over the weight sum (``np.sum`` is pairwise, and
+    builtin ``sum`` compensates from Python 3.12 on)."""
     lengths = np.asarray(lengths, dtype=np.float64)
     if lengths[0] == 0.0:
-        raise EmptySupport("every source has zero width; no lengths to compare")
-    weights = weights[1:]
-    prev = lengths[:-1]
-    ratios = np.divide(lengths[1:], prev, out=np.zeros(prev.size), where=prev > 0.0)
-    weight_sum = float(weights.sum())
-    gamma = np.cumsum(weights * ratios)[-1] / weight_sum
-    return GammaBreakdown(
-        gamma=float(gamma), lengths=lengths, weights=weights, ratios=ratios, weight_sum=weight_sum
-    )
+        raise EmptySupport(_ZERO_WIDTH)
+    ratios, (num,) = gamma_sums(lengths, weights, np.array([lengths.size]))
+    weight_sum = float(weights[1:].sum())
+    return GammaBreakdown(float(num / weight_sum), lengths, weights[1:], ratios, weight_sum)
 
 
 def gamma_exact(coll: IntervalCollection) -> GammaBreakdown:
     """Agreement ratio of an interval collection, from exact level-set lengths."""
     if coll.n < 2:
         raise TooFewSources(f"agreement needs at least 2 intervals, got {coll.n}")
-    lengths = level_lengths(coll)
-    weights = np.arange(1, coll.n + 1) / coll.n
-    return _breakdown(lengths, weights)
+    return _breakdown(level_lengths(coll), np.arange(1, coll.n + 1) / coll.n)
+
+
+def _check_cuts(cuts: int):
+    if cuts < 2:
+        raise InvalidCuts(f"need at least 2 alpha cuts, got {cuts}")
 
 
 def gamma_alpha(
@@ -104,11 +114,9 @@ def gamma_alpha(
     closed forms for step, piecewise-linear and Gaussian shapes, unless
     method="sampled" forces the discretised scan.
     """
-    if cuts < 2:
-        raise InvalidCuts(f"need at least 2 alpha cuts, got {cuts}")
+    _check_cuts(cuts)
     alphas = np.arange(1, cuts + 1) / cuts
-    lengths = alpha_lengths(mf, alphas, samples=samples, method=method)
-    return _breakdown(lengths, alphas)
+    return _breakdown(alpha_lengths(mf, alphas, samples=samples, method=method), alphas)
 
 
 def jaccard(

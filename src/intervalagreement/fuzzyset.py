@@ -23,11 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySet, InvalidAlpha, InvalidDomain
-from .intervals import DisjointRegion, Interval, ladder_runs, run_regions, run_sums
+from .intervals import DisjointRegion, Interval, ladder_runs, level_runs, run_regions, run_sums
 
 DEFAULT_SAMPLES = 1001
 
 GAUSSIAN_WINDOW_SIGMAS = 5.0
+
+_EMPTY_GRID = "membership is zero everywhere on the sampling grid; centroid undefined"
 
 
 class MembershipFunction:
@@ -69,6 +71,13 @@ def _check_span(arr, name):
             raise ValueError(f"{name} span [{arr[0]}, {arr[-1]}] is wider than a float can measure")
 
 
+def step_values(bp, lv, x, idx, interior) -> np.ndarray:
+    """Level ``lv[idx]`` of the cell from breakpoint ``idx`` on, at each x in it;
+    on an ``interior`` breakpoint, the larger of the two cells' levels."""
+    val = lv[idx]
+    return np.where((x == bp[idx]) & interior, np.maximum(val, lv[idx - 1]), val)
+
+
 def _check_unit_range(arr, name):
     if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
         raise ValueError(f"{name} must lie in [0, 1]")
@@ -98,18 +107,11 @@ class PiecewiseConstant(MembershipFunction):
         object.__setattr__(self, "levels", lv)
 
     def _membership(self, x):
-        out = np.zeros_like(x)
         bp, lv = self.breakpoints, self.levels
-        if lv.size:
-            inside = (x >= bp[0]) & (x <= bp[-1])
-            xin = x[inside]
-            idx = np.searchsorted(bp, xin, side="right") - 1
-            idx = np.minimum(idx, lv.size - 1)
-            val = lv[idx]
-            on_edge = (xin == bp[idx]) & (idx >= 1)
-            val = np.where(on_edge, np.maximum(val, lv[np.maximum(idx - 1, 0)]), val)
-            out[inside] = val
-        return out
+        if not lv.size:
+            return np.zeros_like(x)
+        idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, lv.size - 1)
+        return np.where((x >= bp[0]) & (x <= bp[-1]), step_values(bp, lv, x, idx, idx >= 1), 0.0)
 
     def window(self) -> Interval:
         return Interval(float(self.breakpoints[0]), float(self.breakpoints[-1]))
@@ -123,9 +125,14 @@ class PiecewiseConstant(MembershipFunction):
 
     def _cut_runs(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Runs of adjacent cells whose level reaches alpha; cell j spans
-        ``breakpoints[j]`` to ``breakpoints[j + 1]``."""
-        col, start, stop = ladder_runs(self.levels, alphas)
-        return col, self.breakpoints[start], self.breakpoints[stop]
+        ``breakpoints[j]`` to ``breakpoints[j + 1]``. A level's rank is the
+        number of alphas it reaches, so ``level_runs`` of the ranks lists each
+        cut, keyed by its alpha's place on the sorted ladder."""
+        order = np.argsort(alphas, kind="stable")
+        key, start, stop = level_runs(np.searchsorted(alphas[order], self.levels, side="right"))
+        col = order[key]
+        by_alpha = np.argsort(col, kind="stable")
+        return col[by_alpha], self.breakpoints[start[by_alpha]], self.breakpoints[stop[by_alpha]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,7 +475,7 @@ def attributes(mf: MembershipFunction, samples: int = DEFAULT_SAMPLES) -> Attrib
     xs, mus_grid = sample_grid(mf, samples)
     weight = float(mus_grid.sum())
     if weight == 0.0:
-        raise EmptySet("membership is zero everywhere on the sampling grid; centroid undefined")
+        raise EmptySet(_EMPTY_GRID)
     centroid = float((xs * mus_grid).sum() / weight)
     if mf.closed_form:
         height, support = mf.height(), mf.support_length()

@@ -4,9 +4,12 @@ All operations treat intervals as closed sets but measure lengths, so overlaps
 at a single point (touching intervals, zero-width responses) carry no weight.
 
 Where values reach a threshold is found as (key, start, stop) runs, by key,
-then position: ``level_runs`` for every level of a coverage count at once,
-``ladder_runs`` for a few float thresholds (the α-cuts in ``fuzzyset``).
-``run_sums`` turns runs into lengths and ``run_regions`` into regions.
+then position: ``level_runs`` for every level of an integer count at once (a
+coverage count, or a step function's levels ranked on its α-cut ladder),
+``ladder_runs`` for a few float thresholds on a sampled grid. ``run_sums``
+turns runs into lengths and ``run_regions`` into regions. A run key may carry
+a cell offset: with cell c's level k keyed ``base[c] + k - 1``, one
+``run_sums`` measures every level of many cells swept side by side.
 """
 
 from __future__ import annotations
@@ -276,12 +279,17 @@ def ladder_runs(values: np.ndarray, thresholds) -> tuple[np.ndarray, np.ndarray,
     return keys, np.concatenate([none, *starts]), np.concatenate([none, *stops])
 
 
+def ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """``arange(a, b)`` for each pair of starts and stops, concatenated in order."""
+    sizes = stops - starts
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+
+
 def _level_marks(at: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(level, coordinate index) for each level lo+1..hi at each index in `at`,
     ordered by level, then by position."""
-    reps = hi - lo
-    idx = np.repeat(at, reps)
-    level = np.repeat(lo + 1 - (np.cumsum(reps) - reps), reps) + np.arange(idx.size)
+    idx = np.repeat(at, hi - lo)
+    level = ranges(lo + 1, hi + 1)
     order = np.lexsort((idx, level))
     return level[order], idx[order]
 
@@ -319,10 +327,7 @@ def level_lengths(coll: IntervalCollection) -> np.ndarray:
     """
     coords, counts = coll.coverage
     key, start, stop = level_runs(counts)
-    top = int(key[-1]) + 1 if key.size else 0
-    lengths = np.zeros(coll.n)
-    lengths[:top] = run_sums(key, coords[stop] - coords[start], top)
-    return lengths
+    return run_sums(key, coords[stop] - coords[start], coll.n)
 
 
 def tuple_length_oracle(

@@ -21,17 +21,36 @@ from typing import Iterable
 
 import numpy as np
 
-from .agreement import GammaBreakdown, gamma_alpha, gamma_exact
+from .agreement import (
+    _ZERO_WIDTH,
+    GammaBreakdown,
+    _check_cuts,
+    gamma_alpha,
+    gamma_exact,
+    gamma_sums,
+)
 from .errors import (
+    EmptySet,
+    EmptySupport,
     ParseError,
     RangeError,
     TooFewSources,
     UnknownGroup,
     UnknownTerm,
 )
-from .fuzzyset import DEFAULT_SAMPLES, attributes
+from .fuzzyset import _EMPTY_GRID, DEFAULT_SAMPLES, _check_samples, step_values
 from .iaa import build_iaa
-from .intervals import Interval, IntervalCollection, endpoint_arrays, plain, read_interval
+from .intervals import (
+    Interval,
+    IntervalCollection,
+    coverage_cells,
+    endpoint_arrays,
+    level_runs,
+    plain,
+    ranges,
+    read_interval,
+    run_sums,
+)
 
 CSV_HEADER = ["group", "participant_id", "term", "l", "r"]
 DEFAULT_SCALE = Interval(0.0, 10.0)
@@ -108,29 +127,21 @@ class SurveyDataset:
         )
 
     @cached_property
-    def _index(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """Response numbers grouped by (group, term) cell and by term, each
-        group in response order, with the bounds of every group."""
-        nt = len(self.term_names)
-        cells = self.group_codes * nt + self.term_codes
-        return _grouped(cells, len(self.groups) * nt), _grouped(self.term_codes, nt)
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Response numbers sorted stably by (group, term) cell, and each
+        cell's bounds: cell g * terms + t holds group g's answers to term t,
+        and group number len(groups) is "ALL"."""
+        nt, size = len(self.term_names), self.l.size
+        groups = np.concatenate([self.group_codes, np.full(size, len(self.groups))])
+        cells = groups * nt + np.tile(self.term_codes, 2)
+        bounds = np.zeros((len(self.groups) + 1) * nt + 1, dtype=np.intp)
+        np.cumsum(np.bincount(cells, minlength=bounds.size - 1), out=bounds[1:])
+        return np.argsort(cells, kind="stable") % size, bounds
 
-    def _term_rows(self, term: str) -> np.ndarray:
-        order, bounds = self._index[1]
-        t = self.term_names.index(term)
-        return order[bounds[t]:bounds[t + 1]]
-
-    def _cell_rows(self, group: str, term: str) -> np.ndarray:
-        order, bounds = self._index[0]
-        k = self.groups.index(group) * len(self.term_names) + self.term_names.index(term)
+    def _rows(self, group: int, term: str) -> np.ndarray:
+        order, bounds = self._index
+        k = group * len(self.term_names) + self.term_names.index(term)
         return order[bounds[k]:bounds[k + 1]]
-
-
-def _grouped(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions sorted stably by code, and the bounds of each code's run."""
-    bounds = np.zeros(size + 1, dtype=np.intp)
-    np.cumsum(np.bincount(codes, minlength=size), out=bounds[1:])
-    return np.argsort(codes, kind="stable"), bounds
 
 
 def _validate_record(
@@ -359,15 +370,15 @@ def group_collection(ds: SurveyDataset, group: str, term: str) -> IntervalCollec
         raise UnknownTerm(f"term {term!r} not in dataset (has {', '.join(ds.terms)})")
     stored = ds.groups
     if group == "ALL":
-        rows = ds._term_rows(term)
+        rows = ds._rows(len(stored), term)
     elif group == "PS":
         wanted = [i for i, g in enumerate(stored) if g in PROFESSIONAL_GROUPS]
         if not wanted:
             raise UnknownGroup("no professional groups (Physiotherapist/Surgeon) in dataset")
-        rows = ds._term_rows(term)
+        rows = ds._rows(len(stored), term)
         rows = rows[np.isin(ds.group_codes[rows], wanted)]
     elif group in stored:
-        rows = ds._cell_rows(group, term)
+        rows = ds._rows(stored.index(group), term)
     else:
         raise UnknownGroup(f"group {group!r} not in dataset (has {', '.join(stored)})")
     if not rows.size:
@@ -395,13 +406,21 @@ class AgreementReport:
     skipped: tuple[tuple[str, str, str], ...] = ()
 
 
+def _check_mode(mode: str):
+    if mode not in ("exact", "alpha"):
+        raise ValueError(f"mode must be exact or alpha, got {mode!r}")
+
+
 def cell_gamma(coll: IntervalCollection, mode: str, alpha_cuts: int) -> GammaBreakdown:
     """γ of a collection, exact or from ``alpha_cuts`` α-cuts of its agreement set."""
-    if mode == "exact":
-        return gamma_exact(coll)
-    if mode == "alpha":
-        return gamma_alpha(build_iaa(coll), cuts=alpha_cuts)
-    raise ValueError(f"mode must be exact or alpha, got {mode!r}")
+    _check_mode(mode)
+    return gamma_exact(coll) if mode == "exact" else gamma_alpha(build_iaa(coll), cuts=alpha_cuts)
+
+
+# a cell costs the larger of its shares of the two budgets, and a block of
+# whole cells starts at each whole budget: at most one budget plus its last cell
+BLOCK_INTERVALS = 1 << 13
+BLOCK_POINTS = 1 << 14  # grid points, plus α-cuts in alpha mode
 
 
 def report(
@@ -413,36 +432,85 @@ def report(
     """Tabulate attributes and agreement per cell, for each stored group and "ALL".
 
     Cells with fewer than two responses are skipped and listed in
-    ``report.skipped`` so the run always completes.
+    ``report.skipped`` so the run always completes. ``samples``, ``mode`` and,
+    in alpha mode, ``alpha_cuts`` are checked first. A row holds, to the bit,
+    what ``attributes`` and ``cell_gamma`` give on the cell's collection, and
+    a cell raises their first error, with ``.cell`` set to (group, term).
+    Blocks of whole cells are measured together (``_report_block``).
     """
-    rows = []
-    skipped = []
-    for group in (*ds.groups, "ALL"):
-        for term in ds.terms:
-            try:
-                coll = group_collection(ds, group, term)
-            except TooFewSources:
-                skipped.append((group, term, "no responses"))
-                continue
-            if coll.n < 2:
-                skipped.append((group, term, "fewer than 2 responses"))
-                continue
-            fs = build_iaa(coll)
-            attrs = attributes(fs, samples=samples)
-            breakdown = cell_gamma(coll, mode, alpha_cuts)
-            rows.append(
-                ReportRow(
-                    group=group,
-                    term=term,
-                    height=attrs.height,
-                    centroid=attrs.centroid,
-                    gamma=breakdown.gamma,
-                    support_length=attrs.support_length,
-                    core_length=attrs.core_length,
-                    n=coll.n,
-                )
-            )
-    return AgreementReport(rows=tuple(rows), skipped=tuple(skipped))
+    _check_samples(samples)
+    _check_mode(mode)
+    if mode == "alpha":
+        _check_cuts(alpha_cuts)
+    order, bounds = ds._index
+    code = {term: i for i, term in enumerate(ds.term_names)}
+    t = np.array([code[term] for term in ds.terms], dtype=np.intp)
+    k = (np.arange(len(ds.groups) + 1)[:, None] * len(ds.term_names) + t).ravel()
+    starts, n = bounds[k], bounds[k + 1] - bounds[k]
+    names = [(g, term) for g in (*ds.groups, "ALL") for term in ds.terms]
+    skipped = tuple((*names[i], "fewer than 2 responses" if n[i] else "no responses")
+                    for i in np.flatnonzero(n < 2).tolist())
+    kept = np.flatnonzero(n >= 2)
+    points = samples + (alpha_cuts if mode == "alpha" else 0)
+    cost = np.maximum(n[kept] / BLOCK_INTERVALS, points / BLOCK_POINTS)
+    block = (np.cumsum(cost) - cost).astype(np.intp)
+    out = []
+    for cells in np.split(kept, np.unique(block, return_index=True)[1][1:]) if kept.size else ():
+        picked = order[ranges(starts[cells], starts[cells] + n[cells])]
+        out += _report_block([names[i] for i in cells.tolist()], ds.l[picked], ds.r[picked],
+                             n[cells], mode, alpha_cuts, samples)
+    return AgreementReport(rows=tuple(out), skipped=skipped)
+
+
+def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow]:
+    """Rows of cells whose responses lie cell after cell in ``ls`` and ``rs``,
+    ``n`` per cell: the cells' sweeps are concatenated, and each later step
+    runs once over them all, adding what the per-cell path adds, in order."""
+    ends = np.cumsum(n)
+    swept = [coverage_cells(IntervalCollection._from_arrays(ls[e - c:e], rs[e - c:e]))
+             for e, c in zip(ends.tolist(), n.tolist())]
+    coords = np.concatenate([x for x, _ in swept])
+    counts = np.concatenate([y for _, c in swept for y in (c, [0])])  # no run crosses a 0
+    m = np.array([x.size for x, _ in swept])
+    first, cell, base = np.cumsum(m) - m, np.repeat(np.arange(n.size), m), ends - n
+    levels = counts / n[cell]
+    key, start, stop = level_runs(counts)  # cell c's level k is summed at base[c] + k - 1
+    lengths = run_sums(base[cell[start]] + key, coords[stop] - coords[start], ends[-1])
+    pos = counts[:-1] > 0  # support: a cell's covered widths, each cell's sum pairwise
+    per = np.cumsum(np.bincount(cell[:-1][pos], minlength=n.size))[:-1]
+    support = [float(w.sum()) for w in np.split(np.diff(coords)[pos], per)]
+    lo, hi = coords[first], coords[first + m - 1]
+    xs = np.empty((n.size, samples))
+    flat = (hi - lo) / (samples - 1) == 0.0  # a zero step switches linspace's method for all rows
+    for part in (flat, ~flat) if flat.any() else (slice(None),):
+        xs[part] = np.linspace(lo[part], hi[part], samples, axis=1)
+    # a grid point is in the cell of the last left edge x[:-1] at or before it, or, with no
+    # edge (m = 1, at = 0), reads its cell's closing 0 count
+    at = np.stack([np.searchsorted(x[:-1], row, side="right") for (x, _), row in zip(swept, xs)])
+    interior = at >= 2
+    at += (first - (m > 1))[:, None]
+    mus = step_values(coords, levels, xs, at, interior)
+    weight = mus.sum(axis=1)
+    compared, size = lengths, n  # the lengths γ compares: every level's, or every cut's
+    if mode == "alpha":  # cut i is level k, the first with k/n >= i/alpha_cuts
+        alphas = np.arange(1, alpha_cuts + 1) / alpha_cuts
+        ns, which = np.unique(n, return_inverse=True)
+        ks = np.stack([np.searchsorted(np.arange(c + 1) / c, alphas) for c in ns.tolist()])
+        compared = lengths[(base[:, None] - 1 + ks[which]).ravel()]
+        size = np.full(n.size, alpha_cuts)
+    lowest = compared[np.cumsum(size) - size]
+    for c in np.flatnonzero((weight == 0.0) | (lowest == 0.0))[:1].tolist():
+        exc = EmptySet(_EMPTY_GRID) if weight[c] == 0.0 else EmptySupport(_ZERO_WIDTH)
+        exc.cell = names[c]  # the first cell to fail, with the per-cell path's first error
+        raise exc
+    weights = ranges(np.ones_like(size), size + 1) / np.repeat(size, size)  # i/size at level i
+    _, num = gamma_sums(compared, weights, size)
+    weight_sum = {c: (np.arange(1, c + 1) / c)[1:].sum() for c in set(size.tolist())}  # pairwise
+    gamma = num / np.array([weight_sum[c] for c in size.tolist()])
+    centroid = np.multiply(xs, mus, out=xs).sum(axis=1) / weight
+    return list(map(ReportRow, *zip(*names), np.maximum.reduceat(levels, first).tolist(),
+                    centroid.tolist(), gamma.tolist(), support, lengths[ends - 1].tolist(),
+                    n.tolist()))
 
 
 def emit_series(

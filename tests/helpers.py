@@ -189,3 +189,45 @@ def oracle_print_breakdown(breakdown, out):
             f"prev={lengths[i - 2]:.6f} ratio={ratio:.6f}\n"
         )
     out.write("".join(lines))
+
+
+def oracle_report(ds, mode="exact", alpha_cuts=10, samples=1001):
+    """The per-cell report loop ``survey.report`` must agree with, bit for bit:
+    every cell runs the whole one-collection pipeline (``group_collection``,
+    ``build_iaa``, ``attributes``, ``cell_gamma``). An error raised on a cell
+    is tagged with that cell as ``.cell``."""
+    from intervalagreement import AgreementError, TooFewSources, attributes, build_iaa
+    from intervalagreement.survey import AgreementReport, ReportRow, cell_gamma, group_collection
+
+    rows = []
+    skipped = []
+    for group in (*ds.groups, "ALL"):
+        for term in ds.terms:
+            try:
+                coll = group_collection(ds, group, term)
+            except TooFewSources:
+                skipped.append((group, term, "no responses"))
+                continue
+            if coll.n < 2:
+                skipped.append((group, term, "fewer than 2 responses"))
+                continue
+            try:
+                fs = build_iaa(coll)
+                attrs = attributes(fs, samples=samples)
+                breakdown = cell_gamma(coll, mode, alpha_cuts)
+            except AgreementError as exc:
+                exc.cell = (group, term)
+                raise
+            rows.append(
+                ReportRow(
+                    group=group,
+                    term=term,
+                    height=attrs.height,
+                    centroid=attrs.centroid,
+                    gamma=breakdown.gamma,
+                    support_length=attrs.support_length,
+                    core_length=attrs.core_length,
+                    n=coll.n,
+                )
+            )
+    return AgreementReport(rows=tuple(rows), skipped=tuple(skipped))

@@ -1,15 +1,19 @@
 import json
+import re
 from io import BytesIO, StringIO
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intervalagreement import (
     AgreementError,
+    EmptySet,
     Interval,
+    InvalidCuts,
     InvalidInterval,
     ParseError,
     RangeError,
@@ -23,6 +27,7 @@ from intervalagreement import (
     make_interval,
     report,
 )
+from intervalagreement import survey
 from intervalagreement.survey import (
     CSV_HEADER,
     TERM_ORDER,
@@ -34,7 +39,7 @@ from intervalagreement.survey import (
     series_to_json,
 )
 
-from helpers import oracle_load_survey
+from helpers import oracle_load_survey, oracle_report
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "survey_fixture.csv"
@@ -388,6 +393,156 @@ def test_identical_cell_reports_gamma_one():
     )
     rep = report(load_survey(StringIO(text)))
     assert all(r.gamma == 1.0 for r in rep.rows)
+
+
+def _survey_text(responses) -> str:
+    """Survey CSV of (group, participant, term, l, r) tuples."""
+    lines = [",".join(CSV_HEADER)]
+    lines.extend(f"{group},P{pid},{term},{l!r},{r!r}" for group, pid, term, l, r in responses)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(run):
+    """A report, or the (type, message, cell) of the error it raises."""
+    try:
+        return run()
+    except AgreementError as exc:
+        return type(exc), str(exc), exc.cell
+
+
+def _assert_same_report(ds, mode, alpha_cuts, samples):
+    want = _outcome(lambda: oracle_report(ds, mode, alpha_cuts, samples))
+    got = _outcome(lambda: report(ds, mode=mode, alpha_cuts=alpha_cuts, samples=samples))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.skipped == want.skipped
+    assert len(got.rows) == len(want.rows)
+    for row, expected in zip(got.rows, want.rows):
+        assert row == expected  # every field, floats compared with exact ==
+
+
+def _endpoints(draw):
+    """An interval on the [0, 10] scale: quarter points, so that ties, touching
+    and zero-width responses are common, each moved off the lattice now and
+    then, so that lengths and sums are inexact."""
+    left, width = draw(st.integers(0, 40)), draw(st.sampled_from([0, 1, 2, 3, 8, 20]))
+    jitter = st.sampled_from([0.0, 0.0, 0.0, 0.01, 0.07, 1 / 3])
+    l = min(left / 4 + draw(jitter), 10.0)
+    r = min((left + width) / 4 + draw(jitter), 10.0) if width else l
+    return min(l, r), r
+
+
+@st.composite
+def _responses(draw):
+    """Responses to a few terms by a few groups, 0 to 12 per cell, in any order."""
+    groups = draw(st.lists(st.sampled_from(["Patient", "Physiotherapist", "G3"]), min_size=1,
+                           max_size=3, unique=True))
+    terms = draw(st.lists(st.sampled_from([*TERM_ORDER, "T1", "T2", "T3"]), min_size=1,
+                          max_size=6, unique=True))
+    responses = [
+        (group, p, term, *_endpoints(draw))
+        for group in groups
+        for term in terms
+        for p in range(draw(st.integers(0, 12)))
+    ]
+    return draw(st.permutations(responses)) if responses else [("G3", 1, "T1", 0.0, 0.0)]
+
+
+@settings(max_examples=150)
+@example([("G3", 1, "T1", 0.0, 0.0), ("G3", 2, "T1", 0.0, 0.0)], "exact", 2, 2, 2, 2)  # one point
+@given(
+    _responses(),
+    st.sampled_from(["exact", "alpha"]),
+    st.integers(2, 30),
+    st.integers(2, 3000),
+    st.integers(2, 60),
+    st.integers(2, 20_000),
+)
+def test_report_matches_per_cell_loop(responses, mode, alpha_cuts, samples, intervals, points):
+    """Small block budgets make many blocks, and cells larger than a block."""
+    ds = load_survey(StringIO(_survey_text(responses)))
+    with patch.object(survey, "BLOCK_INTERVALS", intervals), patch.object(
+        survey, "BLOCK_POINTS", points
+    ):
+        _assert_same_report(ds, mode, alpha_cuts, samples)
+
+
+@pytest.mark.parametrize("mode", ["exact", "alpha"])
+def test_report_matches_per_cell_loop_across_blocks(mode):
+    """The shipped budgets: 453 cells fill 31 blocks (32 in alpha mode), and
+    the 9,000-response G1/MD and G2/MD cells and the 18,000-response ALL/MD
+    cell each exceed the interval budget on their own."""
+    rng = np.random.default_rng(11)
+    terms = [("MD", 9000)] + [(f"T{i:03d}", 15) for i in range(150)]
+    responses = [
+        (group, p, term, *sorted(np.round(rng.uniform(0.0, 10.0, 2), 2).tolist()))
+        for term, participants in terms
+        for group in ("G1", "G2")
+        for p in range(participants)
+    ]
+    ds = load_survey(StringIO(_survey_text(responses)))
+    assert 9000 > survey.BLOCK_INTERVALS
+    _assert_same_report(ds, mode, 7, 1001)
+
+
+def test_report_matches_per_cell_loop_on_an_underflowing_grid_step():
+    """ITD's grid step, 1e-321 / 1000, underflows to 0, which switches
+    ``np.linspace`` to another method; ED, in the same block, keeps its own
+    (ED's centroid is one of those the other method moves by an ulp)."""
+    text = (
+        "group,participant_id,term,l,r\n"
+        "Patient,P1,ITD,0,1e-321\nPatient,P2,ITD,0,1e-321\n"
+        "Patient,P1,ED,2.03,2.62\nPatient,P2,ED,2.8,7.5\nPatient,P3,ED,4.85,9.81\n"
+    )
+    ds = load_survey(StringIO(text))
+    _assert_same_report(ds, "exact", 10, 1001)
+    assert [r.term for r in report(ds).rows] == ["ITD", "ED", "ITD", "ED"]
+
+
+def test_report_names_the_first_cell_to_fail():
+    """Patient/ED, the second cell of the first block, is all points: it
+    raises the per-cell path's EmptySet, and ``.cell`` names it."""
+    text = (
+        "group,participant_id,term,l,r\n"
+        "Patient,P1,ITD,1,4\nPatient,P2,ITD,2,3.3\n"
+        "Patient,P1,ED,5,5\nPatient,P2,ED,7,7\n"
+        "Surgeon,S1,ED,5,5\nSurgeon,S2,ED,6,6\n"
+    )
+    ds = load_survey(StringIO(text))
+    _assert_same_report(ds, "exact", 10, 1001)
+    with pytest.raises(EmptySet) as exc:
+        report(ds)
+    assert exc.value.cell == ("Patient", "ED")
+
+
+THIN = "group,participant_id,term,l,r\nPatient,P01,ITD,0,1\nSurgeon,S01,ED,2,3\n"
+TWO = "group,participant_id,term,l,r\nPatient,P01,ITD,0,1\nPatient,P02,ITD,0.5,2\n"
+
+
+@pytest.mark.parametrize("text", [THIN, TWO], ids=["all-thin", "two-responses"])
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        (dict(samples=1), ValueError, "samples must be >= 2, got 1"),
+        (dict(samples=1, mode="bogus"), ValueError, "samples must be >= 2, got 1"),
+        (dict(mode="bogus", alpha_cuts=1), ValueError, "mode must be exact or alpha, got 'bogus'"),
+        (dict(mode="alpha", alpha_cuts=1), InvalidCuts, "need at least 2 alpha cuts, got 1"),
+    ],
+)
+def test_report_checks_arguments_before_any_cell(text, args, error, message):
+    ds = load_survey(StringIO(text))
+    with pytest.raises(error) as exc:
+        report(ds, **args)
+    assert str(exc.value) == message
+    if text == TWO:  # where a cell has data, the per-cell loop raises the same
+        with pytest.raises(error, match=re.escape(message)):
+            oracle_report(ds, **args)
+
+
+def test_report_exact_mode_ignores_alpha_cuts():
+    ds = load_survey(StringIO(TWO))
+    assert report(ds, alpha_cuts=1) == report(ds)
 
 
 # ---------------------------------------------------------------------- series
