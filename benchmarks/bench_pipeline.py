@@ -18,8 +18,8 @@ Sections:
 * ``report_cells``: ``survey.report`` (exact, 1001 samples) on one seeded
   50,000-row survey of 4 groups, with 5, 50 and 625 terms (25, 250 and
   3,125 cells; 2,500, 250 and 20 participants per cell). Loading is not
-  timed. Each size is run ``--repeats`` times after one warm-up; the best and
-  the median are kept.
+  timed. Each size is run REPEATS times after one warm-up; the best and the
+  median are kept.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ ROWS = 50_000
 GROUPS = 4
 TERM_COUNTS = (5, 50, 625)
 SEED = 20_201_115
+REPEATS = 7
 
 
 def survey_text(terms: int, seed: int = SEED) -> str:
@@ -65,13 +66,13 @@ def survey_text(terms: int, seed: int = SEED) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_cells(repeats: int) -> list[dict]:
+def report_cells() -> list[dict]:
     points = []
     for terms in TERM_COUNTS:
         ds = survey.load_survey(io.StringIO(survey_text(terms)))
         rep = survey.report(ds)  # warm-up
         times = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             survey.report(ds)
             times.append(time.perf_counter() - start)
@@ -107,7 +108,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="name of this run's entry")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_pipeline.json")
-    parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
     entry = {
         "label": args.label,
@@ -117,7 +117,7 @@ def main(argv=None) -> int:
         "machine": machine(),
         "report_cells": {
             "rows": ROWS, "groups": GROUPS, "samples": survey.DEFAULT_SAMPLES,
-            "points": report_cells(args.repeats),
+            "points": report_cells(),
         },
     }
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []

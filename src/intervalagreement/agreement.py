@@ -20,8 +20,6 @@ from .intervals import IntervalCollection, level_lengths, run_sums
 
 __all__ = ["GammaTerm", "GammaBreakdown", "gamma_exact", "gamma_alpha", "jaccard"]
 
-_ZERO_WIDTH = "every source has zero width; no lengths to compare"
-
 
 @dataclass(frozen=True)
 class GammaTerm:
@@ -82,7 +80,7 @@ def _breakdown(lengths: np.ndarray, weights: np.ndarray) -> GammaBreakdown:
     builtin ``sum`` compensates from Python 3.12 on)."""
     lengths = np.asarray(lengths, dtype=np.float64)
     if lengths[0] == 0.0:
-        raise EmptySupport(_ZERO_WIDTH)
+        raise EmptySupport("every source has zero width; no lengths to compare")
     ratios, (num,) = gamma_sums(lengths, weights, np.array([lengths.size]))
     weight_sum = float(weights[1:].sum())
     return GammaBreakdown(float(num / weight_sum), lengths, weights[1:], ratios, weight_sum)

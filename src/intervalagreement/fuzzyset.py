@@ -23,13 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySet, InvalidAlpha, InvalidDomain
-from .intervals import DisjointRegion, Interval, ladder_runs, level_runs, run_regions, run_sums
+from .intervals import DisjointRegion, Interval, ladder_runs, run_regions, run_sums
 
 DEFAULT_SAMPLES = 1001
 
 GAUSSIAN_WINDOW_SIGMAS = 5.0
-
-_EMPTY_GRID = "membership is zero everywhere on the sampling grid; centroid undefined"
 
 
 class MembershipFunction:
@@ -125,14 +123,9 @@ class PiecewiseConstant(MembershipFunction):
 
     def _cut_runs(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Runs of adjacent cells whose level reaches alpha; cell j spans
-        ``breakpoints[j]`` to ``breakpoints[j + 1]``. A level's rank is the
-        number of alphas it reaches, so ``level_runs`` of the ranks lists each
-        cut, keyed by its alpha's place on the sorted ladder."""
-        order = np.argsort(alphas, kind="stable")
-        key, start, stop = level_runs(np.searchsorted(alphas[order], self.levels, side="right"))
-        col = order[key]
-        by_alpha = np.argsort(col, kind="stable")
-        return col[by_alpha], self.breakpoints[start[by_alpha]], self.breakpoints[stop[by_alpha]]
+        ``breakpoints[j]`` to ``breakpoints[j + 1]``."""
+        col, start, stop = ladder_runs(self.levels, alphas)
+        return col, self.breakpoints[start], self.breakpoints[stop]
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,7 +468,7 @@ def attributes(mf: MembershipFunction, samples: int = DEFAULT_SAMPLES) -> Attrib
     xs, mus_grid = sample_grid(mf, samples)
     weight = float(mus_grid.sum())
     if weight == 0.0:
-        raise EmptySet(_EMPTY_GRID)
+        raise EmptySet("membership is zero everywhere on the sampling grid; centroid undefined")
     centroid = float((xs * mus_grid).sum() / weight)
     if mf.closed_form:
         height, support = mf.height(), mf.support_length()

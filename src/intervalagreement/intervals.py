@@ -4,12 +4,11 @@ All operations treat intervals as closed sets but measure lengths, so overlaps
 at a single point (touching intervals, zero-width responses) carry no weight.
 
 Where values reach a threshold is found as (key, start, stop) runs, by key,
-then position: ``level_runs`` for every level of an integer count at once (a
-coverage count, or a step function's levels ranked on its α-cut ladder),
-``ladder_runs`` for a few float thresholds on a sampled grid. ``run_sums``
-turns runs into lengths and ``run_regions`` into regions. A run key may carry
-a cell offset: with cell c's level k keyed ``base[c] + k - 1``, one
-``run_sums`` measures every level of many cells swept side by side.
+then position: ``level_runs`` for every level of a coverage count at once,
+``ladder_runs`` for a few float thresholds (the α-cuts in ``fuzzyset``).
+``run_sums`` turns runs into lengths and ``run_regions`` into regions. A run
+key may carry a cell offset: keyed ``base[c] + k - 1``, cell c's level k of
+many cells swept side by side is measured by one ``run_sums``.
 """
 
 from __future__ import annotations

@@ -21,29 +21,20 @@ from typing import Iterable
 
 import numpy as np
 
-from .agreement import (
-    _ZERO_WIDTH,
-    GammaBreakdown,
-    _check_cuts,
-    gamma_alpha,
-    gamma_exact,
-    gamma_sums,
-)
+from .agreement import GammaBreakdown, _check_cuts, gamma_alpha, gamma_exact, gamma_sums
 from .errors import (
-    EmptySet,
-    EmptySupport,
+    AgreementError,
     ParseError,
     RangeError,
     TooFewSources,
     UnknownGroup,
     UnknownTerm,
 )
-from .fuzzyset import _EMPTY_GRID, DEFAULT_SAMPLES, _check_samples, step_values
+from .fuzzyset import DEFAULT_SAMPLES, _check_samples, attributes, step_values
 from .iaa import build_iaa
 from .intervals import (
     Interval,
     IntervalCollection,
-    coverage_cells,
     endpoint_arrays,
     level_runs,
     plain,
@@ -467,15 +458,15 @@ def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow
     ``n`` per cell: the cells' sweeps are concatenated, and each later step
     runs once over them all, adding what the per-cell path adds, in order."""
     ends = np.cumsum(n)
-    swept = [coverage_cells(IntervalCollection._from_arrays(ls[e - c:e], rs[e - c:e]))
+    colls = [IntervalCollection._from_arrays(ls[e - c:e], rs[e - c:e])
              for e, c in zip(ends.tolist(), n.tolist())]
-    coords = np.concatenate([x for x, _ in swept])
-    counts = np.concatenate([y for _, c in swept for y in (c, [0])])  # no run crosses a 0
-    m = np.array([x.size for x, _ in swept])
-    first, cell, base = np.cumsum(m) - m, np.repeat(np.arange(n.size), m), ends - n
+    coords = np.concatenate([c.coverage[0] for c in colls])
+    counts = np.concatenate([y for c in colls for y in (c.coverage[1], [0])])  # no run crosses a 0
+    m = np.array([c.coverage[0].size for c in colls])
+    first, cell = np.cumsum(m) - m, np.repeat(np.arange(n.size), m)
     levels = counts / n[cell]
-    key, start, stop = level_runs(counts)  # cell c's level k is summed at base[c] + k - 1
-    lengths = run_sums(base[cell[start]] + key, coords[stop] - coords[start], ends[-1])
+    key, start, stop = level_runs(counts)  # cell c's level k is summed at ends[c] - n[c] + k - 1
+    lengths = run_sums((ends - n)[cell[start]] + key, coords[stop] - coords[start], ends[-1])
     pos = counts[:-1] > 0  # support: a cell's covered widths, each cell's sum pairwise
     per = np.cumsum(np.bincount(cell[:-1][pos], minlength=n.size))[:-1]
     support = [float(w.sum()) for w in np.split(np.diff(coords)[pos], per)]
@@ -484,9 +475,9 @@ def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow
     flat = (hi - lo) / (samples - 1) == 0.0  # a zero step switches linspace's method for all rows
     for part in (flat, ~flat) if flat.any() else (slice(None),):
         xs[part] = np.linspace(lo[part], hi[part], samples, axis=1)
-    # a grid point is in the cell of the last left edge x[:-1] at or before it, or, with no
+    # a grid point is in the cell of the last left edge at or before it, or, with no
     # edge (m = 1, at = 0), reads its cell's closing 0 count
-    at = np.stack([np.searchsorted(x[:-1], row, side="right") for (x, _), row in zip(swept, xs)])
+    at = np.stack([np.searchsorted(c.coverage[0][:-1], x, side="right") for c, x in zip(colls, xs)])
     interior = at >= 2
     at += (first - (m > 1))[:, None]
     mus = step_values(coords, levels, xs, at, interior)
@@ -496,13 +487,15 @@ def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow
         alphas = np.arange(1, alpha_cuts + 1) / alpha_cuts
         ns, which = np.unique(n, return_inverse=True)
         ks = np.stack([np.searchsorted(np.arange(c + 1) / c, alphas) for c in ns.tolist()])
-        compared = lengths[(base[:, None] - 1 + ks[which]).ravel()]
+        compared = lengths[((ends - n - 1)[:, None] + ks[which]).ravel()]
         size = np.full(n.size, alpha_cuts)
     lowest = compared[np.cumsum(size) - size]
     for c in np.flatnonzero((weight == 0.0) | (lowest == 0.0))[:1].tolist():
-        exc = EmptySet(_EMPTY_GRID) if weight[c] == 0.0 else EmptySupport(_ZERO_WIDTH)
-        exc.cell = names[c]  # the first cell to fail, with the per-cell path's first error
-        raise exc
+        try:  # the first cell to fail raises what its own collection raises first
+            attributes(build_iaa(colls[c]), samples), cell_gamma(colls[c], mode, alpha_cuts)
+        except AgreementError as exc:
+            exc.cell = names[c]
+            raise
     weights = ranges(np.ones_like(size), size + 1) / np.repeat(size, size)  # i/size at level i
     _, num = gamma_sums(compared, weights, size)
     weight_sum = {c: (np.arange(1, c + 1) / c)[1:].sum() for c in set(size.tolist())}  # pairwise

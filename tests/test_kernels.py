@@ -1,12 +1,11 @@
-"""Threshold runs: sampled alpha-cuts against a pure-Python scan, the run
-enumerators (``runs``, ``ladder_runs``, ``level_runs``) against masks, and
-step-function cuts against ``ladder_runs``."""
+"""Threshold runs: sampled alpha-cuts against a pure-Python scan, and the
+run enumerators (``runs``, ``ladder_runs``, ``level_runs``) against masks."""
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intervalagreement import PiecewiseConstant, Sampled, alpha_cut, alpha_length
+from intervalagreement import Sampled, alpha_cut, alpha_length
 from intervalagreement.fuzzyset import alpha_lengths
 from intervalagreement.intervals import ladder_runs, level_runs, runs
 
@@ -146,21 +145,3 @@ def test_level_runs_rebuild_each_level(counts):
     masks = _rebuilt_masks(keys, starts, stops, top, counts.size)
     for k, mask in enumerate(masks, start=1):
         assert np.array_equal(mask, counts >= k)
-
-
-@given(
-    st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.75, 1.0]) | st.floats(0, 1), min_size=1,
-             max_size=60),
-    st.lists(st.sampled_from([0.05, 0.2, 0.5, 0.75, 1.0]), max_size=8),
-    st.lists(st.floats(0, 1, exclude_min=True), max_size=4),
-)
-def test_step_cut_runs_match_ladder_runs(levels, repeated, free):
-    """A step function ranks its levels on the ladder and enumerates the
-    ranks' levels; the runs, and so every cut's bits, are ``ladder_runs``'s."""
-    thresholds = np.array(repeated + free + repeated[:3])  # unsorted, with duplicates
-    bp = np.cumsum(np.linspace(0.5, 1.5, len(levels) + 1))
-    step = PiecewiseConstant(bp, levels)
-    col, lefts, rights = step._cut_runs(thresholds)
-    keys, starts, stops = ladder_runs(step.levels, thresholds)
-    assert np.array_equal(col, keys)
-    assert np.array_equal(lefts, bp[starts]) and np.array_equal(rights, bp[stops])
