@@ -7,8 +7,8 @@ Where values reach a threshold is found as (key, start, stop) runs, by key,
 then position: ``level_runs`` for every level of a coverage count at once,
 ``ladder_runs`` for a few float thresholds (the α-cuts in ``fuzzyset``).
 ``run_sums`` turns runs into lengths and ``run_regions`` into regions. A run
-key may carry a cell offset: keyed ``base[c] + k - 1``, cell c's level k of
-many cells swept side by side is measured by one ``run_sums``.
+key may carry a cell offset: keyed by k - 1 plus the sizes of the cells before
+it, level k of many cells swept side by side is measured by one ``run_sums``.
 """
 
 from __future__ import annotations
