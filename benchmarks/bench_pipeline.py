@@ -20,6 +20,12 @@ Sections:
   3,125 cells; 2,500, 250 and 20 participants per cell). Loading is not
   timed. Each size is run REPEATS times after one warm-up; the best and the
   median are kept.
+* ``load``: ``survey.load_survey`` on the 5-term survey above (50,000 rows)
+  as it is, with one row of blanks after the header, with a reversed last
+  row and with a repeat of the first row at the end; and
+  ``cli.parse_interval_lines`` on LINES seeded lines, as they are and with a
+  reversed last line. The bad inputs raise, and the error's type and line
+  are kept. Each case is run REPEATS times after one warm-up.
 """
 
 from __future__ import annotations
@@ -40,13 +46,15 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from intervalagreement import survey  # noqa: E402
+from intervalagreement import AgreementError, survey  # noqa: E402
+from intervalagreement.cli import parse_interval_lines  # noqa: E402
 
 ROWS = 50_000
 GROUPS = 4
 TERM_COUNTS = (5, 50, 625)
 SEED = 20_201_115
 REPEATS = 7
+LINES = 200_000
 
 
 def survey_text(terms: int, seed: int = SEED) -> str:
@@ -85,6 +93,52 @@ def report_cells() -> list[dict]:
     return points
 
 
+def interval_text(seed: int = SEED) -> str:
+    """LINES interval lines ``l,r``, endpoints on [0, 100] rounded to 0.01."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, LINES]))
+    pairs = np.sort(rng.uniform(0.0, 100.0, size=(LINES, 2)), axis=1)
+    return "".join(f"{l:.2f},{r:.2f}\n" for l, r in pairs)
+
+
+def timed(run) -> dict:
+    """Best and median of REPEATS calls after one warm-up, and the error the
+    call raises, if any."""
+    def once():
+        try:
+            run()
+        except AgreementError as exc:
+            return {"raises": type(exc).__name__, "line": exc.line}
+        return {"raises": None, "line": None}
+
+    outcome = once()
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        once()
+        times.append(time.perf_counter() - start)
+    return {"best_s": min(times), "median_s": statistics.median(times), **outcome}
+
+
+def load() -> list[dict]:
+    text = survey_text(TERM_COUNTS[0])
+    header, _, body = text.partition("\n")
+    surveys = {
+        "clean": text,
+        "blank_row": f"{header}\n , , , , \n{body}",
+        "bad_last_row": text + "G1,P9999,T000,6.00,4.00\n",
+        "duplicate_last_row": text + body.partition("\n")[0] + "\n",
+    }
+    lines = interval_text()
+    cases = [
+        {"input": "survey", "case": case, **timed(lambda t=t: survey.load_survey(io.StringIO(t)))}
+        for case, t in surveys.items()
+    ]
+    return cases + [
+        {"input": "interval_lines", "case": case, **timed(lambda t=t: parse_interval_lines(t))}
+        for case, t in (("clean", lines), ("bad_last_line", lines + "5,1\n"))
+    ]
+
+
 def machine() -> str:
     try:
         with open("/proc/cpuinfo") as fh:
@@ -119,6 +173,7 @@ def main(argv=None) -> int:
             "rows": ROWS, "groups": GROUPS, "samples": survey.DEFAULT_SAMPLES,
             "points": report_cells(),
         },
+        "load": {"rows": ROWS, "lines": LINES, "cases": load()},
     }
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
     runs = [run for run in runs if run["label"] != args.label] + [entry]
@@ -126,6 +181,9 @@ def main(argv=None) -> int:
     for p in entry["report_cells"]["points"]:
         print(f"{args.label}: report, {p['cells']:5d} cells: best {p['best_s'] * 1e3:8.2f} ms, "
               f"median {p['median_s'] * 1e3:8.2f} ms")
+    for c in entry["load"]["cases"]:
+        print(f"{args.label}: load {c['input']} {c['case']}: best {c['best_s'] * 1e3:8.2f} ms, "
+              f"median {c['median_s'] * 1e3:8.2f} ms, raises {c['raises']} at line {c['line']}")
     return 0
 
 

@@ -22,7 +22,7 @@ import functools
 import math
 import re
 import sys
-from itertools import repeat
+from itertools import compress, repeat
 from operator import contains
 
 import numpy as np
@@ -42,25 +42,30 @@ MAX_ALPHA_CUTS = 10_000
 def parse_interval_lines(text: str) -> IntervalCollection:
     """One interval per line as `l,r`; blank lines and `#` comments ignored.
 
-    When every line holds one comma, the lines are joined and split once,
-    and the endpoint columns are checked a column at a time. When any line
-    fails a check, the per-line parser runs instead and raises the first
-    error, with its line number.
+    The lines are joined, split once and checked a column at a time. Only the
+    lines that fail (as one without exactly one comma does), or whose text is
+    not plain, are read on their own, in line order: the first bad one raises.
     """
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    lines = list(filter(str.strip, lines))
-    if not lines:
+    raw = text.splitlines()
+    lines = [line.split("#", 1)[0] for line in raw] if "#" in text else raw
+    kept = list(filter(str.strip, lines))
+    if not kept:
         raise ParseError("no intervals in input")
-    joined = ",".join(lines)
+    joined = ",".join(kept)
     fields = joined.split(",")
-    # endpoints that are not plain are left to the per-line parser; comments may hold any text
-    if len(fields) == 2 * len(lines) and all(map(contains, lines, repeat(","))) and plain(joined):
-        ends = endpoint_arrays(fields[0::2], fields[1::2])
-        if ends is not None:
-            return IntervalCollection._from_arrays(*ends)
-    return IntervalCollection(_parse_each_line(text))
+    if len(fields) != 2 * len(kept) or not all(map(contains, kept, repeat(","))):
+        fields = ",".join(line if line.count(",") == 1 else "," for line in kept).split(",")
+    ls, rs, ok = endpoint_arrays(fields[0::2], fields[1::2])
+    if not plain(joined):  # comments may hold any text
+        ok &= np.fromiter(map(plain, kept), bool)
+    if not ok.all():
+        number = np.array(list(compress(range(len(lines)), map(str.strip, lines))))
+        for i in number[~ok].tolist():
+            parts = [part.strip() for part in lines[i].split(",")]
+            if len(parts) != 2:
+                raise ParseError(f"expected 'l,r', got {raw[i]!r}", line=i + 1)
+            read_interval(*parts, i + 1, raw[i])
+    return IntervalCollection._from_arrays(ls, rs)
 
 
 def _parse_each_line(text: str) -> list[Interval]:

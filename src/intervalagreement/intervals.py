@@ -144,24 +144,35 @@ def read_interval(l_raw, r_raw, line: int, shown) -> Interval:
         raise InvalidInterval(str(exc), line=line) from exc
 
 
-def endpoint_arrays(l_raw, r_raw) -> tuple[np.ndarray, np.ndarray] | None:
-    """Float arrays of two columns of plain endpoints, or None unless every
-    pair is one ``Interval`` accepts: ordered, with a finite width (which
-    also rules out infinite and NaN endpoints)."""
-    try:
-        ls = np.array(list(map(float, l_raw)), dtype=np.float64)
-        rs = np.array(list(map(float, r_raw)), dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        return None
+def endpoint_arrays(l_raw, r_raw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float arrays of two endpoint columns, and which pairs pass: those
+    ``Interval`` accepts, ordered with a finite width (so no infinite or NaN
+    endpoint). A value builtin ``float`` rejects reads as NaN and fails;
+    whether number text is ``plain`` is the caller's check."""
+    ls, rs = _floats(l_raw), _floats(r_raw)
     with np.errstate(over="ignore", invalid="ignore"):
-        if ((ls <= rs) & np.isfinite(rs - ls)).all():
-            return ls, rs
-    return None
+        return ls, rs, (ls <= rs) & np.isfinite(rs - ls)
+
+
+def _floats(values) -> np.ndarray:
+    """Builtin ``float`` of each value, NaN where it raises."""
+    out, rest = [], iter(values)
+    while True:
+        try:  # extend keeps what it appended before the value float rejected
+            out.extend(map(float, rest))
+            return np.array(out, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            out.append(math.nan)
 
 
 def collection(pairs: Iterable[tuple[float, float]]) -> IntervalCollection:
-    """Build a collection from (l, r) pairs, validating each."""
-    return IntervalCollection(make_interval(l, r) for l, r in pairs)
+    """Build a collection from (l, r) pairs, checked a column at a time; the
+    first bad pair raises what ``make_interval`` raises on it."""
+    pairs = list(pairs)
+    ls, rs, ok = endpoint_arrays([l for l, _ in pairs], [r for _, r in pairs])
+    for i in np.flatnonzero(~ok)[:1].tolist():
+        make_interval(*pairs[i])
+    return IntervalCollection._from_arrays(ls, rs)
 
 
 @dataclass(frozen=True)
@@ -218,7 +229,8 @@ def coverage_cells(coll: IntervalCollection) -> tuple[np.ndarray, np.ndarray]:
     intervals together span more than a float can measure.
     """
     ls, rs = coll.endpoints()
-    coords = np.unique(np.concatenate([ls, rs]))
+    coords = np.sort(np.concatenate([ls, rs]))  # np.unique's sort, so of -0.0 and 0.0
+    coords = coords[np.concatenate([[True], coords[1:] != coords[:-1]])]  # the same one stays
     lo, hi = float(coords[0]), float(coords[-1])
     if not math.isfinite(hi - lo):
         raise InvalidInterval(f"intervals span [{lo}, {hi}], wider than a float can measure")

@@ -15,9 +15,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -154,17 +152,6 @@ def _validate_record(
     return SurveyRecord(group, participant_id, term, interval)
 
 
-def _check_duplicates(records: Iterable[tuple[SurveyRecord, int]]):
-    seen: dict[tuple[str, str, str], int] = {}
-    for rec, line in records:
-        key = (rec.group, rec.participant_id, rec.term)
-        if key in seen:
-            raise ParseError(
-                f"duplicate response for {key} (first seen at line {seen[key]})", line=line
-            )
-        seen[key] = line
-
-
 def _decode(data: bytes) -> str:
     """UTF-8 text of raw input; invalid bytes raise ParseError at their line."""
     try:
@@ -199,38 +186,47 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
     line (CSV) or record number (JSON). A participant may answer each
     (group, term) cell at most once.
 
-    The five fields are collected and checked a column at a time: names are
-    cleaned once per distinct value and endpoints converted with builtin
-    ``float``. When any check fails, the per-row validation runs instead and
-    raises the first error in line order, with the same message and
-    ``.line``; duplicates are reported only once every row is valid.
+    Each check runs once over a whole column and marks the rows that pass:
+    names present and not reserved, endpoints plain, finite, ordered and
+    inside the scale. Only failing rows, and rows whose endpoint text is not
+    plain, go to the one-row validator, in line order; the first bad one
+    raises its own message and ``.line``, and all-blank CSV rows are skipped.
+    Then the first repeated response in line order raises, naming the line
+    it repeats.
     """
     text = read_text(source)
     if format == "csv":
         rows, lines = _csv_rows(text)
-        columns = _columns(rows)
-        # endpoints that are not plain are left to the per-row check
-        if columns and not plain(text.partition("\n")[2]):
-            if not plain("".join(columns[3] + columns[4])):
-                columns = None
-        per_row = _csv_records(rows, lines, scale)
-    elif format == "json":
-        rows = _json_rows(text)
-        columns = _json_columns(rows)
-        per_row = _json_records(rows, scale)
-    else:
-        raise ValueError(f"format must be csv or json, got {format!r}")
-    ds = None if columns is None else _dataset(columns, scale)
-    if ds is None:
-        numbered = list(per_row)
-        _check_duplicates(numbered)
-        valid = [(r.group, r.participant_id, r.term, r.interval.l, r.interval.r) for r, _ in numbered]
-        ds = _dataset(_columns(valid), scale)
-    return ds
+        shaped = rows
+        if {*map(len, rows)} - {5}:  # a row of another length reads as five blanks
+            shaped = [row if len(row) == 5 else [""] * 5 for row in rows]
+        columns = [list(map(operator.itemgetter(i), shaped)) for i in range(5)]
+        decided = True  # endpoint text that is not plain is left to the one-row validator
+        if not plain(text.partition("\n")[2]) and not plain("".join(columns[3] + columns[4])):
+            decided = np.fromiter(map(plain, map(operator.add, columns[3], columns[4])), bool)
+        return _dataset(columns, decided, lambda i: _csv_record(rows[i], lines[i], scale),
+                        lines, scale)
+    if format == "json":
+        payload = _json_rows(text)
+        try:
+            columns = [list(map(operator.itemgetter(key), payload)) for key in CSV_HEADER]
+        except (TypeError, KeyError):  # a record that is no object, or lacks a key, reads as nulls
+            columns = [[obj.get(key) if isinstance(obj, dict) else None for obj in payload]
+                       for key in CSV_HEADER]
+        # names must be strings or numbers and endpoints numbers, or the one-row validator decides
+        kinds = [(str, int, float)] * 3 + [(int, float)] * 2
+        decided = True
+        if any({*map(type, col)} - {*kind} for col, kind in zip(columns, kinds)):
+            decided = np.fromiter((all(type(v) in kind for v, kind in zip(row, kinds))
+                                   for row in zip(*columns)), bool)
+        columns[:3] = (list(map(str, col)) for col in columns[:3])
+        return _dataset(columns, decided, lambda i: _json_record(payload[i], i + 1, scale),
+                        range(1, len(payload) + 1), scale)
+    raise ValueError(f"format must be csv or json, got {format!r}")
 
 
 def _csv_rows(text: str) -> tuple[list[list[str]], list[int]]:
-    """Every non-blank row after the header, with its line number."""
+    """Every row after the header, with its line number."""
     reader = csv.reader(io.StringIO(text))
     rows, lines = [], []
     try:
@@ -242,30 +238,20 @@ def _csv_rows(text: str) -> tuple[list[list[str]], list[int]]:
                 f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}", line=1
             )
         for row in reader:
-            # a 5-field row of blanks is kept here and skipped by the per-row path
-            if len(row) == 5 or any(cell.strip() for cell in row):
-                rows.append(row)
-                lines.append(reader.line_num)
+            rows.append(row)
+            lines.append(reader.line_num)
     except csv.Error as exc:  # a field over the size limit, or a stray carriage return
         raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
     return rows, lines
 
 
-def _columns(rows) -> list | None:
-    """The five columns of the rows, or None unless every row has five fields."""
-    if {*map(len, rows)} - {5}:
+def _csv_record(row, line: int, scale: Interval) -> SurveyRecord | None:
+    """The one-row validator of a CSV row: its record, or None for a row of blanks."""
+    if not "".join(row).strip():
         return None
-    return [list(map(operator.itemgetter(i), rows)) for i in range(5)]
-
-
-def _csv_records(rows, lines, scale: Interval):
-    """Per-row validation of the CSV rows, yielding (record, line)."""
-    for row, line in zip(rows, lines):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 5:
-            raise ParseError(f"expected 5 fields, got {len(row)}", line=line)
-        yield _validate_record(*row, scale=scale, line=line), line
+    if len(row) != 5:
+        raise ParseError(f"expected 5 fields, got {len(row)}", line=line)
+    return _validate_record(*row, scale=scale, line=line)
 
 
 def _json_rows(text: str) -> list:
@@ -278,75 +264,69 @@ def _json_rows(text: str) -> list:
     return payload
 
 
-def _json_columns(payload: list) -> list | None:
-    """The five columns, names as ``str``, or None unless every record is an
-    object with every key, string or number names and number endpoints."""
-    try:
-        columns = [list(map(operator.itemgetter(key), payload)) for key in CSV_HEADER]
-    except (TypeError, KeyError):
-        return None
-    names, ends = {*map(type, chain(*columns[:3]))}, {*map(type, chain(*columns[3:]))}
-    if not (names <= {str, int, float} and ends <= {int, float}):
-        return None
-    return [*(list(map(str, col)) for col in columns[:3]), *columns[3:]]
-
-
 _JSON_KINDS = {dict: "an object", list: "an array", bool: "a boolean", type(None): "null"}
 
 
-def _json_records(payload: list, scale: Interval):
-    """Per-record validation of the JSON array, yielding (record, number)."""
-    for i, obj in enumerate(payload, start=1):
-        if not isinstance(obj, dict):
-            raise ParseError("record must be an object", line=i)
-        missing = [k for k in CSV_HEADER if k not in obj]
-        if missing:
-            raise ParseError(f"missing keys: {', '.join(missing)}", line=i)
-        for key in CSV_HEADER[:3]:
-            if type(obj[key]) in _JSON_KINDS:
-                kind = _JSON_KINDS[type(obj[key])]
-                raise ParseError(f"{key} must be a string or a number, not {kind}", line=i)
-        rec = _validate_record(
-            str(obj["group"]), str(obj["participant_id"]), str(obj["term"]),
-            obj["l"], obj["r"], scale=scale, line=i,
-        )
-        yield rec, i
+def _json_record(obj, i: int, scale: Interval) -> SurveyRecord:
+    """The one-row validator of JSON record number ``i``."""
+    if not isinstance(obj, dict):
+        raise ParseError("record must be an object", line=i)
+    missing = [k for k in CSV_HEADER if k not in obj]
+    if missing:
+        raise ParseError(f"missing keys: {', '.join(missing)}", line=i)
+    for key in CSV_HEADER[:3]:
+        if type(obj[key]) in _JSON_KINDS:
+            kind = _JSON_KINDS[type(obj[key])]
+            raise ParseError(f"{key} must be a string or a number, not {kind}", line=i)
+    return _validate_record(
+        str(obj["group"]), str(obj["participant_id"]), str(obj["term"]),
+        obj["l"], obj["r"], scale=scale, line=i,
+    )
 
 
 def _encode(column, clean) -> tuple[tuple, np.ndarray]:
-    """Distinct cleaned values in first-appearance order, and each row's
-    index into them; ``clean`` runs once per distinct raw value."""
-    names: dict = {}
-    code = {raw: names.setdefault(clean(raw), len(names)) for raw in dict.fromkeys(column)}
+    """Distinct non-empty cleaned values in first-appearance order, and each
+    row's index into them (-1 for ""); ``clean`` runs once per distinct raw value."""
+    names: dict = {"": -1}
+    code = {raw: names.setdefault(clean(raw), len(names) - 1) for raw in dict.fromkeys(column)}
+    del names[""]
     return tuple(names), np.fromiter(map(code.__getitem__, column), np.intp, len(column))
 
 
-def _repeats(cells: np.ndarray, pids: np.ndarray) -> bool:
-    """Whether any participant answers one (group, term) cell twice."""
-    order = np.lexsort((pids, cells))
-    cells, pids = cells[order], pids[order]
-    return bool(((cells[1:] == cells[:-1]) & (pids[1:] == pids[:-1])).any())
+def _repeats(names, lines):
+    """Raise at the first row, in line order, whose (group, participant, term)
+    repeats an earlier row's, naming the line it repeats."""
+    (_, group_codes), (_, pid_codes), (terms, term_codes) = names
+    cells = group_codes * len(terms) + term_codes
+    order = np.lexsort((pid_codes, cells))  # stable: equal keys keep their row order
+    cells, pid_codes = cells[order], pid_codes[order]
+    at = np.flatnonzero((cells[1:] == cells[:-1]) & (pid_codes[1:] == pid_codes[:-1]))
+    if at.size:  # the first repeat is second in its run of equal keys, after the row it repeats
+        j = at[np.argmin(order[at + 1])]
+        row, first = order[j + 1], order[j]
+        key = tuple(values[codes[row]] for values, codes in names)
+        raise ParseError(f"duplicate response for {key} (first seen at line {lines[first]})",
+                         line=lines[row])
 
 
-def _dataset(columns, scale: Interval) -> SurveyDataset | None:
-    """The dataset over five raw columns, or None when any value fails a check."""
-    group_raw, pid_raw, term_raw, l_raw, r_raw = columns
-    groups, group_codes = _encode(group_raw, str.strip)
-    pids, pid_codes = _encode(pid_raw, str.strip)
-    terms, term_codes = _encode(term_raw, canonical_term)
-    if "" in groups or "" in pids or "" in terms or any(g in groups for g in DERIVED_GROUPS):
-        return None
-    ends = endpoint_arrays(l_raw, r_raw)
-    if ends is None:
-        return None
-    ls, rs = ends
-    if not ((ls >= scale.l) & (rs <= scale.r)).all():
-        return None
-    if _repeats(group_codes * len(terms) + term_codes, pid_codes):
-        return None
-    for arr in (group_codes, pid_codes, term_codes, ls, rs):
+def _dataset(columns, decided, validate, lines, scale: Interval) -> SurveyDataset:
+    """The dataset over five raw columns, checked a column at a time. Rows that
+    fail a check, or that ``decided`` leaves open, go to ``validate`` in order:
+    the first bad one raises, and a blank one (None) is dropped."""
+    clean = (lambda g: "" if g.strip() in DERIVED_GROUPS else g.strip(), str.strip, canonical_term)
+    names = list(map(_encode, columns[:3], clean))  # a missing or reserved name is code -1
+    ls, rs, ok = endpoint_arrays(columns[3], columns[4])
+    ok &= decided & (ls >= scale.l) & (rs <= scale.r)
+    for _, codes in names:
+        ok &= codes >= 0
+    blank = [i for i in np.flatnonzero(~ok).tolist() if validate(i) is None]
+    if blank:
+        names = [(values, np.delete(codes, blank)) for values, codes in names]
+        ls, rs, lines = np.delete(ls, blank), np.delete(rs, blank), np.delete(lines, blank).tolist()
+    _repeats(names, lines)
+    for arr in [codes for _, codes in names] + [ls, rs]:
         arr.flags.writeable = False
-    return SurveyDataset(scale, groups, group_codes, pids, pid_codes, terms, term_codes, ls, rs)
+    return SurveyDataset(scale, *names[0], *names[1], *names[2], ls, rs)
 
 
 def group_collection(ds: SurveyDataset, group: str, term: str) -> IntervalCollection:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from intervalagreement import intervals as intervals_mod
 from intervalagreement import (
+    AgreementError,
     CombinatorialLimit,
     build_iaa,
     gamma_exact,
@@ -98,6 +99,32 @@ def test_collection_from_arrays_matches_intervals(pairs):
         assert np.array_equal(a, b)
     if built.n >= 2 and level_lengths(built)[0] > 0:
         assert gamma_exact(stored).gamma == gamma_exact(built).gamma
+
+
+PAIR_VALUES = [0, 1, 2.5, -0.0, 1e308, -1e308, math.inf, math.nan, "3", "a", None, True, 10**400]
+
+
+@given(st.lists(st.tuples(*[st.sampled_from(PAIR_VALUES)] * 2), max_size=6))
+def test_collection_raises_the_first_bad_pairs_error(pairs):
+    def outcome(build):
+        try:
+            return build().intervals
+        except (AgreementError, TypeError, ValueError, OverflowError) as exc:
+            return type(exc), str(exc)
+
+    # the referee validates one pair at a time, in order
+    want = outcome(lambda: IntervalCollection(make_interval(l, r) for l, r in pairs))
+    assert outcome(lambda: collection(pairs)) == want
+
+
+@given(st.lists(st.tuples(*[st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.0])] * 2).map(sorted),
+                min_size=1, max_size=40))
+def test_coverage_coordinates_are_np_unique_to_the_bit(pairs):
+    coll = collection(pairs)
+    coords, _ = intervals_mod.coverage_cells(coll)
+    want = np.unique(np.concatenate(coll.endpoints()))
+    assert coords.tolist() == want.tolist()
+    assert np.signbit(coords).tolist() == np.signbit(want).tolist()
 
 
 def test_collection_endpoints_are_read_only():

@@ -711,16 +711,50 @@ def test_columnar_loader_matches_per_row_loader(case):
         (["Patient,P02,ITD,0", "Patient,P01,ITD,4,2"], ParseError, 2),
         (["Patient,P01,ITD,0,1", "Patient,P01,ITD,0,1", "Patient,P02,ITD,0"], ParseError, 4),
         (["Patient,P01,ITD,0,1", "", " , , , , ", "Patient,P01,ITD,0,2"], ParseError, 5),
+        ([" , , , , ", "Patient,P01,ITD,0,1", "Patient,P02,ITD,6,4"], InvalidInterval, 4),
+        (["Patient,P01,ITD,0,1", "Patient,P02,ITD,1,2", "Patient,P03,ITD,9,11"], RangeError, 4),
+        ([" , , , , ", "Patient,P01,ITD,0,1", "Patient,P02,ITD,0,1", "Patient,P01,ITD,0,2"],
+         ParseError, 5),
+        (["Surgeon,P01,ITD,0,1", "Patient,P01,ITD,0,1", "Patient,P01,ITD,0,2",
+          "Surgeon,P01,ITD,0,2"], ParseError, 4),
+        ([{"group": "Patient", "participant_id": "P01", "term": "ITD", "l": 0, "r": 1},
+          {"group": "Patient", "participant_id": "P02", "term": "ITD", "l": 0, "r": None}],
+         ParseError, 2),
     ],
     ids=["reversed-before-short-row", "short-row-before-reversed",
-         "duplicate-after-every-row-validates", "blank-rows-keep-line-numbers"],
+         "duplicate-after-every-row-validates", "blank-rows-keep-line-numbers",
+         "blank-row-then-bad-last-row", "bad-last-row", "duplicate-after-a-row-of-blanks",
+         "first-of-two-duplicates", "bad-last-json-record"],
 )
 def test_first_error_in_line_order_wins(rows, error, line):
-    text = "group,participant_id,term,l,r\n" + "\n".join(rows) + "\n"
+    if isinstance(rows[0], dict):
+        fmt, text = "json", json.dumps(rows)
+    else:
+        fmt, text = "csv", "group,participant_id,term,l,r\n" + "\n".join(rows) + "\n"
     with pytest.raises(error) as info:
-        load_survey(StringIO(text))
+        load_survey(StringIO(text), format=fmt)
     assert info.value.line == line
-    assert (type(info.value), str(info.value)) == _outcome(lambda: oracle_load_survey(text))[:2]
+    assert (type(info.value), str(info.value)) == _outcome(lambda: oracle_load_survey(text, fmt))[:2]
+
+
+def test_one_row_validator_runs_only_on_the_bad_row(monkeypatch):
+    calls = []
+    validate = survey._validate_record
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["line"])
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(survey, "_validate_record", counted)
+    text = ("group,participant_id,term,l,r\n , , , , \nPatient,P01,ITD,0,1\n\n,,\n"
+            "Patient,P02,ITD,1,2\n , , , , \n")
+    ds = load_survey(StringIO(text))
+    assert calls == []
+    assert ds.records == oracle_load_survey(text)
+    assert (ds.groups, ds.participant_ids, ds.terms) == (("Patient",), ("P01", "P02"), ("ITD",))
+    with pytest.raises(InvalidInterval) as info:
+        load_survey(StringIO(text + "Patient,P03,ITD,4,2\n"))
+    assert calls == [info.value.line] == [8]
 
 
 def test_blank_rows_skipped():
