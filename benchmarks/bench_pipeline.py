@@ -22,7 +22,8 @@ Sections:
   median are kept.
 * ``load``: ``survey.load_survey`` on the 5-term survey above (50,000 rows)
   as it is, with one row of blanks after the header, with a reversed last
-  row and with a repeat of the first row at the end; and
+  row, with a repeat of the first row at the end and with every name field
+  in double quotes (read by ``csv.reader``, not split directly); and
   ``cli.parse_interval_lines`` on LINES seeded lines, as they are and with a
   reversed last line. The bad inputs raise, and the error's type and line
   are kept. Each case is run REPEATS times after one warm-up.
@@ -127,6 +128,9 @@ def load() -> list[dict]:
         "blank_row": f"{header}\n , , , , \n{body}",
         "bad_last_row": text + "G1,P9999,T000,6.00,4.00\n",
         "duplicate_last_row": text + body.partition("\n")[0] + "\n",
+        "quoted": header + "\n" + "".join(
+            '"{}","{}","{}",{},{}\n'.format(*row.split(",")) for row in body.splitlines()
+        ),
     }
     lines = interval_text()
     cases = [

@@ -59,8 +59,10 @@ def parse_interval_lines(text: str) -> IntervalCollection:
     if not plain(joined):  # comments may hold any text
         ok &= np.fromiter(map(plain, kept), bool)
     if not ok.all():
-        number = np.array(list(compress(range(len(lines)), map(str.strip, lines))))
-        for i in number[~ok].tolist():
+        number = np.flatnonzero(~ok)
+        if len(kept) < len(lines):  # kept line k is the k-th line that is not blank
+            number = np.array(list(compress(range(len(lines)), map(str.strip, lines))))[number]
+        for i in number.tolist():
             parts = [part.strip() for part in lines[i].split(",")]
             if len(parts) != 2:
                 raise ParseError(f"expected 'l,r', got {raw[i]!r}", line=i + 1)

@@ -186,6 +186,11 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
     line (CSV) or record number (JSON). A participant may answer each
     (group, term) cell at most once.
 
+    CSV text without a quote, carriage return or NUL, and without a line
+    longer than ``csv.field_size_limit()``, is split on its newlines and
+    commas directly; any other text, quoted fields included, is read by
+    ``csv.reader``. Both give the rows, errors and lines ``csv.reader`` gives.
+
     Each check runs once over a whole column and marks the rows that pass:
     names present and not reserved, endpoints plain, finite, ordered and
     inside the scale. Only failing rows, and rows whose endpoint text is not
@@ -196,15 +201,11 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
     """
     text = read_text(source)
     if format == "csv":
-        rows, lines = _csv_rows(text)
-        shaped = rows
-        if {*map(len, rows)} - {5}:  # a row of another length reads as five blanks
-            shaped = [row if len(row) == 5 else [""] * 5 for row in rows]
-        columns = [list(map(operator.itemgetter(i), shaped)) for i in range(5)]
+        columns, row, lines = _csv_rows(text)
         decided = True  # endpoint text that is not plain is left to the one-row validator
         if not plain(text.partition("\n")[2]) and not plain("".join(columns[3] + columns[4])):
             decided = np.fromiter(map(plain, map(operator.add, columns[3], columns[4])), bool)
-        return _dataset(columns, decided, lambda i: _csv_record(rows[i], lines[i], scale),
+        return _dataset(columns, decided, lambda i: _csv_record(row(i), lines[i], scale),
                         lines, scale)
     if format == "json":
         payload = _json_rows(text)
@@ -225,24 +226,47 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
     raise ValueError(f"format must be csv or json, got {format!r}")
 
 
-def _csv_rows(text: str) -> tuple[list[list[str]], list[int]]:
-    """Every row after the header, with its line number."""
+def _csv_rows(text: str):
+    """The five columns of the rows after the header (a row of another length
+    reads as five blanks), a function giving row i's fields, and each row's
+    line number. Text ``load_survey`` splits directly is split at once, and
+    a line without four commas is split again only when asked for."""
+    if text and not any(map(text.__contains__, '"\r\0')):
+        body = text.removesuffix("\n")  # in UTF-8, "\n" and "," are one byte each
+        data = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
+        ends = np.append(np.flatnonzero(data == 10), data.size)  # where each line ends
+        if np.diff(ends, prepend=-1).max() <= csv.field_size_limit() + 1:
+            head, _, rest = body.partition("\n")
+            _check_header(head.split(","))
+            bad = np.diff(np.searchsorted(np.flatnonzero(data == 44), ends)) != 4
+            if bad.any():  # a line without four commas reads as five blanks
+                raw = rest.split("\n")
+                rest = "\n".join([",,,," if b else line for line, b in zip(raw, bad.tolist())])
+            fields = rest.replace("\n", ",").split(",") if bad.size else []
+            row = (lambda i: raw[i].split(",")) if bad.any() else (lambda i: fields[5 * i:5 * i + 5])
+            return [fields[i::5] for i in range(5)], row, range(2, bad.size + 2)
     reader = csv.reader(io.StringIO(text))
     rows, lines = [], []
     try:
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty input; expected header " + ",".join(CSV_HEADER))
-        if [h.strip().lower() for h in header] != CSV_HEADER:
-            raise ParseError(
-                f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}", line=1
-            )
+        _check_header(next(reader, None))
         for row in reader:
             rows.append(row)
             lines.append(reader.line_num)
     except csv.Error as exc:  # a field over the size limit, or a stray carriage return
         raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
-    return rows, lines
+    shaped = rows
+    if {*map(len, rows)} - {5}:  # a row of another length reads as five blanks
+        shaped = [row if len(row) == 5 else [""] * 5 for row in rows]
+    return [list(map(operator.itemgetter(i), shaped)) for i in range(5)], rows.__getitem__, lines
+
+
+def _check_header(header):
+    if header is None:
+        raise ParseError("empty input; expected header " + ",".join(CSV_HEADER))
+    if [h.strip().lower() for h in header] != CSV_HEADER:
+        raise ParseError(
+            f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}", line=1
+        )
 
 
 def _csv_record(row, line: int, scale: Interval) -> SurveyRecord | None:

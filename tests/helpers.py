@@ -67,10 +67,15 @@ def oracle_load_survey(text, format="csv", scale=None):
     numbered = []
     if format == "csv":
         reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        assert [h.strip().lower() for h in header] == CSV_HEADER
-        for row in reader:
-            line = reader.line_num
+        try:  # the header is checked, then the whole text is read, before any row is validated
+            header = next(reader)
+            if [h.strip().lower() for h in header] != CSV_HEADER:
+                shown = ",".join(header)
+                raise ParseError(f"expected header {','.join(CSV_HEADER)!r}, got {shown!r}", line=1)
+            rows = [(row, reader.line_num) for row in reader]
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+        for row, line in rows:
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 5:

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from io import BytesIO, StringIO
@@ -169,6 +170,68 @@ def test_oversized_csv_field_is_parse_error():
     with pytest.raises(ParseError, match="malformed CSV: field larger") as info:
         load_survey(StringIO(text))
     assert info.value.line == 3
+
+
+class CsvReaderCalled(Exception):
+    pass
+
+
+def _csv_reader_called(*args, **kwargs):
+    raise CsvReaderCalled
+
+
+QUOTE_FREE = (HEADER + "Patient,P01,ITD,1,2\n , , , , \n\n"
+              + "Surgeon,S\x0b1,ED,0,3\nNurse,N\u20281,ED,2,4\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        QUOTE_FREE,
+        QUOTE_FREE.removesuffix("\n"),
+        HEADER,
+        QUOTE_FREE + "Patient,P02,ITD,0\n",  # a line without four commas
+        QUOTE_FREE + "Patient,P02,ITD,0,1,2\nNurse,N2,ITD,1,2\n",
+        QUOTE_FREE + ",,\nPatient,P02,ITD,4,2\n",
+        QUOTE_FREE + "Patient,P01,ITD,0,1\n",
+        "a,b,c,d,e\nPatient,P01,ITD,0,1\n",
+        "\nPatient,P01,ITD,0,1",
+    ],
+)
+def test_quote_free_csv_is_split_without_csv_reader(monkeypatch, text):
+    want = _outcome(lambda: oracle_load_survey(text))
+    monkeypatch.setattr(survey.csv, "reader", _csv_reader_called)
+    got = _outcome(lambda: load_survey(StringIO(text)))
+    failed = bool(want) and isinstance(want[0], type)
+    assert (got if failed else got.records) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        QUOTE_FREE.replace("P01", '"P01"'),
+        QUOTE_FREE.replace("\n", "\r\n"),
+        QUOTE_FREE.replace("P01", "P\x0001"),
+        QUOTE_FREE + "G" * csv.field_size_limit() + ",P01,ITD,1,2\n",
+        "",
+    ],
+)
+def test_other_csv_goes_through_csv_reader(monkeypatch, text):
+    monkeypatch.setattr(survey.csv, "reader", _csv_reader_called)
+    with pytest.raises(CsvReaderCalled):
+        load_survey(StringIO(text))
+
+
+def test_line_longer_than_field_limit_loads_as_csv_reader_reads_it():
+    limit = csv.field_size_limit()
+    group, pid = "G" * limit, "P" * (limit // 2)
+    text = HEADER + f"Patient,P01,ITD,1,2\n{group},{pid},ITD,1,2\n{group},P01,ED,0,1\n"
+    ds = load_survey(StringIO(text))
+    assert ds.records == oracle_load_survey(text)
+    assert (ds.groups, ds.participant_ids) == (("Patient", group), ("P01", pid))
+    with pytest.raises(ParseError, match="duplicate") as info:
+        load_survey(StringIO(text + f"{group},{pid},ITD,2,3\n"))
+    assert info.value.line == 5
 
 
 def test_deeply_nested_json_is_parse_error():
@@ -599,6 +662,16 @@ FAULTS = [
 ]
 
 
+# ways to write a CSV name field that tell the two CSV readers apart if either
+# errs: quoted, with an embedded comma, newline, quote or carriage return; a
+# lone carriage return (malformed); a NUL; characters str.splitlines would
+# break a line at, which csv.reader keeps in the field
+CSV_SPELLINGS = [
+    '"{}"', '"{},x"', '"{}\n2"', '"{}""q"""', '"{}\r"', '{}\r', '{}\ry', '{}\0',
+    'x\x0b{}', '{}\x0by', '{}\u2028', '\u2028{}', '{}\x1cy',
+]
+
+
 def _key(row):
     return row[0].strip(), row[1].strip(), canonical_term(row[2])
 
@@ -612,7 +685,8 @@ def _json_record(rec):
 @st.composite
 def survey_inputs(draw):
     """(format, text) of a survey whose rows are valid apart from up to two
-    injected faults, with blank CSV rows sprinkled in."""
+    injected faults, with blank CSV rows sprinkled in and some CSV name
+    fields written in one of CSV_SPELLINGS."""
     fmt = draw(st.sampled_from(["csv", "json"]))
     lattice = st.integers(0, 40).map(lambda k: k / 4)
     row = st.tuples(
@@ -663,7 +737,11 @@ def survey_inputs(draw):
     for rec in records:
         if not isinstance(rec, list):
             rec = ["Patient", "P9", "ED", rec]
-        lines.append(",".join("" if v is None else str(v) for v in rec))
+        fields = ["" if v is None else str(v) for v in rec]
+        if len(fields) >= 3 and draw(st.integers(0, 7)) == 0:
+            k = draw(st.integers(0, 2))
+            fields[k] = draw(st.sampled_from(CSV_SPELLINGS)).format(fields[k])
+        lines.append(",".join(fields))
         if draw(st.integers(0, 7)) == 0:
             lines.append(draw(st.sampled_from(["", " ", " , , , , ", ",,"])))
     return fmt, "\n".join(lines) + "\n"
