@@ -18,15 +18,22 @@ Sections:
 * ``report_cells``: ``survey.report`` (exact, 1001 samples) on one seeded
   50,000-row survey of 4 groups, with 5, 50 and 625 terms (25, 250 and
   3,125 cells; 2,500, 250 and 20 participants per cell). Loading is not
-  timed. Each size is run REPEATS times after one warm-up; the best and the
-  median are kept.
+  timed.
 * ``load``: ``survey.load_survey`` on the 5-term survey above (50,000 rows)
   as it is, with one row of blanks after the header, with a reversed last
   row, with a repeat of the first row at the end and with every name field
   in double quotes (read by ``csv.reader``, not split directly); and
   ``cli.parse_interval_lines`` on LINES seeded lines, as they are and with a
   reversed last line. The bad inputs raise, and the error's type and line
-  are kept. Each case is run REPEATS times after one warm-up.
+  are kept.
+* ``alpha``: ``attributes`` of a Gaussian, a triangle, a trapezoid and a
+  seeded noisy ``Sampled`` grid, ``jaccard`` of the triangle and the
+  trapezoid, and the ``Sampled`` grid's ALPHA_CUTS-cut ``alpha_lengths``, at
+  each of ALPHA_SAMPLES samples.
+
+Every case is run REPEATS times after one warm-up, and keeps the best, the
+quartiles and the median of those calls, and their minor page faults per
+call (``ru_minflt``), which count fresh memory the calls touched.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -47,7 +55,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import intervalagreement as ia  # noqa: E402
 from intervalagreement import AgreementError, survey  # noqa: E402
+from intervalagreement.fuzzyset import alpha_lengths  # noqa: E402
 from intervalagreement.cli import parse_interval_lines  # noqa: E402
 
 ROWS = 50_000
@@ -56,6 +66,8 @@ TERM_COUNTS = (5, 50, 625)
 SEED = 20_201_115
 REPEATS = 7
 LINES = 200_000
+ALPHA_SAMPLES = (10_001, 100_001, 1_000_001)
+ALPHA_CUTS = 20
 
 
 def survey_text(terms: int, seed: int = SEED) -> str:
@@ -80,17 +92,8 @@ def report_cells() -> list[dict]:
     for terms in TERM_COUNTS:
         ds = survey.load_survey(io.StringIO(survey_text(terms)))
         rep = survey.report(ds)  # warm-up
-        times = []
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            survey.report(ds)
-            times.append(time.perf_counter() - start)
-        points.append({
-            "terms": terms,
-            "cells": len(rep.rows) + len(rep.skipped),
-            "best_s": min(times),
-            "median_s": statistics.median(times),
-        })
+        cells = len(rep.rows) + len(rep.skipped)
+        points.append({"terms": terms, "cells": cells, **repeated(lambda: survey.report(ds))})
     return points
 
 
@@ -101,9 +104,25 @@ def interval_text(seed: int = SEED) -> str:
     return "".join(f"{l:.2f},{r:.2f}\n" for l, r in pairs)
 
 
+def repeated(run) -> dict:
+    """Best, quartiles and median of REPEATS calls of an already warm ``run``,
+    and their minor page faults per call."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {
+        "best_s": min(times), "q1_s": q1, "median_s": median, "q3_s": q3,
+        "minflt_per_call": faults / REPEATS,
+    }
+
+
 def timed(run) -> dict:
-    """Best and median of REPEATS calls after one warm-up, and the error the
-    call raises, if any."""
+    """``repeated`` after one warm-up, and the error the call raises, if any."""
     def once():
         try:
             run()
@@ -112,12 +131,7 @@ def timed(run) -> dict:
         return {"raises": None, "line": None}
 
     outcome = once()
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        once()
-        times.append(time.perf_counter() - start)
-    return {"best_s": min(times), "median_s": statistics.median(times), **outcome}
+    return {**repeated(once), **outcome}
 
 
 def load() -> list[dict]:
@@ -141,6 +155,34 @@ def load() -> list[dict]:
         {"input": "interval_lines", "case": case, **timed(lambda t=t: parse_interval_lines(t))}
         for case, t in (("clean", lines), ("bad_last_line", lines + "5,1\n"))
     ]
+
+
+def sampled_grid(seed: int = SEED) -> tuple[np.ndarray, np.ndarray]:
+    """100,001 points on [0, 20]: two Gaussian bumps plus seeded noise, clipped to [0, 1]."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 100_001]))
+    xs = np.linspace(0.0, 20.0, 100_001)
+    bumps = np.exp(-((xs - 7.0) ** 2) / 4.0) + 0.6 * np.exp(-((xs - 13.0) ** 2) / 2.0)
+    return xs, np.clip(bumps + rng.normal(0.0, 0.03, xs.size), 0.0, 1.0)
+
+
+def alpha() -> list[dict]:
+    shapes = {
+        "gaussian": ia.Gaussian(5.0, 1.0),
+        "triangle": ia.triangular(1.0, 4.0, 9.0),
+        "trapezoid": ia.trapezoidal(0.0, 2.0, 6.0, 9.0),
+        "sampled": ia.Sampled(*sampled_grid()),
+    }
+    ladder = np.arange(1, ALPHA_CUTS + 1) / ALPHA_CUTS
+    cases = []
+    for n in ALPHA_SAMPLES:
+        calls = {f"attributes {k}": lambda mf=mf: ia.attributes(mf, n) for k, mf in shapes.items()}
+        tri, trap = shapes["triangle"], shapes["trapezoid"]
+        calls["jaccard triangle trapezoid"] = lambda: ia.jaccard(tri, trap, n)
+        calls["alpha_lengths sampled"] = lambda: alpha_lengths(shapes["sampled"], ladder, n)
+        for case, run in calls.items():
+            run()  # warm-up
+            cases.append({"case": case, "samples": n, **repeated(run)})
+    return cases
 
 
 def machine() -> str:
@@ -178,6 +220,7 @@ def main(argv=None) -> int:
             "points": report_cells(),
         },
         "load": {"rows": ROWS, "lines": LINES, "cases": load()},
+        "alpha": {"cuts": ALPHA_CUTS, "cases": alpha()},
     }
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
     runs = [run for run in runs if run["label"] != args.label] + [entry]
@@ -188,6 +231,10 @@ def main(argv=None) -> int:
     for c in entry["load"]["cases"]:
         print(f"{args.label}: load {c['input']} {c['case']}: best {c['best_s'] * 1e3:8.2f} ms, "
               f"median {c['median_s'] * 1e3:8.2f} ms, raises {c['raises']} at line {c['line']}")
+    for c in entry["alpha"]["cases"]:
+        print(f"{args.label}: alpha {c['case']}, {c['samples']} samples: "
+              f"best {c['best_s'] * 1e3:8.2f} ms, median {c['median_s'] * 1e3:8.2f} ms, "
+              f"{c['minflt_per_call']:8.1f} minor faults/call")
     return 0
 
 

@@ -7,7 +7,9 @@ piecewise-linear and Gaussian shapes measure their cuts, height and support
 in closed form. A sampled grid, or any shape under ``method="sampled"``, is
 evaluated on a uniform grid over its window, and a cut is the runs of grid
 points at or above alpha (:func:`.intervals.ladder_runs`); such a cut length
-is off the true one by at most two grid steps per run of the cut.
+is off the true one by at most two grid steps per run of the cut. A grid is
+walked GRID_CHUNK points at a time (:func:`walk_grid`): sums bit-equal to
+``np.sum`` over it whole, memory O(chunk) plus one membership array for cuts.
 
 Every path yields (alpha index, left, right) runs, by alpha, then left to
 right; :func:`.intervals.run_sums` adds them into lengths and
@@ -28,6 +30,7 @@ from .intervals import DisjointRegion, Interval, ladder_runs, run_regions, run_s
 DEFAULT_SAMPLES = 1001
 
 GAUSSIAN_WINDOW_SIGMAS = 5.0
+GRID_CHUNK = 1 << 15  # walk_grid's points per step: a few such arrays stay in cache
 
 
 class MembershipFunction:
@@ -367,13 +370,48 @@ def _check_samples(samples: int):
 
 def sample_grid(mf: MembershipFunction, samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate mf on `samples` evenly spaced points over its window,
-    endpoints included."""
+    endpoints included, as whole arrays; the package walks it (``walk_grid``)."""
     _check_samples(samples)
     w = mf.window()
     if not (np.isfinite(w.l) and np.isfinite(w.r)):
         raise InvalidDomain("membership function has no bounded evaluation window")
     xs = np.linspace(w.l, w.r, samples)
     return xs, np.asarray(mf.membership(xs), dtype=np.float64)
+
+
+def linspace_at(lo: float, hi: float, samples: int, i: np.ndarray) -> np.ndarray:
+    """``np.linspace(lo, hi, samples)[i]`` by linspace's own rule: ``i * step +
+    lo``, ``i / div * delta + lo`` if the step underflows to 0, ``hi`` last."""
+    div, delta = samples - 1, np.float64(hi) - lo
+    x = i * (delta / div) if delta / div != 0 else i / div * delta
+    x += lo
+    if i.size and i.max() == div:  # cheaper than a mask over every chunk
+        x[i == div] = hi
+    return x
+
+
+def pairwise_sums(n: int, leaf, start: int = 0) -> tuple:
+    """``np.sum``'s bits over n values: ``leaf(a, b)`` gives tuples of ``np.sum``
+    over values a..b-1 (at most GRID_CHUNK) left to right, added as ``np.sum``
+    splits: the first ``n//2 - (n//2) % 8`` values, then the rest."""
+    if n <= GRID_CHUNK:
+        return leaf(start, start + n)
+    half = n // 2 - (n // 2) % 8
+    left, right = pairwise_sums(half, leaf, start), pairwise_sums(n - half, leaf, start + half)
+    return tuple(s + t for s, t in zip(left, right))
+
+
+def walk_grid(mfs, samples: int, leaf, mus=None) -> tuple:
+    """``pairwise_sums`` of ``leaf(xs, *mu)``, xs a chunk of the grid over all
+    ``mfs``' windows, mu each one's membership there (the first's fills ``mus``)."""
+    lo, hi = min(mf.window().l for mf in mfs), max(mf.window().r for mf in mfs)
+    def chunk(a: int, b: int) -> tuple:
+        xs = linspace_at(lo, hi, samples, np.arange(a, b, dtype=np.float64))  # float: no int cast
+        mu = [np.asarray(mf.membership(xs), dtype=np.float64) for mf in mfs]
+        if mus is not None:
+            mus[a:b] = mu[0]
+        return leaf(xs, *mu)
+    return pairwise_sums(samples, chunk)
 
 
 def _sampled(mf: MembershipFunction, method: str) -> bool:
@@ -385,22 +423,24 @@ def _sampled(mf: MembershipFunction, method: str) -> bool:
     return method == "sampled" or not mf.closed_form
 
 
-def _runs(mf: MembershipFunction, alphas, samples: int, method: str, grid=None):
+def _runs(mf: MembershipFunction, alphas, samples: int, method: str, mus=None):
     """(alpha index, left, right) of every maximal run of every cut, by alpha,
     then left to right: a closed form's ``_cut_runs``, or the runs of grid
-    points at or above each alpha on ``grid`` (sampled when not given), each
-    spanning its first to last point."""
+    points whose membership ``mus`` (walked when not given) is at or above
+    each alpha, each spanning its first to last point."""
     alphas = np.array(alphas, dtype=np.float64)
     if not _sampled(mf, method):
         return mf._cut_runs(alphas)
-    xs, mus = grid or sample_grid(mf, samples)
+    if mus is None:
+        walk_grid([mf], samples, lambda xs, mu: (), mus := np.empty(samples))
     col, start, stop = ladder_runs(mus, alphas)
-    return col, xs[start], xs[stop - 1]
+    w = mf.window()
+    return col, linspace_at(w.l, w.r, samples, start), linspace_at(w.l, w.r, samples, stop - 1)
 
 
-def _lengths(mf: MembershipFunction, alphas, samples: int, method: str, grid=None) -> np.ndarray:
+def _lengths(mf: MembershipFunction, alphas, samples: int, method: str, mus=None) -> np.ndarray:
     """Each cut's length: its ``_runs`` added left to right (``run_sums``)."""
-    col, lefts, rights = _runs(mf, alphas, samples, method, grid)
+    col, lefts, rights = _runs(mf, alphas, samples, method, mus)
     return run_sums(col, rights - lefts, len(alphas))
 
 
@@ -459,23 +499,25 @@ def attributes(mf: MembershipFunction, samples: int = DEFAULT_SAMPLES) -> Attrib
 
     The centroid is the membership-weighted mean over the discretised window
     for every representation, so analytic and sampled sets are directly
-    comparable; one call samples the function once. Closed-form shapes take
-    their exact height, support and core (the cut at 1); a ``Sampled`` grid
-    reads them off that grid, with the support cut at 1/samples (positivity
-    below one quantisation step is noise). Raises EmptySet when the function
-    is identically zero.
+    comparable; one ``walk_grid`` gives its weight and moment, bit-equal to
+    ``np.sum`` over the whole grid, in O(GRID_CHUNK) memory. Closed-form shapes
+    take their exact height, support and core (the cut at 1); a ``Sampled``
+    grid reads them off the walk's membership array, with the support cut at
+    1/samples (positivity below one quantisation step is noise). Raises
+    EmptySet when the function is identically zero.
     """
-    xs, mus_grid = sample_grid(mf, samples)
-    weight = float(mus_grid.sum())
+    _check_samples(samples)
+    mus = None if mf.closed_form else np.empty(samples)
+    weight, moment = walk_grid([mf], samples, lambda xs, mu: (mu.sum(), (xs * mu).sum()), mus)
     if weight == 0.0:
         raise EmptySet("membership is zero everywhere on the sampling grid; centroid undefined")
-    centroid = float((xs * mus_grid).sum() / weight)
+    centroid = float(moment / weight)
     if mf.closed_form:
         height, support = mf.height(), mf.support_length()
         (core,) = _lengths(mf, [1.0], samples, "auto")
     else:
-        height = float(mus_grid.max())
-        support, core = _lengths(mf, [1.0 / xs.size, 1.0], samples, "auto", (xs, mus_grid))
+        height = float(mus.max())
+        support, core = _lengths(mf, [1.0 / samples, 1.0], samples, "auto", mus)
     return Attributes(
         height=height, centroid=centroid, support_length=float(support), core_length=float(core)
     )

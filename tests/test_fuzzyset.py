@@ -324,13 +324,13 @@ ATTRIBUTE_SHAPES = [
 @pytest.mark.parametrize("samples", [2, 17, 1001])
 def test_attributes_samples_once_and_matches_alpha_length(monkeypatch, mf, samples):
     calls = []
-    sample = fuzzyset_mod.sample_grid
+    walk = fuzzyset_mod.walk_grid
 
-    def counted(f, n):
+    def counted(mfs, n, leaf, mus=None):
         calls.append(n)
-        return sample(f, n)
+        return walk(mfs, n, leaf, mus)
 
-    monkeypatch.setattr(fuzzyset_mod, "sample_grid", counted)
+    monkeypatch.setattr(fuzzyset_mod, "walk_grid", counted)
     attrs = attributes(mf, samples)
     assert calls == [samples]
     assert attrs.core_length == alpha_length(mf, 1.0, samples)

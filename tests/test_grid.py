@@ -1,0 +1,174 @@
+"""The chunked grid walk: its points are ``np.linspace``'s, its totals are
+``np.sum``'s, bit for bit, and closed-form shapes never hold a whole grid."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from intervalagreement import (
+    Gaussian,
+    Sampled,
+    attributes,
+    build_iaa,
+    collection,
+    jaccard,
+    make_interval,
+    trapezoidal,
+    triangular,
+)
+from intervalagreement.fuzzyset import (
+    GRID_CHUNK,
+    alpha_lengths,
+    linspace_at,
+    pairwise_sums,
+    sample_grid,
+    walk_grid,
+)
+
+CHUNK_SIZES = [
+    GRID_CHUNK - 1,
+    GRID_CHUNK,
+    GRID_CHUNK + 1,
+    2 * GRID_CHUNK + 7,
+    2 * GRID_CHUNK + 8,
+    3 * GRID_CHUNK - 1,
+]
+
+
+def bits(values) -> np.ndarray:
+    """int64 view of float64 values, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).reshape(-1).view(np.int64)
+
+
+ends = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0]),
+)
+
+
+@given(ends, ends, st.integers(2, 3 * GRID_CHUNK), st.data())
+@example(0.0, 5e-324, 3, None)  # the step underflows: numpy's denormal branch
+@example(1.0, 1.0, 5, None)  # a zero-width window
+@example(-0.0, 1.0, 2, None)
+@example(0.0, -0.0, 2, None)
+@example(-0.0, -0.0, 2, None)
+def test_linspace_at_matches_linspace(lo, hi, samples, data):
+    want = np.linspace(lo, hi, samples)
+    if data is None:
+        a, b = 0, samples
+    else:
+        a = data.draw(st.integers(0, samples))
+        b = data.draw(st.integers(a, samples))
+    chunk = linspace_at(lo, hi, samples, np.arange(a, b, dtype=np.float64))
+    assert np.array_equal(bits(chunk), bits(want[a:b]))
+    # integer indices in any order, as run ends come
+    picks = np.random.default_rng(samples).integers(0, samples, 50)
+    picks[::7] = samples - 1
+    assert np.array_equal(bits(linspace_at(lo, hi, samples, picks)), bits(want[picks]))
+
+
+def _values(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "mixed":
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        v[rng.random(n) < 0.1] = -0.0
+        v[rng.random(n) < 0.1] = 0.0
+        return v
+    if kind == "negative_zeros":
+        return np.full(n, -0.0)
+    width = float(rng.uniform(0.1, 100.0))
+    xs = np.linspace(-width, width, n)  # symmetric about 0: the sum cancels
+    return xs * np.exp(-(xs**2)) if kind == "symmetric_moment" else xs
+
+
+kinds = st.sampled_from(["mixed", "negative_zeros", "symmetric", "symmetric_moment"])
+
+
+sizes = st.one_of(st.sampled_from(CHUNK_SIZES), st.integers(1, 3 * GRID_CHUNK + 3))
+
+
+@given(sizes, kinds, st.integers(0, 2**32))
+def test_pairwise_sums_equal_np_sum(n, kind, seed):
+    v = _values(kind, n, seed)
+    leaves = []
+
+    def leaf(a, b):
+        leaves.append((a, b))
+        return np.sum(v[a:b]), np.sum(-v[a:b])
+
+    total, negated = pairwise_sums(n, leaf)
+    assert np.array_equal(bits([total, negated]), bits([np.sum(v), np.sum(-v)]))
+    assert all(b - a <= GRID_CHUNK for a, b in leaves)
+    assert [a for a, _ in leaves] == [0] + [b for _, b in leaves[:-1]]
+    assert leaves[-1][1] == n
+
+
+def test_walk_grid_sums_linspace_and_fills_membership():
+    mf = triangular(-3, 0, 3)
+    for n in CHUNK_SIZES:
+        xs, mus = sample_grid(mf, n)
+        filled = np.empty(n)
+        total, moment = walk_grid([mf], n, lambda x, mu: (np.sum(x), np.sum(x * mu)), filled)
+        assert np.array_equal(bits([total, moment]), bits([np.sum(xs), np.sum(xs * mus)]))
+        assert np.array_equal(bits(filled), bits(mus))
+
+
+GRID_SHAPES = [
+    Gaussian(5, 1, domain=make_interval(2, 9)),
+    triangular(-3, 0, 3),
+    trapezoidal(0, 2, 6, 9),
+    build_iaa(collection([(2, 5), (3, 5), (6, 8), (3, 7)])),
+    Sampled(np.linspace(0, 20, 1001), np.abs(np.sin(np.linspace(0, 9, 1001)))),
+]
+
+
+def _run_lengths(xs, mus, alphas):
+    """Each cut's runs of points at or above alpha, from first to last point,
+    added left to right: the whole-grid reference."""
+    out = []
+    for alpha in alphas:
+        edges = np.diff(np.concatenate([[0], (mus >= alpha).astype(np.int8), [0]]))
+        starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+        total = 0.0
+        for width in xs[stops - 1] - xs[starts]:
+            total += width
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("mf", GRID_SHAPES, ids=lambda mf: type(mf).__name__)
+@pytest.mark.parametrize("samples", [17, CHUNK_SIZES[2], CHUNK_SIZES[3]])
+def test_grid_results_equal_whole_grid_sums(mf, samples):
+    xs, mus = sample_grid(mf, samples)
+    attrs = attributes(mf, samples)
+    assert bits(attrs.centroid) == bits((xs * mus).sum() / mus.sum())
+    if isinstance(mf, Sampled):
+        assert attrs.height == mus.max()
+        assert [attrs.support_length, attrs.core_length] == _run_lengths(
+            xs, mus, [1.0 / samples, 1.0]
+        )
+    alphas = np.arange(1, 21) / 20
+    lengths = alpha_lengths(mf, alphas, samples, method="sampled")
+    assert np.array_equal(bits(lengths), bits(_run_lengths(xs, mus, alphas)))
+    other = GRID_SHAPES[2]
+    lo, hi = min(mf.window().l, other.window().l), max(mf.window().r, other.window().r)
+    gx = np.linspace(lo, hi, samples)
+    ma, mb = mf.membership(gx), other.membership(gx)
+    want = np.minimum(ma, mb).sum() / np.maximum(ma, mb).sum()
+    assert bits(jaccard(mf, other, samples)) == bits(want)
+
+
+@pytest.mark.parametrize("mf", GRID_SHAPES[:4], ids=lambda mf: type(mf).__name__)
+def test_closed_form_grid_memory_is_one_chunk(mf):
+    samples = 4_000_001  # a whole grid would be 32 MB per array
+    tracemalloc.start()
+    try:
+        attributes(mf, samples)
+        jaccard(mf, GRID_SHAPES[1], samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
