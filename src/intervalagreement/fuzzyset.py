@@ -10,6 +10,8 @@ points at or above alpha (:func:`.intervals.ladder_runs`); such a cut length
 is off the true one by at most two grid steps per run of the cut. A grid is
 walked GRID_CHUNK points at a time (:func:`walk_grid`): sums bit-equal to
 ``np.sum`` over it whole, memory O(chunk) plus one membership array for cuts.
+A chunk's points ascend, so a shape may evaluate it by slices in
+``_on_grid``, which must give ``_membership``'s bits.
 
 Every path yields (alpha index, left, right) runs, by alpha, then left to
 right; :func:`.intervals.run_sums` adds them into lengths and
@@ -31,6 +33,8 @@ DEFAULT_SAMPLES = 1001
 
 GAUSSIAN_WINDOW_SIGMAS = 5.0
 GRID_CHUNK = 1 << 15  # walk_grid's points per step: a few such arrays stay in cache
+_BASE = np.arange(GRID_CHUNK, dtype=np.float64)  # walk_grid's float chunk indices: no int cast
+_BASE.flags.writeable = False
 
 
 class MembershipFunction:
@@ -50,6 +54,9 @@ class MembershipFunction:
         x = np.asarray(x, dtype=np.float64)
         out = self._membership(np.atleast_1d(x))
         return float(out[0]) if x.ndim == 0 else out
+
+    def _on_grid(self, x):
+        return self._membership(x)
 
     def window(self) -> Interval:
         raise NotImplementedError
@@ -154,16 +161,34 @@ class PiecewiseLinear(MembershipFunction):
         _check_unit_range(mus, "mus")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "mus", mus)
+        # each distinct x, its max tie, and np.interp's segment on to the next
+        ux, first, counts = np.unique(xs, return_index=True, return_counts=True)
+        last, top = first + counts - 1, np.maximum.reduceat(mus, first)
+        with np.errstate(over="ignore"):  # a subnormal width: inf, never read off a vertex
+            slopes = (mus[first[1:]] - mus[last[:-1]]) / np.diff(ux)
+        object.__setattr__(self, "_vertices", (ux, top, mus[last[:-1]], slopes))
+        object.__setattr__(self, "_ties", list(zip(ux[counts > 1], top[counts > 1])))
 
     def _membership(self, x):
         out = np.interp(x, self.xs, self.mus, left=0.0, right=0.0)
         # closed-cut convention at vertices: exact hits take the max tied value;
         # interp already returns mus[j] at an untied vertex, so only ties are fixed
-        tied, counts = np.unique(self.xs, return_counts=True)
-        for xv in tied[counts > 1]:
-            hits = x == xv
-            if hits.any():
-                out[hits] = self.mus[self.xs == xv].max()
+        for xv, top in self._ties:
+            out[x == xv] = top
+        return out
+
+    def _on_grid(self, x):
+        """np.interp's bits by slices: ``(x - x0) * slope + y0`` strictly inside
+        each segment, and the max-of-ties value on each vertex."""
+        ux, top, y0, slopes = self._vertices
+        lo, hi = np.searchsorted(x, ux, "left").tolist(), np.searchsorted(x, ux, "right").tolist()
+        out = np.zeros(x.size)
+        for k in range(ux.size - 1):
+            seg = np.subtract(x[hi[k] : lo[k + 1]], ux[k], out=out[hi[k] : lo[k + 1]])
+            seg *= slopes[k]
+            seg += y0[k]
+        for k in range(ux.size):
+            out[lo[k] : hi[k]] = top[k]
         return out
 
     def window(self) -> Interval:
@@ -279,9 +304,10 @@ class Gaussian(MembershipFunction):
         return self.domain.length if self.domain is not None else self.window().length
 
     def _cut_runs(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """mean +/- stddev sqrt(-2 ln alpha), clipped to the window as the
-        sampled path clips it."""
-        w = self.window()
+        """mean +/- stddev sqrt(-2 ln alpha), clipped to the domain; without
+        one, to the window, as the sampled path clips it."""
+        w = self.window()  # raises when the domain misses the window
+        w = w if self.domain is None else self.domain
         half = self.stddev * np.sqrt(-2.0 * np.log(alphas))
         lo, hi = np.maximum(self.mean - half, w.l), np.minimum(self.mean + half, w.r)
         col = np.flatnonzero(lo <= hi)
@@ -313,15 +339,27 @@ class Sampled(MembershipFunction):
     def spacing(self) -> float:
         return float((self.xs[-1] - self.xs[0]) / (self.xs.size - 1))
 
-    def _membership(self, x):
-        with np.errstate(over="ignore"):  # far off the grid reads +/-inf, masked below
+    def _positions(self, x):
+        with np.errstate(over="ignore"):  # nearest grid index; far off the grid, +/-inf
             pos = x - self.xs[0]
             pos /= self.spacing  # in place: a 1M-point grid holds one array fewer
-        np.rint(pos, out=pos)
+        return np.rint(pos, out=pos)
+
+    def _membership(self, x):
+        pos = self._positions(x)
         off = ~((pos >= 0) & (pos < self.mus.size))  # NaN is off the grid too
         np.copyto(pos, 0.0, where=off)  # off-grid positions may not fit an int
         out = np.take(self.mus, pos.astype(np.int64), out=pos)
         np.copyto(out, 0.0, where=off)
+        return out
+
+    def _on_grid(self, x):
+        """Ascending x: the off-grid points are a prefix and a suffix; the rest
+        index in range, so take may "clip" (no buffered bounds check)."""
+        out = self._positions(x)
+        a, b = np.searchsorted(out, [0, self.mus.size]).tolist()
+        out[:a] = out[b:] = 0.0
+        np.take(self.mus, out[a:b].astype(np.intp), out=out[a:b], mode="clip")
         return out
 
     def window(self) -> Interval:
@@ -402,12 +440,12 @@ def pairwise_sums(n: int, leaf, start: int = 0) -> tuple:
 
 
 def walk_grid(mfs, samples: int, leaf, mus=None) -> tuple:
-    """``pairwise_sums`` of ``leaf(xs, *mu)``, xs a chunk of the grid over all
-    ``mfs``' windows, mu each one's membership there (the first's fills ``mus``)."""
+    """``pairwise_sums`` of ``leaf(xs, *mu)``, xs an ascending grid chunk over all ``mfs``'
+    windows, mu each one's ``_on_grid`` (``_membership``'s bits; the first's fills ``mus``)."""
     lo, hi = min(mf.window().l for mf in mfs), max(mf.window().r for mf in mfs)
     def chunk(a: int, b: int) -> tuple:
-        xs = linspace_at(lo, hi, samples, np.arange(a, b, dtype=np.float64))  # float: no int cast
-        mu = [np.asarray(mf.membership(xs), dtype=np.float64) for mf in mfs]
+        xs = linspace_at(lo, hi, samples, _BASE[: b - a] + a)
+        mu = [mf._on_grid(xs) for mf in mfs]
         if mus is not None:
             mus[a:b] = mu[0]
         return leaf(xs, *mu)

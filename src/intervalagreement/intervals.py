@@ -246,9 +246,10 @@ def coverage_cells(coll: IntervalCollection) -> tuple[np.ndarray, np.ndarray]:
 def runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(starts, stops) of each maximal run of True in a 1-D mask, stops
     exclusive: run i is ``mask[starts[i]:stops[i]]``."""
-    padded = np.zeros(mask.size + 2, dtype=bool)
-    padded[1:-1] = mask
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    changes = np.empty(mask.size + 1, dtype=bool)  # edges, and either end that is True
+    changes[0], changes[-1] = (mask[0], mask[-1]) if mask.size else (False, False)
+    np.not_equal(mask[1:], mask[:-1], out=changes[1:-1])
+    edges = np.flatnonzero(changes)
     return edges[0::2], edges[1::2]
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import intervalagreement.fuzzyset as fuzzyset_mod
@@ -396,10 +396,10 @@ def test_triangle_and_trapezoid_cuts_match_closed_form(abcd):
 @pytest.mark.parametrize(
     "mf,lo,hi",
     [
-        (Gaussian(5, 1), 0, 10),
-        (Gaussian(-2.5, 0.3, domain=make_interval(-10, 10)), -4, -1),
+        (Gaussian(5, 1), 0, 10),  # no domain: clipped to the window
+        (Gaussian(-2.5, 0.3, domain=make_interval(-10, 10)), -10, 10),
         (Gaussian(5, 1, domain=make_interval(4, 10)), 4, 10),  # clipped on the left
-        (Gaussian(5, 1, domain=make_interval(6, 12)), 6, 10),  # mean outside the domain
+        (Gaussian(5, 1, domain=make_interval(6, 12)), 6, 12),  # mean outside the domain
     ],
 )
 def test_gaussian_cuts_match_closed_form(mf, lo, hi):
@@ -408,6 +408,18 @@ def test_gaussian_cuts_match_closed_form(mf, lo, hi):
     assert np.abs(alpha_lengths(mf, LADDER) - expected).max() <= 1e-12
     if mf.domain is None:  # unclipped above alpha = exp(-12.5): the textbook width
         assert np.abs(alpha_lengths(mf, LADDER[1:]) - 2 * half[1:]).max() <= 1e-12
+
+
+def test_gaussian_cut_with_domain_is_clipped_to_the_domain_alone():
+    g = Gaussian(5, 0.1, domain=make_interval(0, 10))
+    # below alpha = exp(-12.5) the cut is wider than mean +/- 5 stddev
+    true = 2 * 0.1 * math.sqrt(-2 * math.log(1e-9))
+    assert alpha_length(g, 1e-9) == pytest.approx(true, abs=1e-12)
+    assert alpha_length(g, 1e-9) == pytest.approx(1.2876, abs=1e-4)
+    assert alpha_length(g, 1e-9) < attributes(g).support_length == 10.0
+    assert alpha_length(Gaussian(5, 1, domain=make_interval(4, 7)), 1e-9) == 3.0
+    # the sampled path keeps the window
+    assert alpha_length(g, 1e-9, method="sampled") <= g.window().length == pytest.approx(1.0)
 
 
 # Lattice vertices tie, run flat at a lattice alpha and jump. The sampled scan
@@ -443,17 +455,21 @@ closed_form_shapes = st.one_of(
 
 
 @given(closed_form_shapes, st.lists(cut_alphas, min_size=1, max_size=6))
+@example(_gaussian(0.0, 1.0, -32, 32), [1e-6])  # the cut reaches past the window
 def test_closed_form_cuts_against_sampled_scan(mf, alphas):
     samples = 2001
     exact = alpha_lengths(mf, alphas)
     sampled = alpha_lengths(mf, alphas, samples, method="sampled")
-    h = mf.window().length / (samples - 1)
+    w = mf.window()
+    h = w.length / (samples - 1)
     for alpha, got, scan in zip(alphas, exact, sampled):
         region = alpha_cut(mf, alpha).region
         # one region per cut, bit-equal to its length
         assert region.total_length == got
-        # the sampled scan is off by at most two grid steps per run
-        assert abs(got - scan) <= 2 * h * max(1, len(region.segments)) + 1e-12
+        # the sampled scan sees only the window: it is off the cut's part
+        # there by at most two grid steps per run
+        inside = sum(max(0.0, min(seg.r, w.r) - max(seg.l, w.l)) for seg in region)
+        assert abs(inside - scan) <= 2 * h * max(1, len(region.segments)) + 1e-12
         # runs lie in the cut, and the gaps between them do not
         for seg in region:
             ends = mf.membership(np.array([seg.l, (seg.l + seg.r) / 2, seg.r]))

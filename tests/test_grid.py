@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from intervalagreement import (
     Gaussian,
+    PiecewiseLinear,
     Sampled,
     attributes,
     build_iaa,
@@ -27,6 +28,8 @@ from intervalagreement.fuzzyset import (
     sample_grid,
     walk_grid,
 )
+
+from helpers import all_vertex_membership
 
 CHUNK_SIZES = [
     GRID_CHUNK - 1,
@@ -172,3 +175,49 @@ def test_closed_form_grid_memory_is_one_chunk(mf):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+vertex_xs = st.integers(-8, 8).map(lambda k: k / 4)
+vertex_mus = st.one_of(st.integers(0, 8).map(lambda k: k / 8), st.floats(0, 1))
+
+
+@st.composite
+def linear_and_probes(draw):
+    """A piecewise-linear shape with lattice vertices (so ties are common) and
+    ascending probes: on vertices, inside and outside the shape, signed zeros."""
+    vertices = draw(st.lists(st.tuples(vertex_xs, vertex_mus), min_size=2, max_size=8))
+    xs, mus = zip(*sorted(vertices, key=lambda v: v[0]))  # ties keep their drawn order
+    probes = draw(
+        st.lists(
+            st.one_of(st.floats(-3, 3), st.sampled_from([*xs, 0.0, -0.0])), max_size=60
+        )
+    )
+    return PiecewiseLinear(np.array(xs), np.array(mus)), np.sort(np.array(probes, dtype=float))
+
+
+@given(linear_and_probes())
+@example((PiecewiseLinear(np.array([0, 5e-324, 1]), np.array([0.0, 1, 0])),
+          np.array([-1, -0.0, 0, 0, 5e-324, 0.5, 1, 1, 2])))  # the first slope overflows
+@example((PiecewiseLinear(np.array([0, 1e-310, 1]), np.array([0.0, 1, 0.5])),
+          np.array([0, 5e-311, 1e-310, 0.25])))  # inf strictly inside, as np.interp gives
+@example((PiecewiseLinear(np.array([0, 1, 1, 1, 2]), np.array([0.0, 0.2, 0.9, 0.5, 0])),
+          np.array([0.5, 1, 1, 1.5])))  # the max of three ties, the largest in the middle
+def test_linear_on_grid_matches_interp_with_max_of_ties(shape_and_probes):
+    mf, probes = shape_and_probes
+    want = bits(all_vertex_membership(mf.xs, mf.mus, probes))
+    assert np.array_equal(bits(mf._on_grid(probes)), want)
+    assert np.array_equal(bits(mf._membership(probes)), want)
+
+
+sampled_ends = st.floats(-60, 80)
+
+
+@given(sampled_ends, sampled_ends, st.integers(2, 3000))
+@example(-5.0, 25.0, GRID_CHUNK + 1)  # jaccard's union window around [0, 20]
+@example(-1e306, 1e306, 101)
+@example(30.0, 40.0, 11)  # wholly off the grid
+@example(-0.01, 20.01, 2001)  # ends half a step off the grid
+def test_sampled_on_grid_equals_membership(lo, hi, samples):
+    mf = GRID_SHAPES[4]
+    xs = np.linspace(*sorted((lo, hi)), samples)
+    assert np.array_equal(bits(mf._on_grid(xs)), bits(mf._membership(xs)))
