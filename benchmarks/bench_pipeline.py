@@ -26,10 +26,13 @@ Sections:
   ``cli.parse_interval_lines`` on LINES seeded lines, as they are and with a
   reversed last line. The bad inputs raise, and the error's type and line
   are kept.
-* ``alpha``: ``attributes`` of a Gaussian, a triangle, a trapezoid and a
-  seeded noisy ``Sampled`` grid, ``jaccard`` of the triangle and the
-  trapezoid, and the ``Sampled`` grid's ALPHA_CUTS-cut ``alpha_lengths``, at
-  each of ALPHA_SAMPLES samples.
+* ``alpha``: ``attributes`` of a Gaussian, a triangle, a trapezoid, a
+  POLYLINE_VERTICES-vertex ``PiecewiseLinear`` and a seeded noisy ``Sampled``
+  grid, ``jaccard`` of the triangle and the trapezoid and of the polyline and
+  the triangle, and the ``Sampled`` grid's ALPHA_CUTS-cut ``alpha_lengths``,
+  at each of ALPHA_SAMPLES samples. The triangle and trapezoid are evaluated
+  by slices of each grid chunk, the polyline (under 2,048 grid points per
+  vertex at each of these sample counts) by ``np.interp``.
 
 Every case is run REPEATS times after one warm-up, and keeps the best, the
 quartiles and the median of those calls, and their minor page faults per
@@ -68,6 +71,7 @@ REPEATS = 7
 LINES = 200_000
 ALPHA_SAMPLES = (10_001, 100_001, 1_000_001)
 ALPHA_CUTS = 20
+POLYLINE_VERTICES = 4_000
 
 
 def survey_text(terms: int, seed: int = SEED) -> str:
@@ -165,11 +169,18 @@ def sampled_grid(seed: int = SEED) -> tuple[np.ndarray, np.ndarray]:
     return xs, np.clip(bumps + rng.normal(0.0, 0.03, xs.size), 0.0, 1.0)
 
 
+def polyline() -> ia.PiecewiseLinear:
+    """POLYLINE_VERTICES evenly spaced vertices on [0, 9] of (1 + sin 7x) / 2."""
+    xs = np.linspace(0.0, 9.0, POLYLINE_VERTICES)
+    return ia.PiecewiseLinear(xs, (1.0 + np.sin(7.0 * xs)) / 2.0)
+
+
 def alpha() -> list[dict]:
     shapes = {
         "gaussian": ia.Gaussian(5.0, 1.0),
         "triangle": ia.triangular(1.0, 4.0, 9.0),
         "trapezoid": ia.trapezoidal(0.0, 2.0, 6.0, 9.0),
+        "polyline": polyline(),
         "sampled": ia.Sampled(*sampled_grid()),
     }
     ladder = np.arange(1, ALPHA_CUTS + 1) / ALPHA_CUTS
@@ -178,6 +189,7 @@ def alpha() -> list[dict]:
         calls = {f"attributes {k}": lambda mf=mf: ia.attributes(mf, n) for k, mf in shapes.items()}
         tri, trap = shapes["triangle"], shapes["trapezoid"]
         calls["jaccard triangle trapezoid"] = lambda: ia.jaccard(tri, trap, n)
+        calls["jaccard polyline triangle"] = lambda: ia.jaccard(shapes["polyline"], tri, n)
         calls["alpha_lengths sampled"] = lambda: alpha_lengths(shapes["sampled"], ladder, n)
         for case, run in calls.items():
             run()  # warm-up

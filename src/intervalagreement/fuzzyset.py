@@ -33,8 +33,6 @@ DEFAULT_SAMPLES = 1001
 
 GAUSSIAN_WINDOW_SIGMAS = 5.0
 GRID_CHUNK = 1 << 15  # walk_grid's points per step: a few such arrays stay in cache
-_BASE = np.arange(GRID_CHUNK, dtype=np.float64)  # walk_grid's float chunk indices: no int cast
-_BASE.flags.writeable = False
 
 
 class MembershipFunction:
@@ -178,9 +176,12 @@ class PiecewiseLinear(MembershipFunction):
         return out
 
     def _on_grid(self, x):
-        """np.interp's bits by slices: ``(x - x0) * slope + y0`` strictly inside
-        each segment, and the max-of-ties value on each vertex."""
+        """np.interp's bits by slices: ``(x - x0) * slope + y0`` strictly inside each
+        segment, the max-of-ties value on each vertex. A segment's calls cost what np.interp
+        spends on ~1000 points, so under 2048 points per distinct vertex take ``_membership``."""
         ux, top, y0, slopes = self._vertices
+        if ux.size * 2048 > x.size:
+            return self._membership(x)
         lo, hi = np.searchsorted(x, ux, "left").tolist(), np.searchsorted(x, ux, "right").tolist()
         out = np.zeros(x.size)
         for k in range(ux.size - 1):
@@ -306,8 +307,7 @@ class Gaussian(MembershipFunction):
     def _cut_runs(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """mean +/- stddev sqrt(-2 ln alpha), clipped to the domain; without
         one, to the window, as the sampled path clips it."""
-        w = self.window()  # raises when the domain misses the window
-        w = w if self.domain is None else self.domain
+        w = self.domain if self.domain is not None else self.window()
         half = self.stddev * np.sqrt(-2.0 * np.log(alphas))
         lo, hi = np.maximum(self.mean - half, w.l), np.minimum(self.mean + half, w.r)
         col = np.flatnonzero(lo <= hi)
@@ -443,8 +443,9 @@ def walk_grid(mfs, samples: int, leaf, mus=None) -> tuple:
     """``pairwise_sums`` of ``leaf(xs, *mu)``, xs an ascending grid chunk over all ``mfs``'
     windows, mu each one's ``_on_grid`` (``_membership``'s bits; the first's fills ``mus``)."""
     lo, hi = min(mf.window().l for mf in mfs), max(mf.window().r for mf in mfs)
+    base = np.arange(min(samples, GRID_CHUNK), dtype=np.float64)  # float indices: no int cast
     def chunk(a: int, b: int) -> tuple:
-        xs = linspace_at(lo, hi, samples, _BASE[: b - a] + a)
+        xs = linspace_at(lo, hi, samples, base[: b - a] + a)
         mu = [mf._on_grid(xs) for mf in mfs]
         if mus is not None:
             mus[a:b] = mu[0]

@@ -422,6 +422,17 @@ def test_gaussian_cut_with_domain_is_clipped_to_the_domain_alone():
     assert alpha_length(g, 1e-9, method="sampled") <= g.window().length == pytest.approx(1.0)
 
 
+def test_gaussian_cut_with_domain_off_the_window():
+    # the domain misses mean +/- 5 stddev, yet mu(4) = 1.5e-8 reaches 1e-9
+    g = Gaussian(10, 1, domain=make_interval(0, 4))
+    (seg,) = alpha_cut(g, 1e-9).region
+    assert (seg.l, seg.r) == (pytest.approx(10 - math.sqrt(-2 * math.log(1e-9))), 4.0)
+    assert alpha_length(g, 1e-9) == seg.r - seg.l
+    assert alpha_length(g, 1e-3) == 0.0 and not alpha_cut(g, 1e-3).region.segments
+    with pytest.raises(InvalidDomain):  # the sampled path has no window to walk
+        alpha_length(g, 1e-9, method="sampled")
+
+
 # Lattice vertices tie, run flat at a lattice alpha and jump. The sampled scan
 # thresholds rounded memberships, so a slope within an ulp of flat (or a
 # domain so narrow that exp() reads 1 across it) could make it read a long

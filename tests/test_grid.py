@@ -204,9 +204,23 @@ def linear_and_probes(draw):
           np.array([0.5, 1, 1, 1.5])))  # the max of three ties, the largest in the middle
 def test_linear_on_grid_matches_interp_with_max_of_ties(shape_and_probes):
     mf, probes = shape_and_probes
-    want = bits(all_vertex_membership(mf.xs, mf.mus, probes))
-    assert np.array_equal(bits(mf._on_grid(probes)), want)
-    assert np.array_equal(bits(mf._membership(probes)), want)
+    # a chunk's worth of points left of the shape: long enough for the slice path
+    x = np.concatenate([np.linspace(-12.0, -4.0, GRID_CHUNK), probes])
+    want = bits(all_vertex_membership(mf.xs, mf.mus, x))
+    assert np.array_equal(bits(mf._on_grid(x)), want)
+    assert np.array_equal(bits(mf._membership(x)), want)
+
+
+@pytest.mark.parametrize("vertices", [3, 16, 17, 4000])
+def test_linear_on_grid_either_side_of_the_slice_path(vertices):
+    # up to one vertex per 2048 points evaluates by slices, past it by np.interp
+    xs = np.linspace(0.0, 9.0, vertices)
+    mf = PiecewiseLinear(xs, (1.0 + np.sin(7.0 * xs)) / 2.0)
+    x = np.linspace(-0.5, 9.5, GRID_CHUNK)
+    want = bits(all_vertex_membership(mf.xs, mf.mus, x))
+    assert np.array_equal(bits(mf._on_grid(x)), want)
+    gx, mus = sample_grid(mf, 3 * GRID_CHUNK + 5)
+    assert bits(attributes(mf, gx.size).centroid) == bits((gx * mus).sum() / mus.sum())
 
 
 sampled_ends = st.floats(-60, 80)

@@ -2,8 +2,7 @@
 run enumerators (``runs``, ``ladder_runs``, ``level_runs``) against masks."""
 
 import numpy as np
-import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from intervalagreement import Sampled, alpha_cut, alpha_length
@@ -98,50 +97,20 @@ def test_dispatch_and_multi_alpha_agree():
 
 
 @given(st.lists(st.booleans(), max_size=80))
+@example([])
+@example([True])
+@example([False])
 def test_runs_rebuild_mask(bits):
     mask = np.array(bits, dtype=bool)
     starts, stops = runs(mask)
+    # intp even with no interior edge: ladder_runs slices with them
+    assert starts.dtype == stops.dtype == np.intp
     rebuilt = np.zeros(mask.size, dtype=bool)
     for a, b in zip(starts, stops):
         rebuilt[a:b] = True
     assert np.array_equal(rebuilt, mask)
     # maximal runs: each non-empty, separated from the next by a False
     assert (stops > starts).all() and (starts[1:] > stops[:-1]).all()
-
-
-def loop_runs(bits):
-    """(starts, stops) of each run of True, one element at a time."""
-    starts, stops = [], []
-    for i, bit in enumerate(bits):
-        if bit and (i == 0 or not bits[i - 1]):
-            starts.append(i)
-        if bit and (i == len(bits) - 1 or not bits[i + 1]):
-            stops.append(i + 1)
-    return starts, stops
-
-
-@pytest.mark.parametrize(
-    "bits",
-    [
-        [],
-        [True],
-        [False],
-        [True, True],
-        [False, False],
-        [True, False],
-        [False, True],
-        [True] * 5,
-        [False] * 5,
-        [True, False, False, True],
-        [False, True, True, False],
-        [True, False, True, False, True],
-    ],
-)
-def test_runs_match_a_loop_and_stay_intp(bits):
-    starts, stops = runs(np.array(bits, dtype=bool))
-    # intp even with no interior edge: ladder_runs slices with them
-    assert starts.dtype == stops.dtype == np.intp
-    assert (starts.tolist(), stops.tolist()) == loop_runs(bits)
 
 
 def _rebuilt_masks(keys, starts, stops, size, length):
