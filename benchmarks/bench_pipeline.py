@@ -18,7 +18,8 @@ Sections:
 * ``report_cells``: ``survey.report`` (exact, 1001 samples) on one seeded
   50,000-row survey of 4 groups, with 5, 50 and 625 terms (25, 250 and
   3,125 cells; 2,500, 250 and 20 participants per cell). Loading is not
-  timed.
+  timed. Its ``samples_sweep`` runs the 25-cell survey at each of
+  REPORT_SAMPLES samples, and adds the ``tracemalloc`` peak of one more call.
 * ``load``: ``survey.load_survey`` on the 5-term survey above (50,000 rows)
   as it is, with one row of blanks after the header, with a reversed last
   row, with a repeat of the first row at the end and with every name field
@@ -42,6 +43,7 @@ call (``ru_minflt``), which count fresh memory the calls touched.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -51,6 +53,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +69,7 @@ from intervalagreement.cli import parse_interval_lines  # noqa: E402
 ROWS = 50_000
 GROUPS = 4
 TERM_COUNTS = (5, 50, 625)
+REPORT_SAMPLES = (1_001, 100_001, 1_000_001)
 SEED = 20_201_115
 REPEATS = 7
 LINES = 200_000
@@ -98,6 +102,21 @@ def report_cells() -> list[dict]:
         rep = survey.report(ds)  # warm-up
         cells = len(rep.rows) + len(rep.skipped)
         points.append({"terms": terms, "cells": cells, **repeated(lambda: survey.report(ds))})
+    return points
+
+
+def report_samples() -> list[dict]:
+    ds = survey.load_survey(io.StringIO(survey_text(TERM_COUNTS[0])))
+    points = []
+    for n in REPORT_SAMPLES:
+        run = functools.partial(survey.report, ds, samples=n)
+        run()  # warm-up
+        point = {"samples": n, **repeated(run)}
+        tracemalloc.start()
+        run()
+        point["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+        tracemalloc.stop()
+        points.append(point)
     return points
 
 
@@ -229,7 +248,7 @@ def main(argv=None) -> int:
         "machine": machine(),
         "report_cells": {
             "rows": ROWS, "groups": GROUPS, "samples": survey.DEFAULT_SAMPLES,
-            "points": report_cells(),
+            "points": report_cells(), "samples_sweep": report_samples(),
         },
         "load": {"rows": ROWS, "lines": LINES, "cases": load()},
         "alpha": {"cuts": ALPHA_CUTS, "cases": alpha()},
@@ -240,6 +259,10 @@ def main(argv=None) -> int:
     for p in entry["report_cells"]["points"]:
         print(f"{args.label}: report, {p['cells']:5d} cells: best {p['best_s'] * 1e3:8.2f} ms, "
               f"median {p['median_s'] * 1e3:8.2f} ms")
+    for p in entry["report_cells"]["samples_sweep"]:
+        print(f"{args.label}: report, 25 cells, {p['samples']:7d} samples: best "
+              f"{p['best_s'] * 1e3:8.2f} ms, median {p['median_s'] * 1e3:8.2f} ms, "
+              f"tracemalloc peak {p['tracemalloc_peak_mb']:7.2f} MB")
     for c in entry["load"]["cases"]:
         print(f"{args.label}: load {c['input']} {c['case']}: best {c['best_s'] * 1e3:8.2f} ms, "
               f"median {c['median_s'] * 1e3:8.2f} ms, raises {c['raises']} at line {c['line']}")

@@ -20,6 +20,10 @@ from .intervals import IntervalCollection, level_lengths, run_sums
 
 __all__ = ["GammaTerm", "GammaBreakdown", "gamma_exact", "gamma_alpha", "jaccard"]
 
+DEFAULT_CUTS = 10
+NO_WIDTH = "every source has zero width; no lengths to compare"
+EMPTY_CUT = "the lowest alpha-cut (alpha = 1/{}) has zero length; no lengths to compare"
+
 
 @dataclass(frozen=True)
 class GammaTerm:
@@ -60,37 +64,41 @@ class GammaBreakdown:
         )
 
 
-def gamma_sums(lengths: np.ndarray, weights: np.ndarray, size: np.ndarray):
-    """Ratios and γ numerators of cells whose level lengths and weights lie
-    cell after cell, ``size`` per cell, lowest level first. A level's ratio is
-    its length over the one below's, or 0 where that has no length or the
-    level is its cell's first; the weighted ratios of a cell are added left to
-    right from 0.0 (``run_sums``), as ``np.cumsum`` adds them."""
+def gamma_sums(lengths: np.ndarray, size: np.ndarray):
+    """γ, ratios, weights and weight sums of cells whose level lengths lie cell
+    after cell, ``size`` per cell, lowest level first. A ratio is a length over
+    the one below's, or 0 where that has no length or the level is its cell's
+    first; a cell's weighted ratios are added left to right from 0.0
+    (``run_sums``), as ``np.cumsum`` adds them, over its pairwise weight sum."""
+    sizes = size.tolist()
+    table = {c: np.arange(1, c + 1) / c for c in set(sizes)}  # level i of c weighs i/c
+    sums = {c: w[1:].sum() for c, w in table.items()}
+    # one cell keeps its table: a copy read 0.3-0.5 MB more gamma-large peak RSS
+    weights = table[sizes[0]] if len(sizes) == 1 else np.concatenate([table[c] for c in sizes])
+    weight_sum = np.array([sums[c] for c in sizes])
     prev = lengths[:-1]
     below = prev > 0.0
     below[np.cumsum(size)[:-1] - 1] = False  # a cell's first level is over the last cell's top
     ratios = np.divide(lengths[1:], prev, out=np.zeros(prev.size), where=below)
     cell = np.repeat(np.arange(size.size), size)[1:]
-    return ratios, run_sums(cell, weights[1:] * ratios, size.size)
+    return run_sums(cell, weights[1:] * ratios, size.size) / weight_sum, ratios, weights, weight_sum
 
 
-def _breakdown(lengths: np.ndarray, weights: np.ndarray) -> GammaBreakdown:
-    """Assemble the ratio from level lengths (index 0 = lowest level): the
-    ``gamma_sums`` numerator over the weight sum (``np.sum`` is pairwise, and
-    builtin ``sum`` compensates from Python 3.12 on)."""
+def _breakdown(lengths: np.ndarray, empty: str = NO_WIDTH) -> GammaBreakdown:
+    """Assemble the ratio from level lengths (index 0 = lowest level) with
+    ``gamma_sums``; a lowest length of 0 raises EmptySupport(``empty``)."""
     lengths = np.asarray(lengths, dtype=np.float64)
     if lengths[0] == 0.0:
-        raise EmptySupport("every source has zero width; no lengths to compare")
-    ratios, (num,) = gamma_sums(lengths, weights, np.array([lengths.size]))
-    weight_sum = float(weights[1:].sum())
-    return GammaBreakdown(float(num / weight_sum), lengths, weights[1:], ratios, weight_sum)
+        raise EmptySupport(empty)
+    (gamma,), ratios, weights, (weight_sum,) = gamma_sums(lengths, np.array([lengths.size]))
+    return GammaBreakdown(float(gamma), lengths, weights[1:], ratios, float(weight_sum))
 
 
 def gamma_exact(coll: IntervalCollection) -> GammaBreakdown:
     """Agreement ratio of an interval collection, from exact level-set lengths."""
     if coll.n < 2:
         raise TooFewSources(f"agreement needs at least 2 intervals, got {coll.n}")
-    return _breakdown(level_lengths(coll), np.arange(1, coll.n + 1) / coll.n)
+    return _breakdown(level_lengths(coll))
 
 
 def _check_cuts(cuts: int):
@@ -100,7 +108,7 @@ def _check_cuts(cuts: int):
 
 def gamma_alpha(
     mf: MembershipFunction,
-    cuts: int = 10,
+    cuts: int = DEFAULT_CUTS,
     samples: int = DEFAULT_SAMPLES,
     method: str = "auto",
 ) -> GammaBreakdown:
@@ -110,11 +118,12 @@ def gamma_alpha(
     aggregation-built step function with cuts equal to the participant count
     this reproduces gamma_exact. Cut lengths come from ``alpha_lengths``:
     closed forms for step, piecewise-linear and Gaussian shapes, unless
-    method="sampled" forces the discretised scan.
+    method="sampled" forces the discretised scan. A lowest cut of zero length
+    raises EmptySupport naming that cut.
     """
     _check_cuts(cuts)
-    alphas = np.arange(1, cuts + 1) / cuts
-    return _breakdown(alpha_lengths(mf, alphas, samples=samples, method=method), alphas)
+    lengths = alpha_lengths(mf, np.arange(1, cuts + 1) / cuts, samples=samples, method=method)
+    return _breakdown(lengths, EMPTY_CUT.format(cuts))
 
 
 def jaccard(

@@ -28,9 +28,9 @@ from operator import contains
 import numpy as np
 
 from . import survey as survey_mod
-from .agreement import GammaBreakdown
+from .agreement import DEFAULT_CUTS, GammaBreakdown
 from .errors import AgreementError, ParseError
-from .fuzzyset import attributes
+from .fuzzyset import DEFAULT_SAMPLES, attributes
 from .iaa import build_iaa
 from .intervals import Interval, IntervalCollection, endpoint_arrays, plain, read_interval
 
@@ -68,20 +68,6 @@ def parse_interval_lines(text: str) -> IntervalCollection:
                 raise ParseError(f"expected 'l,r', got {raw[i]!r}", line=i + 1)
             read_interval(*parts, i + 1, raw[i])
     return IntervalCollection._from_arrays(ls, rs)
-
-
-def _parse_each_line(text: str) -> list[Interval]:
-    """The per-line parser: validates one line at a time, in order."""
-    intervals = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
-            raise ParseError(f"expected 'l,r', got {raw!r}", line=lineno)
-        intervals.append(read_interval(*parts, lineno, raw))
-    return intervals
 
 
 def _source(path: str):
@@ -182,8 +168,9 @@ def _number_type(read, low, high):
 _FLAGS = {
     "--input": dict(default="-", metavar="PATH|-", help="input file or - for stdin"),
     "--mode": dict(choices=["exact", "alpha"], default="exact"),
-    "--alpha-cuts": dict(type=_number_type(int, 2, MAX_ALPHA_CUTS), default=10, metavar="K"),
-    "--samples": dict(type=_number_type(int, 2, MAX_SAMPLES), default=1001, metavar="S"),
+    "--alpha-cuts": dict(type=_number_type(int, 2, MAX_ALPHA_CUTS), default=DEFAULT_CUTS,
+                         metavar="K"),
+    "--samples": dict(type=_number_type(int, 2, MAX_SAMPLES), default=DEFAULT_SAMPLES, metavar="S"),
     "--scale": dict(type=_number_type(float, -math.inf, math.inf), nargs=2, metavar=("LO", "HI")),
     "--format": dict(choices=["csv", "json"], default="csv"),
     "--input-format": dict(choices=["csv", "json"], default="csv"),

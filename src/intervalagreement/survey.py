@@ -19,16 +19,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .agreement import GammaBreakdown, _check_cuts, gamma_alpha, gamma_exact, gamma_sums
+from .agreement import (DEFAULT_CUTS, EMPTY_CUT, NO_WIDTH, GammaBreakdown, _check_cuts,
+                        gamma_alpha, gamma_exact, gamma_sums)
 from .errors import (
-    AgreementError,
+    EmptySet,
+    EmptySupport,
     ParseError,
     RangeError,
     TooFewSources,
     UnknownGroup,
     UnknownTerm,
 )
-from .fuzzyset import DEFAULT_SAMPLES, _check_samples, attributes, step_values
+from .fuzzyset import DEFAULT_SAMPLES, ZERO_MEMBERSHIP, _check_samples, step_values, walk_linspace
 from .iaa import build_iaa
 from .intervals import (
     Interval,
@@ -421,7 +423,7 @@ BLOCK_POINTS = 1 << 14  # grid points, plus α-cuts in alpha mode
 def report(
     ds: SurveyDataset,
     mode: str = "exact",
-    alpha_cuts: int = 10,
+    alpha_cuts: int = DEFAULT_CUTS,
     samples: int = DEFAULT_SAMPLES,
 ) -> AgreementReport:
     """Tabulate attributes and agreement per cell, for each stored group and "ALL".
@@ -431,7 +433,8 @@ def report(
     in alpha mode, ``alpha_cuts`` are checked first. A row holds, to the bit,
     what ``attributes`` and ``cell_gamma`` give on the cell's collection, and
     a cell raises their first error, with ``.cell`` set to (group, term).
-    Blocks of whole cells are measured together (``_report_block``).
+    Blocks of whole cells are measured together (``_report_block``), their
+    centroid grids walked in chunks: memory is bounded at any ``samples``.
     """
     _check_samples(samples)
     _check_mode(mode)
@@ -460,7 +463,8 @@ def report(
 def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow]:
     """Rows of cells whose responses lie cell after cell in ``ls`` and ``rs``,
     ``n`` per cell: the cells' sweeps are concatenated, and each later step
-    runs once over them all, adding what the per-cell path adds, in order."""
+    runs once over them all, adding what the per-cell path adds, in order. The
+    centroid grids, a row per cell, are walked in chunks (``walk_linspace``)."""
     ends = np.cumsum(n)
     colls = [IntervalCollection._from_arrays(ls[e - c:e], rs[e - c:e])
              for e, c in zip(ends.tolist(), n.tolist())]
@@ -474,18 +478,13 @@ def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow
     pos = counts[:-1] > 0  # support: a cell's covered widths, each cell's sum pairwise
     per = np.cumsum(np.bincount(cell[:-1][pos], minlength=n.size))[:-1]
     support = [float(w.sum()) for w in np.split(np.diff(coords)[pos], per)]
-    lo, hi = coords[first], coords[first + m - 1]
-    xs = np.empty((n.size, samples))
-    flat = (hi - lo) / (samples - 1) == 0.0  # a zero step switches linspace's method for all rows
-    for part in (flat, ~flat) if flat.any() else (slice(None),):
-        xs[part] = np.linspace(lo[part], hi[part], samples, axis=1)
     # a grid point is in the cell of the last left edge at or before it, or, with no
     # edge (m = 1, at = 0), reads its cell's closing 0 count
-    at = np.stack([np.searchsorted(c.coverage[0][:-1], x, side="right") for c, x in zip(colls, xs)])
-    interior = at >= 2
-    at += (first - (m > 1))[:, None]
-    mus = step_values(coords, levels, xs, at, interior)
-    weight = mus.sum(axis=1)
+    def chunk(xs, a, b):
+        at = np.stack([np.searchsorted(c.coverage[0][:-1], x, "right") for c, x in zip(colls, xs)])
+        mus = step_values(coords, levels, xs, at + (first - (m > 1))[:, None], at >= 2)
+        return mus.sum(axis=1), np.multiply(xs, mus, out=xs).sum(axis=1)
+    weight, moment = walk_linspace(coords[first, None], coords[first + m - 1, None], samples, chunk)
     compared, size = lengths, n  # the lengths γ compares: every level's, or every cut's
     if mode == "alpha":  # cut i is level k, the first with k/n >= i/alpha_cuts
         alphas = np.arange(1, alpha_cuts + 1) / alpha_cuts
@@ -495,19 +494,13 @@ def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow
         size = np.full(n.size, alpha_cuts)
     lowest = compared[np.cumsum(size) - size]
     for c in np.flatnonzero((weight == 0.0) | (lowest == 0.0))[:1].tolist():
-        try:  # the first cell to fail raises what its own collection raises first
-            attributes(build_iaa(colls[c]), samples), cell_gamma(colls[c], mode, alpha_cuts)
-        except AgreementError as exc:
-            exc.cell = names[c]
-            raise
-    weights = ranges(np.ones_like(size), size + 1) / np.repeat(size, size)  # i/size at level i
-    _, num = gamma_sums(compared, weights, size)
-    weight_sum = {c: (np.arange(1, c + 1) / c)[1:].sum() for c in set(size.tolist())}  # pairwise
-    gamma = num / np.array([weight_sum[c] for c in size.tolist()])
-    centroid = np.multiply(xs, mus, out=xs).sum(axis=1) / weight
+        empty = NO_WIDTH if mode == "exact" else EMPTY_CUT.format(alpha_cuts)
+        exc = EmptySet(ZERO_MEMBERSHIP) if weight[c] == 0.0 else EmptySupport(empty)
+        exc.cell = names[c]
+        raise exc
     return list(map(ReportRow, *zip(*names), np.maximum.reduceat(levels, first).tolist(),
-                    centroid.tolist(), gamma.tolist(), support, lengths[ends - 1].tolist(),
-                    n.tolist()))
+                    (moment / weight).tolist(), gamma_sums(compared, size)[0].tolist(), support,
+                    lengths[ends - 1].tolist(), n.tolist()))
 
 
 def emit_series(

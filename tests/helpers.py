@@ -110,6 +110,24 @@ def oracle_load_survey(text, format="csv", scale=None):
     return tuple(rec for rec, _ in numbered)
 
 
+def parse_each_line(text):
+    """The per-line interval parser ``cli.parse_interval_lines`` must agree with:
+    validates one line at a time, in order, and returns the Interval list."""
+    from intervalagreement.errors import ParseError
+    from intervalagreement.intervals import read_interval
+
+    intervals = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 2:
+            raise ParseError(f"expected 'l,r', got {raw!r}", line=lineno)
+        intervals.append(read_interval(*parts, lineno, raw))
+    return intervals
+
+
 def oracle_level_sets(coll):
     """The per-level region builder ``level_sets`` must agree with: for each
     level k, the maximal runs of coverage cells with count >= k, merged into

@@ -131,8 +131,7 @@ def test_criterion_3_oracle_equivalence():
                 oracle_lengths = np.array(
                     [tuple_length_oracle(coll, k) for k in range(1, coll.n + 1)]
                 )
-                weights = np.arange(1, coll.n + 1) / coll.n
-                via_oracle = _breakdown(oracle_lengths, weights).gamma
+                via_oracle = _breakdown(oracle_lengths).gamma
                 assert abs(via_sweep - via_oracle) <= 1e-9
         assert time.perf_counter() - start < 5.0
 
@@ -223,8 +222,7 @@ def test_criterion_7_report_golden_file():
             oracle_lengths = np.array(
                 [tuple_length_oracle(coll, k) for k in range(1, coll.n + 1)]
             )
-            weights = np.arange(1, coll.n + 1) / coll.n
-            assert abs(row.gamma - _breakdown(oracle_lengths, weights).gamma) <= 1e-9
+            assert abs(row.gamma - _breakdown(oracle_lengths).gamma) <= 1e-9
 
 
 def test_criterion_8_cli_determinism():

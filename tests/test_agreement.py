@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from intervalagreement import (
@@ -21,7 +21,7 @@ from intervalagreement import (
     make_interval,
     triangular,
 )
-from intervalagreement.agreement import _breakdown
+from intervalagreement.agreement import _breakdown, gamma_sums
 from intervalagreement.intervals import tuple_length_oracle
 
 from helpers import FIG_FULLCORE, FIG_NONCONVEX, FIG_OVERLAP, finite_intervals, lattice_intervals
@@ -162,6 +162,43 @@ def test_gamma_alpha_validation():
         gamma_alpha(flat, cuts=2)
 
 
+EMPTY_ALPHA_2 = "the lowest alpha-cut (alpha = 1/2) has zero length; no lengths to compare"
+
+
+def test_gamma_alpha_names_the_empty_lowest_cut():
+    """[3, 7] has width 4, but no point reaches the lowest cut, alpha = 1/2;
+    the exact mode compares level lengths and reads 0."""
+    fs = build_iaa(collection([(2, 2), (5, 5), (3, 7)]))
+    with pytest.raises(EmptySupport) as exc:
+        gamma_alpha(fs, cuts=2)
+    assert str(exc.value) == EMPTY_ALPHA_2
+    assert gamma_exact(collection([(2, 2), (5, 5), (3, 7)])).gamma == 0.0
+    with pytest.raises(EmptySupport, match="^every source has zero width; no lengths to compare$"):
+        gamma_exact(collection([(3, 3), (4, 4)]))
+
+
+@given(st.lists(st.integers(2, 60), min_size=1, max_size=8), st.integers(0, 2**32))
+@example([13, 2, 13], 0)  # at 13 levels the pairwise weight sum is not the exactly rounded one
+def test_gamma_sums_of_cells_equal_each_cells_breakdown(size, seed):
+    """Cells of mixed sizes, zero lengths included: each cell's γ, ratios,
+    weights and weight sum are its own breakdown's, to the bit; a cell's
+    weights are ``np.arange(1, c + 1) / c``, and its weight sum their pairwise
+    ``np.sum`` from level 2 on."""
+    rng = np.random.default_rng(seed)
+    cells = [np.sort(rng.uniform(0, 5, c) * (rng.random(c) < 0.8))[::-1] for c in size]
+    for lengths in cells:
+        lengths[0] = max(lengths[0], 0.5)
+    gamma, ratios, weights, weight_sum = gamma_sums(np.concatenate(cells), np.array(size))
+    starts = np.cumsum(size) - size
+    for c, lengths in enumerate(cells):
+        b = _breakdown(lengths)
+        at = slice(starts[c], starts[c] + size[c])
+        assert gamma[c] == b.gamma and weight_sum[c] == b.weight_sum
+        assert np.array_equal(weights[at], np.arange(1, size[c] + 1) / size[c])
+        assert weight_sum[c] == (np.arange(1, size[c] + 1) / size[c])[1:].sum()
+        assert np.array_equal(ratios[starts[c]:starts[c] + size[c] - 1], b.ratios)
+
+
 def test_gamma_alpha_sampled_path_close_to_exact():
     coll = collection(FIG_FULLCORE)
     fs = build_iaa(coll)
@@ -204,7 +241,7 @@ def test_gamma_bounded_and_matches_oracle(pairs):
     oracle_lengths = np.array(
         [tuple_length_oracle(coll, k) for k in range(1, coll.n + 1)]
     )
-    via_oracle = _breakdown(oracle_lengths, np.arange(1, coll.n + 1) / coll.n)
+    via_oracle = _breakdown(oracle_lengths)
     assert b.gamma == pytest.approx(via_oracle.gamma, abs=1e-9)
 
 

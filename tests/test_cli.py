@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import io
 import json
 import os
@@ -11,17 +12,19 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from intervalagreement import build_iaa, cli, collection, gamma_alpha, gamma_exact
+from intervalagreement import attributes, build_iaa, cli, collection, gamma_alpha, gamma_exact
+from intervalagreement.agreement import DEFAULT_CUTS
 from intervalagreement.cli import (
-    _parse_each_line,
     _print_breakdown,
     build_parser,
     main,
     parse_interval_lines,
 )
 from intervalagreement.errors import AgreementError, InvalidInterval, ParseError
+from intervalagreement.fuzzyset import DEFAULT_SAMPLES
+from intervalagreement.survey import report
 
-from helpers import finite_intervals, lattice_intervals, oracle_print_breakdown
+from helpers import finite_intervals, lattice_intervals, oracle_print_breakdown, parse_each_line
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "survey_fixture.csv"
@@ -122,7 +125,7 @@ def test_parse_interval_lines_matches_per_line_parser(lines):
     except AgreementError as exc:
         got = (type(exc), str(exc), exc.line)
     try:
-        want = _parse_each_line(text)
+        want = parse_each_line(text)
     except AgreementError as exc:
         assert got == (type(exc), str(exc), exc.line)
         return
@@ -182,6 +185,35 @@ def test_print_breakdown_matches_per_line_printer(pairs, cuts):
         _print_breakdown(breakdown, got)
         oracle_print_breakdown(breakdown, want)
         assert got.getvalue() == want.getvalue()
+
+
+def test_gamma_alpha_mode_names_the_empty_lowest_cut():
+    """[3, 7] has width 4: the fault is the empty lowest cut, alpha = 1/2, and
+    the exact mode reads 0."""
+    proc = run_cli("gamma", "--mode", "alpha", "--alpha-cuts", "2", stdin="2,2\n5,5\n3,7\n")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: the lowest alpha-cut (alpha = 1/2) has zero length; no lengths to compare\n"
+    )
+    proc = run_cli("gamma", stdin="2,2\n5,5\n3,7\n")
+    assert (proc.returncode, proc.stdout.splitlines()[0]) == (0, "0.000000")
+
+
+def test_parser_defaults_are_the_library_defaults():
+    (subparsers,) = [a.choices for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    defaults = {flag: DEFAULT_SAMPLES if flag == "--samples" else DEFAULT_CUTS
+                for flag in ("--samples", "--alpha-cuts")}
+    for name, p in subparsers.items():
+        for action in p._actions:
+            for flag in set(action.option_strings) & defaults.keys():
+                assert action.default == defaults[flag], (name, flag)
+    assert (DEFAULT_SAMPLES, DEFAULT_CUTS) == (1001, 10)  # printed outputs depend on both
+    signature = inspect.signature
+    assert signature(gamma_alpha).parameters["cuts"].default == DEFAULT_CUTS
+    assert signature(report).parameters["alpha_cuts"].default == DEFAULT_CUTS
+    assert signature(report).parameters["samples"].default == DEFAULT_SAMPLES
+    assert signature(attributes).parameters["samples"].default == DEFAULT_SAMPLES
 
 
 def test_gamma_alpha_mode(intervals_file, capsys):

@@ -27,6 +27,7 @@ from intervalagreement.fuzzyset import (
     pairwise_sums,
     sample_grid,
     walk_grid,
+    walk_linspace,
 )
 
 from helpers import all_vertex_membership
@@ -71,6 +72,32 @@ def test_linspace_at_matches_linspace(lo, hi, samples, data):
     picks = np.random.default_rng(samples).integers(0, samples, 50)
     picks[::7] = samples - 1
     assert np.array_equal(bits(linspace_at(lo, hi, samples, picks)), bits(want[picks]))
+
+
+@given(st.lists(st.tuples(ends, ends), min_size=1, max_size=5), st.integers(2, 3 * GRID_CHUNK),
+       st.data())
+@example([(0.0, 1e-321), (2.03, 9.81)], 1001, None)  # only the first row's step underflows
+@example([(2.03, 9.81), (0.0, 5e-324), (-0.0, 0.0)], 2, None)
+def test_linspace_at_takes_each_rows_own_rule(pairs, samples, data):
+    """Column ends give a row each, each by the rule its own ``np.linspace``
+    takes; one ``np.linspace`` over the columns would switch every row's rule."""
+    lo, hi = (np.array(col)[:, None] for col in zip(*pairs))
+    a, b = 0, samples
+    if data is not None:
+        a, b = sorted(data.draw(st.integers(0, samples)) for _ in "ab")
+    got = linspace_at(lo, hi, samples, np.arange(a, b, dtype=np.float64))
+    assert got.shape == (len(pairs), b - a)
+    for row, (l, h) in zip(got, pairs):
+        assert np.array_equal(bits(row), bits(np.linspace(l, h, samples)[a:b]))
+
+
+def test_walk_linspace_sums_each_row_as_np_sum():
+    lo, hi = np.array([[0.0], [-3.0], [0.0]]), np.array([[1e-321], [7.25], [1.0 / 3.0]])
+    for n in CHUNK_SIZES:
+        rows = [np.linspace(l, h, n) for l, h in zip(lo[:, 0], hi[:, 0])]
+        got = walk_linspace(lo, hi, n, lambda xs, a, b: (xs.sum(axis=1), (xs * xs).sum(axis=1)))
+        want = [[np.sum(x) for x in rows], [np.sum(x * x) for x in rows]]
+        assert np.array_equal(bits(got), bits(want))
 
 
 def _values(kind: str, n: int, seed: int) -> np.ndarray:

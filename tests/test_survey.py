@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import tracemalloc
 from io import BytesIO, StringIO
 from pathlib import Path
 from unittest.mock import patch
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from intervalagreement import (
     AgreementError,
     EmptySet,
+    EmptySupport,
     Interval,
     InvalidCuts,
     InvalidInterval,
@@ -518,12 +520,14 @@ def _responses(draw):
     _responses(),
     st.sampled_from(["exact", "alpha"]),
     st.integers(2, 30),
-    st.integers(2, 3000),
+    st.one_of(st.integers(2, 3000), st.sampled_from([32_769, 40_000, 65_537])),
     st.integers(2, 60),
-    st.integers(2, 20_000),
+    st.one_of(st.integers(2, 20_000), st.just(1 << 20)),
 )
 def test_report_matches_per_cell_loop(responses, mode, alpha_cuts, samples, intervals, points):
-    """Small block budgets make many blocks, and cells larger than a block."""
+    """Small block budgets make many blocks, and cells larger than a block;
+    over 32,768 samples a row spans several grid chunks, and a budget of 2^20
+    points puts several such rows in one block."""
     ds = load_survey(StringIO(_survey_text(responses)))
     with patch.object(survey, "BLOCK_INTERVALS", intervals), patch.object(
         survey, "BLOCK_POINTS", points
@@ -577,6 +581,58 @@ def test_report_names_the_first_cell_to_fail():
     with pytest.raises(EmptySet) as exc:
         report(ds)
     assert exc.value.cell == ("Patient", "ED")
+
+
+def test_report_alpha_mode_names_the_empty_lowest_cut():
+    """Patient/ED's [3, 7] has width 4, but its agreement set never reaches
+    the lowest of 2 cuts, alpha = 1/2: it raises EmptySupport naming that cut,
+    as ``gamma_alpha`` on its own collection does."""
+    text = (
+        "group,participant_id,term,l,r\n"
+        "Patient,P1,ITD,1,4\nPatient,P2,ITD,2,3.3\n"
+        "Patient,P1,ED,2,2\nPatient,P2,ED,5,5\nPatient,P3,ED,3,7\n"
+    )
+    ds = load_survey(StringIO(text))
+    _assert_same_report(ds, "alpha", 2, 1001)
+    with pytest.raises(EmptySupport) as exc:
+        report(ds, mode="alpha", alpha_cuts=2)
+    assert exc.value.cell == ("Patient", "ED")
+    assert str(exc.value) == (
+        "the lowest alpha-cut (alpha = 1/2) has zero length; no lengths to compare"
+    )
+    assert [row.gamma for row in report(ds).rows if row.term == "ED"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("mode", ["exact", "alpha"])
+def test_report_matches_per_cell_loop_in_blocks_of_several_chunks(mode):
+    """One block of every cell, each row 65,537 grid points (three chunks):
+    ITD's grid step, 1e-321 / 65,536, underflows to 0, and MD's coordinates
+    hold both signs of zero."""
+    text = (
+        "group,participant_id,term,l,r\n"
+        "Patient,P1,ITD,0,1e-321\nPatient,P2,ITD,0,1e-321\n"
+        "Patient,P1,ED,2.03,2.62\nPatient,P2,ED,2.8,7.5\nPatient,P3,ED,4.85,9.81\n"
+        "Patient,P1,MD,-0.0,1.5\nPatient,P2,MD,0,2\nPatient,P3,MD,-0,0\n"
+        "Surgeon,S1,MD,0,3\nSurgeon,S2,MD,-0.0,0.25\nSurgeon,S1,ED,1,4\nSurgeon,S2,ED,2,2\n"
+    )
+    ds = load_survey(StringIO(text))
+    with patch.object(survey, "BLOCK_POINTS", 1 << 30):
+        _assert_same_report(ds, mode, 3, 65_537)
+        assert len(report(ds, mode=mode, alpha_cuts=3, samples=65_537).rows) == 8
+
+
+def test_report_memory_is_bounded_at_any_samples():
+    """The centroid grids are walked in chunks: at 4,000,001 samples a whole
+    row would be 32 MB."""
+    ds = load_survey(FIXTURE)
+    tracemalloc.start()
+    try:
+        rep = report(ds, samples=4_000_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.rows) == 8
+    assert peak < 8e6
 
 
 THIN = "group,participant_id,term,l,r\nPatient,P01,ITD,0,1\nSurgeon,S01,ED,2,3\n"
