@@ -28,12 +28,19 @@ Sections:
   reversed last line. The bad inputs raise, and the error's type and line
   are kept.
 * ``alpha``: ``attributes`` of a Gaussian, a triangle, a trapezoid, a
-  POLYLINE_VERTICES-vertex ``PiecewiseLinear`` and a seeded noisy ``Sampled``
-  grid, ``jaccard`` of the triangle and the trapezoid and of the polyline and
-  the triangle, and the ``Sampled`` grid's ALPHA_CUTS-cut ``alpha_lengths``,
+  POLYLINE_VERTICES-vertex ``PiecewiseLinear``, a seeded noisy ``Sampled``
+  grid and seeded step functions of each of STEP_BREAKPOINTS breakpoints,
+  ``jaccard`` of the triangle and the trapezoid and of the polyline and the
+  triangle, and the ``Sampled`` grid's ALPHA_CUTS-cut ``alpha_lengths``,
   at each of ALPHA_SAMPLES samples. The triangle and trapezoid are evaluated
   by slices of each grid chunk, the polyline (under 2,048 grid points per
   vertex at each of these sample counts) by ``np.interp``.
+* ``gamma``: the stages of ``iaa gamma`` on each of GAMMA_LINES seeded
+  interval lines: ``cli.parse_interval_lines``, ``gamma_exact`` (on a fresh
+  collection each call, so its coverage sweep is timed) and
+  ``cli._print_breakdown`` of the exact breakdown and of the GAMMA_CUTS-cut
+  ``gamma_alpha`` one, printed to ``os.devnull``; each print adds the
+  ``tracemalloc`` peak of one more call.
 
 Every case is run REPEATS times after one warm-up, and keeps the best, the
 quartiles and the median of those calls, and their minor page faults per
@@ -62,9 +69,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import intervalagreement as ia  # noqa: E402
-from intervalagreement import AgreementError, survey  # noqa: E402
+from intervalagreement import AgreementError, IntervalCollection, survey  # noqa: E402
 from intervalagreement.fuzzyset import alpha_lengths  # noqa: E402
-from intervalagreement.cli import parse_interval_lines  # noqa: E402
+from intervalagreement.cli import _print_breakdown, parse_interval_lines  # noqa: E402
 
 ROWS = 50_000
 GROUPS = 4
@@ -76,6 +83,9 @@ LINES = 200_000
 ALPHA_SAMPLES = (10_001, 100_001, 1_000_001)
 ALPHA_CUTS = 20
 POLYLINE_VERTICES = 4_000
+STEP_BREAKPOINTS = (8, 5_000)
+GAMMA_LINES = (20_000, 200_000, 1_000_000)
+GAMMA_CUTS = 10_000
 
 
 def survey_text(terms: int, seed: int = SEED) -> str:
@@ -120,10 +130,10 @@ def report_samples() -> list[dict]:
     return points
 
 
-def interval_text(seed: int = SEED) -> str:
-    """LINES interval lines ``l,r``, endpoints on [0, 100] rounded to 0.01."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, LINES]))
-    pairs = np.sort(rng.uniform(0.0, 100.0, size=(LINES, 2)), axis=1)
+def interval_text(lines: int = LINES, seed: int = SEED) -> str:
+    """``lines`` interval lines ``l,r``, endpoints on [0, 100] rounded to 0.01."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, lines]))
+    pairs = np.sort(rng.uniform(0.0, 100.0, size=(lines, 2)), axis=1)
     return "".join(f"{l:.2f},{r:.2f}\n" for l, r in pairs)
 
 
@@ -194,6 +204,13 @@ def polyline() -> ia.PiecewiseLinear:
     return ia.PiecewiseLinear(xs, (1.0 + np.sin(7.0 * xs)) / 2.0)
 
 
+def step(breakpoints: int, seed: int = SEED) -> ia.PiecewiseConstant:
+    """Seeded ascending breakpoints on [0, 9], each cell's level k/8 for a seeded k."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, breakpoints]))
+    bp = np.unique(rng.uniform(0.0, 9.0, breakpoints))
+    return ia.PiecewiseConstant(bp, rng.integers(0, 9, bp.size - 1) / 8)
+
+
 def alpha() -> list[dict]:
     shapes = {
         "gaussian": ia.Gaussian(5.0, 1.0),
@@ -201,6 +218,7 @@ def alpha() -> list[dict]:
         "trapezoid": ia.trapezoidal(0.0, 2.0, 6.0, 9.0),
         "polyline": polyline(),
         "sampled": ia.Sampled(*sampled_grid()),
+        **{f"step {m}": step(m) for m in STEP_BREAKPOINTS},
     }
     ladder = np.arange(1, ALPHA_CUTS + 1) / ALPHA_CUTS
     cases = []
@@ -213,6 +231,36 @@ def alpha() -> list[dict]:
         for case, run in calls.items():
             run()  # warm-up
             cases.append({"case": case, "samples": n, **repeated(run)})
+    return cases
+
+
+def gamma() -> list[dict]:
+    cases = []
+    with open(os.devnull, "w") as sink:
+        for n in GAMMA_LINES:
+            text = interval_text(n)
+            coll = parse_interval_lines(text)
+            breakdowns = {
+                "print exact": ia.gamma_exact(coll),
+                "print alpha": ia.gamma_alpha(ia.build_iaa(coll), cuts=GAMMA_CUTS),
+            }
+            ends = coll.endpoints()
+            calls = {
+                "parse": lambda: parse_interval_lines(text),
+                # a fresh collection each call: a collection keeps its coverage sweep
+                "gamma_exact": lambda: ia.gamma_exact(IntervalCollection._from_arrays(*ends)),
+                **{case: functools.partial(_print_breakdown, bd, sink) for case, bd in breakdowns.items()},
+            }
+            for case, run in calls.items():
+                run()  # warm-up
+                point = {"case": case, "lines": n, **repeated(run)}
+                if case in breakdowns:
+                    point["levels"] = breakdowns[case].weights.size
+                    tracemalloc.start()
+                    run()
+                    point["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+                    tracemalloc.stop()
+                cases.append(point)
     return cases
 
 
@@ -252,6 +300,7 @@ def main(argv=None) -> int:
         },
         "load": {"rows": ROWS, "lines": LINES, "cases": load()},
         "alpha": {"cuts": ALPHA_CUTS, "cases": alpha()},
+        "gamma": {"cuts": GAMMA_CUTS, "cases": gamma()},
     }
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
     runs = [run for run in runs if run["label"] != args.label] + [entry]
@@ -270,6 +319,10 @@ def main(argv=None) -> int:
         print(f"{args.label}: alpha {c['case']}, {c['samples']} samples: "
               f"best {c['best_s'] * 1e3:8.2f} ms, median {c['median_s'] * 1e3:8.2f} ms, "
               f"{c['minflt_per_call']:8.1f} minor faults/call")
+    for c in entry["gamma"]["cases"]:
+        peak = f", tracemalloc peak {c['tracemalloc_peak_mb']:7.2f} MB" if "levels" in c else ""
+        print(f"{args.label}: gamma {c['case']}, {c['lines']} lines: best {c['best_s'] * 1e3:8.2f} ms, "
+              f"median {c['median_s'] * 1e3:8.2f} ms{peak}")
     return 0
 
 

@@ -4,6 +4,13 @@ Interval lists are one `l,r` pair per line with `#` comments; survey data is
 CSV or JSON per the survey module. All output is deterministic: identical
 inputs and flags produce identical bytes.
 
+``gamma`` prints γ, then one line per agreement level; every value is
+``"%.6f"``'s text to the byte. The level lines are built from integer digits
+PRINT_LINES at a time and each block is written when done, so the print holds
+O(PRINT_LINES) memory; a value whose digits the integer path cannot decide
+(near a half millionth, -0.0, negative, NaN, inf or too large) has its line
+formatted by ``%``.
+
 Each subcommand takes only the flags it reads, and argparse rejects a bad
 value with exit 2. ``--scale`` defaults to the set's hull in ``build`` and to
 ``survey.DEFAULT_SCALE`` elsewhere.
@@ -75,31 +82,89 @@ def _source(path: str):
     return getattr(sys.stdin, "buffer", sys.stdin) if path == "-" else path
 
 
+PRINT_LINES = 1 << 12  # level lines built and written per step
+_LEVEL_LINE = "level %d: weight=%.6f length=%.6f prev=%.6f ratio=%.6f\n"
+
+
+def _digits(x: np.ndarray, width: int) -> np.ndarray:
+    """ASCII decimal digits of uint32 ``x``, ``width`` rows by x.size, most
+    significant first; a zero left of a value's highest non-zero digit (bar
+    the last row's) is a 0 byte, for ``bytes.translate`` to delete."""
+    rows = np.empty((width, x.size), np.uint8)
+    rest = x
+    for r in range(width - 1, -1, -1):
+        q = rest // 10  # uint32 floor division by a constant is far cheaper than % or divmod
+        np.subtract(rest, q * 10, out=rows[r], casting="unsafe")
+        rest = q
+    rows += 48
+    least = int(x.min())
+    for r in range(width - 1):
+        if least < 10 ** (width - 1 - r):
+            rows[r] *= x >= 10 ** (width - 1 - r)
+    return rows
+
+
+def _fixed(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``"%.6f" % v`` of each value as rows of ``_digits``, and where those are right.
+
+    They are right where k = rint(v * 1e6) is the correctly rounded count of
+    millionths, as it is wherever v * 1e6 lies farther than its spacing from a
+    half-integer: its rounding error cannot cross the half then. Elsewhere (a
+    value near a half, one too large for that, -0.0, a negative, NaN or inf)
+    the rows read 0.000000."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        f = v * 1e6
+        k = np.rint(f)
+        ok = np.abs(f - k) < 0.5 - f * 2.0**-52  # f * 2**-52 >= spacing(f); NaN compares False
+    ok &= ~np.signbit(v)
+    k = np.where(ok, k, 0.0)  # under 2**51, so the parts below are exact
+    whole = np.floor(k / 1e6)
+    head = whole.astype(np.uint32)
+    # the six fraction digits behind a 1, which becomes the point
+    tail = _digits((k - whole * 1e6 + 1e6).astype(np.uint32), 7)
+    tail[0] = ord(".")
+    return np.concatenate([_digits(head, len(str(int(head.max())))), tail]), ok
+
+
+def _level_lines(first: int, weights, lengths, ratios) -> str:
+    """``_LEVEL_LINE`` of levels first + 2 on: each weight, length
+    (``lengths[1:]``), prev (``lengths[:-1]``) and ratio."""
+    n = weights.size
+    level = _digits(np.arange(first + 2, first + 2 + n, dtype=np.uint32), len(str(first + 1 + n)))
+    (w, w_ok), (ln, ln_ok), (r, r_ok) = map(_fixed, (weights, lengths, ratios))
+    pieces = [("level ", level), (": weight=", w), (" length=", ln[:, 1:]),
+              (" prev=", ln[:, :-1]), (" ratio=", r)]
+    line = np.empty((n, sum(len(t) + len(d) for t, d in pieces) + 1), np.uint8)
+    col = 0
+    for text, digits in pieces:
+        end = col + len(text)
+        line[:, col:end] = np.frombuffer(text.encode(), np.uint8)
+        col = end + len(digits)
+        line[:, end:col] = digits.T
+    line[:, col] = ord("\n")
+    text = line.tobytes().translate(None, b"\0").decode("ascii")
+    undecided = np.flatnonzero(~(w_ok & ln_ok[1:] & ln_ok[:-1] & r_ok)).tolist()
+    if not undecided:
+        return text
+    lines = text.splitlines(keepends=True)
+    for i in undecided:
+        values = weights[i], lengths[i + 1], lengths[i], ratios[i]
+        lines[i] = _LEVEL_LINE % (first + i + 2, *map(float, values))
+    return "".join(lines)
+
+
 def _print_breakdown(breakdown: GammaBreakdown, out):
-    # bare value first for easy piping, then one line per agreement level,
-    # filled a column at a time
-    weights = breakdown.weights.tolist()
-    # past the last non-zero length (the first one never is), length, prev and
-    # ratio all read 0 (no length is -0.0: run_sums adds from +0.0), so only
-    # the weight is formatted
-    head = min(int(np.flatnonzero(breakdown.lengths)[-1]) + 1, len(weights))
-    # each length is formatted once, for its own line and for the next one's prev
-    shown = list(map("%.6f".__mod__, breakdown.lengths[: head + 1].tolist()))
-    cols = [None] * (5 * head)
-    cols[0::5] = range(2, head + 2)
-    cols[1::5] = weights[:head]
-    cols[2::5] = shown[1:]
-    cols[3::5] = shown[:-1]
-    cols[4::5] = breakdown.ratios[:head].tolist()
-    zeros = [None] * (2 * (len(weights) - head))
-    zeros[0::2] = range(head + 2, len(weights) + 2)
-    zeros[1::2] = weights[head:]
-    out.write(
-        "%.6f\n" % breakdown.gamma
-        + "level %d: weight=%.6f length=%s prev=%s ratio=%.6f\n" * head % tuple(cols)
-        + "level %d: weight=%.6f length=0.000000 prev=0.000000 ratio=0.000000\n"
-        * (len(zeros) // 2) % tuple(zeros)
-    )
+    """γ as ``%.6f``, then one ``_LEVEL_LINE`` per agreement level, each value's
+    text ``"%.6f"``'s to the byte. The lines are built PRINT_LINES at a time from
+    integer digits (``_fixed``). A line holding a value those cannot decide
+    (v * 1e6 within its spacing of a half-integer, -0.0, a negative, NaN, inf)
+    is formatted by ``%`` instead. Each block is written as it is done, so
+    memory stays O(PRINT_LINES) at any level count."""
+    out.write("%.6f\n" % breakdown.gamma)
+    weights, lengths, ratios = breakdown.weights, breakdown.lengths, breakdown.ratios
+    for a in range(0, weights.size, PRINT_LINES):
+        b = a + PRINT_LINES
+        out.write(_level_lines(a, weights[a:b], lengths[a : b + 1], ratios[a:b]))
 
 
 def cmd_gamma(args) -> None:

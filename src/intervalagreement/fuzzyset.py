@@ -23,6 +23,7 @@ region's ``total_length`` to the bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -120,6 +121,27 @@ class PiecewiseConstant(MembershipFunction):
             return np.zeros_like(x)
         idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, lv.size - 1)
         return np.where((x >= bp[0]) & (x <= bp[-1]), step_values(bp, lv, x, idx, idx >= 1), 0.0)
+
+    def _on_grid(self, x):
+        """``_membership``'s bits by slices: the breakpoints are placed in the
+        ascending ``x``, and each run between them, or on one, takes its value."""
+        edges = np.empty(2 * self.breakpoints.size + 2, np.intp)
+        edges[0], edges[-1] = 0, x.size
+        edges[1:-1:2] = np.searchsorted(x, self.breakpoints, "left")
+        edges[2:-1:2] = np.searchsorted(x, self.breakpoints, "right")
+        return np.repeat(self._steps, np.diff(edges))
+
+    @cached_property
+    def _steps(self) -> np.ndarray:
+        """``_on_grid``'s values: 0, then each breakpoint's value and the level
+        of the cell after it (0 past the last). A breakpoint reads the larger of
+        its cells' levels, taken as ``step_values`` takes it; an end, its one cell's."""
+        lv = self.levels
+        steps = np.zeros(2 * lv.size + 3)
+        if lv.size:
+            steps[2:-1:2] = lv
+            steps[1::2] = np.concatenate([lv[:1], np.maximum(lv[1:], lv[:-1]), lv[-1:]])
+        return steps
 
     def window(self) -> Interval:
         return Interval(float(self.breakpoints[0]), float(self.breakpoints[-1]))

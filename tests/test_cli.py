@@ -2,6 +2,7 @@ import argparse
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from intervalagreement import attributes, build_iaa, cli, collection, gamma_alpha, gamma_exact
-from intervalagreement.agreement import DEFAULT_CUTS
+from intervalagreement.agreement import DEFAULT_CUTS, GammaBreakdown
 from intervalagreement.cli import (
     _print_breakdown,
     build_parser,
@@ -162,6 +163,14 @@ def test_gamma_single_interval_is_data_error(tmp_path, capsys):
     assert "at least 2" in capsys.readouterr().err
 
 
+def nested_then_apart(n):
+    """n intervals: nested ones, whose level lengths run from 2000 down to
+    about 1000, then 100 apart from them and from each other, which leave a
+    tail of zero-length levels."""
+    nested = [(k / 16, 2000 - k / 7) for k in range(n - 100)]
+    return nested + [(2000 + k, 2000.5 + k) for k in range(100)]
+
+
 @given(
     st.one_of(
         finite_intervals(2, 30),
@@ -174,6 +183,10 @@ def test_gamma_single_interval_is_data_error(tmp_path, capsys):
 @example([(2, 4), (2.5, 3.5)], 2)
 @example([(2, 5)] * 6, 3)
 @example([(0, 1), (2, 3), (4, 5), (6, 7)], 4)  # every level past the first is zero
+# n intervals print n - 1 level lines: one block less one, one block, one block and one
+@example(nested_then_apart(cli.PRINT_LINES), 12)
+@example(nested_then_apart(cli.PRINT_LINES + 1), 12)
+@example(nested_then_apart(cli.PRINT_LINES + 2), 12)
 def test_print_breakdown_matches_per_line_printer(pairs, cuts):
     coll = collection(pairs)
     try:
@@ -185,6 +198,51 @@ def test_print_breakdown_matches_per_line_printer(pairs, cuts):
         _print_breakdown(breakdown, got)
         oracle_print_breakdown(breakdown, want)
         assert got.getvalue() == want.getvalue()
+
+
+def fixed_texts(values):
+    """The digit path's text of each value, and whether it decided it."""
+    rows, decided = cli._fixed(np.array(values, dtype=float))
+    line = np.ascontiguousarray(rows.T).tobytes()
+    width = len(rows)
+    texts = [line[i * width : (i + 1) * width].replace(b"\0", b"").decode() for i in range(len(values))]
+    return texts, decided.tolist()
+
+
+@given(st.lists(st.floats(min_value=0.0), min_size=1, max_size=20))
+@example([2.5e-06])  # 2.5 millionths exactly, but the double is above: 0.000003, not rint's 0.000002
+@example([3.5e-06])  # the double is below 3.5 millionths: 0.000003, not rint's 0.000004
+@example([9.9999995])  # 9.999999, not 10.000000
+@example([0.0078125])  # an exact half: 0.007812, ties to even
+@example([5e-324])
+@example([0.0])
+@example([-0.0])
+@example([1e16])
+@example([1e300])
+def test_digit_path_equals_percent_format(values):
+    texts, decided = fixed_texts(values)
+    for value, text, ok in zip(values, texts, decided):
+        if ok:
+            assert text == "%.6f" % value
+        scaled = value * 1e6
+        if math.copysign(1.0, value) > 0 and value < 1e9 and abs(scaled - round(scaled)) < 0.25:
+            assert ok
+
+
+@given(
+    st.lists(st.tuples(st.floats(), st.floats(), st.floats()), min_size=1, max_size=40),
+    st.floats(),
+)
+@example([(2.5e-06, 0.5, 9.9999995), (0.0078125, 3.5e-06, 0.25)], 1.0)  # halves alone
+@example([(1e16, 1e300, -0.0), (0.5, 0.25, 0.125)], 2.0)
+@example([(float("nan"), float("inf"), -1.0), (5e-324, 0.0, -float("inf"))], -0.0)
+def test_print_breakdown_formats_undecided_values_by_percent(rows, last_length):
+    weights, lengths, ratios = (np.array(col) for col in zip(*rows))
+    breakdown = GammaBreakdown(0.5, np.append(lengths, last_length), weights, ratios, 1.0)
+    got, want = io.StringIO(), io.StringIO()
+    _print_breakdown(breakdown, got)
+    oracle_print_breakdown(breakdown, want)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_gamma_alpha_mode_names_the_empty_lowest_cut():

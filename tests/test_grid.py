@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from intervalagreement import (
     Gaussian,
+    PiecewiseConstant,
     PiecewiseLinear,
     Sampled,
     attributes,
@@ -248,6 +249,28 @@ def test_linear_on_grid_either_side_of_the_slice_path(vertices):
     assert np.array_equal(bits(mf._on_grid(x)), want)
     gx, mus = sample_grid(mf, 3 * GRID_CHUNK + 5)
     assert bits(attributes(mf, gx.size).centroid) == bits((gx * mus).sum() / mus.sum())
+
+
+@st.composite
+def step_and_probes(draw):
+    """A step function on lattice breakpoints (levels may be -0.0, and there
+    may be none) with ascending probes: on breakpoints, some more than once,
+    between them and off both ends."""
+    bp = sorted(draw(st.sets(vertex_xs, min_size=1, max_size=9)))
+    level = st.one_of(vertex_mus, st.just(-0.0))
+    levels = draw(st.lists(level, min_size=len(bp) - 1, max_size=len(bp) - 1))
+    probes = draw(st.lists(st.one_of(st.floats(-3, 3), st.sampled_from(bp)), max_size=60))
+    x = np.sort(np.array([-3.0, *probes, 3.0]))
+    return PiecewiseConstant(np.array(bp), np.array(levels, dtype=float)), x
+
+
+@given(step_and_probes())
+@example((PiecewiseConstant(np.array([1.0]), np.array([])), np.array([0, 1, 1, 2.0])))
+@example((PiecewiseConstant(np.array([0, 1, 2.0]), np.array([-0.0, 0.0])),
+          np.array([-1, 0, 0.5, 1, 1, 1.5, 2, 3.0])))  # max(0.0, -0.0) as step_values takes it
+def test_step_on_grid_equals_membership(shape_and_probes):
+    mf, x = shape_and_probes
+    assert np.array_equal(bits(mf._on_grid(x)), bits(mf._membership(x)))
 
 
 sampled_ends = st.floats(-60, 80)
