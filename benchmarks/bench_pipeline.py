@@ -28,19 +28,25 @@ Sections:
   reversed last line. The bad inputs raise, and the error's type and line
   are kept.
 * ``alpha``: ``attributes`` of a Gaussian, a triangle, a trapezoid, a
-  POLYLINE_VERTICES-vertex ``PiecewiseLinear``, a seeded noisy ``Sampled``
-  grid and seeded step functions of each of STEP_BREAKPOINTS breakpoints,
-  ``jaccard`` of the triangle and the trapezoid and of the polyline and the
-  triangle, and the ``Sampled`` grid's ALPHA_CUTS-cut ``alpha_lengths``,
+  POLYLINE_VERTICES-vertex ``PiecewiseLinear`` and a seeded noisy ``Sampled``
+  grid, ``jaccard`` of the triangle and the trapezoid and of the polyline and
+  the triangle, and the ``Sampled`` grid's ALPHA_CUTS-cut ``alpha_lengths``,
   at each of ALPHA_SAMPLES samples. The triangle and trapezoid are evaluated
   by slices of each grid chunk, the polyline (under 2,048 grid points per
   vertex at each of these sample counts) by ``np.interp``.
+* ``attrs``: ``attributes(build_iaa(...))``, the work of ``iaa attrs``, on the
+  step function of each of ATTRS_LISTS seeded interval lists, at each of
+  ATTRS_SAMPLES samples. The 20,000-line list is shaped as perfbench's
+  gamma-large one. The unrounded list has a breakpoint per endpoint, too dense
+  for ``PiecewiseConstant._on_grid``'s slices at either sample count, so its
+  grid chunks take ``_membership``.
 * ``gamma``: the stages of ``iaa gamma`` on each of GAMMA_LINES seeded
   interval lines: ``cli.parse_interval_lines``, ``gamma_exact`` (on a fresh
   collection each call, so its coverage sweep is timed) and
   ``cli._print_breakdown`` of the exact breakdown and of the GAMMA_CUTS-cut
-  ``gamma_alpha`` one, printed to ``os.devnull``; each print adds the
-  ``tracemalloc`` peak of one more call.
+  ``gamma_alpha`` one, printed to ``os.devnull``, and of the exact breakdown
+  of the list scaled by GAMMA_MS_SCALE, whose lengths ``%`` formats; each
+  print adds the ``tracemalloc`` peak of one more call.
 
 Every case is run REPEATS times after one warm-up, and keeps the best, the
 quartiles and the median of those calls, and their minor page faults per
@@ -83,9 +89,11 @@ LINES = 200_000
 ALPHA_SAMPLES = (10_001, 100_001, 1_000_001)
 ALPHA_CUTS = 20
 POLYLINE_VERTICES = 4_000
-STEP_BREAKPOINTS = (8, 5_000)
+ATTRS_LISTS = ((20_000, 3), (LINES, 2), (LINES, None))  # (lines, decimals kept; None: all)
+ATTRS_SAMPLES = (1_001, 1_000_001)
 GAMMA_LINES = (20_000, 200_000, 1_000_000)
 GAMMA_CUTS = 10_000
+GAMMA_MS_SCALE = 1.6e10  # [0, 100] to epoch milliseconds: lengths past 2**51 millionths
 
 
 def survey_text(terms: int, seed: int = SEED) -> str:
@@ -130,11 +138,15 @@ def report_samples() -> list[dict]:
     return points
 
 
+def interval_pairs(lines: int = LINES, seed: int = SEED) -> np.ndarray:
+    """``lines`` sorted (l, r) rows, endpoints uniform on [0, 100]."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, lines]))
+    return np.sort(rng.uniform(0.0, 100.0, size=(lines, 2)), axis=1)
+
+
 def interval_text(lines: int = LINES, seed: int = SEED) -> str:
     """``lines`` interval lines ``l,r``, endpoints on [0, 100] rounded to 0.01."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, lines]))
-    pairs = np.sort(rng.uniform(0.0, 100.0, size=(lines, 2)), axis=1)
-    return "".join(f"{l:.2f},{r:.2f}\n" for l, r in pairs)
+    return "".join(f"{l:.2f},{r:.2f}\n" for l, r in interval_pairs(lines, seed))
 
 
 def repeated(run) -> dict:
@@ -204,13 +216,6 @@ def polyline() -> ia.PiecewiseLinear:
     return ia.PiecewiseLinear(xs, (1.0 + np.sin(7.0 * xs)) / 2.0)
 
 
-def step(breakpoints: int, seed: int = SEED) -> ia.PiecewiseConstant:
-    """Seeded ascending breakpoints on [0, 9], each cell's level k/8 for a seeded k."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, breakpoints]))
-    bp = np.unique(rng.uniform(0.0, 9.0, breakpoints))
-    return ia.PiecewiseConstant(bp, rng.integers(0, 9, bp.size - 1) / 8)
-
-
 def alpha() -> list[dict]:
     shapes = {
         "gaussian": ia.Gaussian(5.0, 1.0),
@@ -218,7 +223,6 @@ def alpha() -> list[dict]:
         "trapezoid": ia.trapezoidal(0.0, 2.0, 6.0, 9.0),
         "polyline": polyline(),
         "sampled": ia.Sampled(*sampled_grid()),
-        **{f"step {m}": step(m) for m in STEP_BREAKPOINTS},
     }
     ladder = np.arange(1, ALPHA_CUTS + 1) / ALPHA_CUTS
     cases = []
@@ -234,17 +238,34 @@ def alpha() -> list[dict]:
     return cases
 
 
+def attrs() -> list[dict]:
+    cases = []
+    for lines, decimals in ATTRS_LISTS:
+        pairs = interval_pairs(lines)
+        if decimals is not None:
+            pairs = np.round(pairs, decimals)
+        fs = ia.build_iaa(IntervalCollection._from_arrays(*np.ascontiguousarray(pairs.T)))
+        for n in ATTRS_SAMPLES:
+            run = functools.partial(ia.attributes, fs, n)
+            run()  # warm-up
+            cases.append({"lines": lines, "decimals": decimals,
+                          "breakpoints": fs.breakpoints.size, "samples": n, **repeated(run)})
+    return cases
+
+
 def gamma() -> list[dict]:
     cases = []
     with open(os.devnull, "w") as sink:
         for n in GAMMA_LINES:
             text = interval_text(n)
             coll = parse_interval_lines(text)
+            ends = coll.endpoints()
             breakdowns = {
                 "print exact": ia.gamma_exact(coll),
                 "print alpha": ia.gamma_alpha(ia.build_iaa(coll), cuts=GAMMA_CUTS),
+                "print exact ms": ia.gamma_exact(
+                    IntervalCollection._from_arrays(*(e * GAMMA_MS_SCALE for e in ends))),
             }
-            ends = coll.endpoints()
             calls = {
                 "parse": lambda: parse_interval_lines(text),
                 # a fresh collection each call: a collection keeps its coverage sweep
@@ -300,6 +321,7 @@ def main(argv=None) -> int:
         },
         "load": {"rows": ROWS, "lines": LINES, "cases": load()},
         "alpha": {"cuts": ALPHA_CUTS, "cases": alpha()},
+        "attrs": {"cases": attrs()},
         "gamma": {"cuts": GAMMA_CUTS, "cases": gamma()},
     }
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
@@ -319,6 +341,10 @@ def main(argv=None) -> int:
         print(f"{args.label}: alpha {c['case']}, {c['samples']} samples: "
               f"best {c['best_s'] * 1e3:8.2f} ms, median {c['median_s'] * 1e3:8.2f} ms, "
               f"{c['minflt_per_call']:8.1f} minor faults/call")
+    for c in entry["attrs"]["cases"]:
+        print(f"{args.label}: attrs {c['lines']} lines to {c['decimals']} decimals "
+              f"({c['breakpoints']} breakpoints), {c['samples']} samples: "
+              f"best {c['best_s'] * 1e3:8.2f} ms, median {c['median_s'] * 1e3:8.2f} ms")
     for c in entry["gamma"]["cases"]:
         peak = f", tracemalloc peak {c['tracemalloc_peak_mb']:7.2f} MB" if "levels" in c else ""
         print(f"{args.label}: gamma {c['case']}, {c['lines']} lines: best {c['best_s'] * 1e3:8.2f} ms, "

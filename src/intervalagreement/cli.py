@@ -7,9 +7,8 @@ inputs and flags produce identical bytes.
 ``gamma`` prints γ, then one line per agreement level; every value is
 ``"%.6f"``'s text to the byte. The level lines are built from integer digits
 PRINT_LINES at a time and each block is written when done, so the print holds
-O(PRINT_LINES) memory; a value whose digits the integer path cannot decide
-(near a half millionth, -0.0, negative, NaN, inf or too large) has its line
-formatted by ``%``.
+O(PRINT_LINES) memory; a line holding a value whose digits the integer path
+cannot decide (``_millionths`` gives the rule) is formatted by ``%``.
 
 Each subcommand takes only the flags it reads, and argparse rejects a bad
 value with exit 2. ``--scale`` defaults to the set's hull in ``build`` and to
@@ -83,7 +82,7 @@ def _source(path: str):
 
 
 PRINT_LINES = 1 << 12  # level lines built and written per step
-_LEVEL_LINE = "level %d: weight=%.6f length=%.6f prev=%.6f ratio=%.6f\n"
+_LEVEL_LINE = "level %d: weight=%.6f length=%s prev=%s ratio=%.6f\n"  # lengths as "%.6f" text
 
 
 def _digits(x: np.ndarray, width: int) -> np.ndarray:
@@ -104,37 +103,38 @@ def _digits(x: np.ndarray, width: int) -> np.ndarray:
     return rows
 
 
-def _fixed(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``"%.6f" % v`` of each value as rows of ``_digits``, and where those are right.
+def _millionths(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k = rint(v * 1e6), and where it is ``"%.6f" % v``'s correctly rounded count
+    of millionths; k is 0 elsewhere.
 
-    They are right where k = rint(v * 1e6) is the correctly rounded count of
-    millionths, as it is wherever v * 1e6 lies farther than its spacing from a
-    half-integer: its rounding error cannot cross the half then. Elsewhere (a
-    value near a half, one too large for that, -0.0, a negative, NaN or inf)
-    the rows read 0.000000."""
+    It is that count wherever v * 1e6 lies farther than its spacing from a
+    half-integer: its rounding error cannot cross the half then. A value near a
+    half, one of 2**51 millionths or more, -0.0, a negative, NaN or inf is left
+    to ``%``."""
     with np.errstate(invalid="ignore", over="ignore"):
         f = v * 1e6
         k = np.rint(f)
         ok = np.abs(f - k) < 0.5 - f * 2.0**-52  # f * 2**-52 >= spacing(f); NaN compares False
     ok &= ~np.signbit(v)
-    k = np.where(ok, k, 0.0)  # under 2**51, so the parts below are exact
-    whole = np.floor(k / 1e6)
+    return np.where(ok, k, 0.0), ok
+
+
+def _fixed(k: np.ndarray) -> np.ndarray:
+    """``"%.6f"`` of k millionths (0 <= k < 2**51) as rows of ``_digits``."""
+    whole = np.floor(k / 1e6)  # k < 2**51, so the parts are exact
     head = whole.astype(np.uint32)
     # the six fraction digits behind a 1, which becomes the point
     tail = _digits((k - whole * 1e6 + 1e6).astype(np.uint32), 7)
     tail[0] = ord(".")
-    return np.concatenate([_digits(head, len(str(int(head.max())))), tail]), ok
+    return np.concatenate([_digits(head, len(str(int(head.max())))), tail])
 
 
-def _level_lines(first: int, weights, lengths, ratios) -> str:
-    """``_LEVEL_LINE`` of levels first + 2 on: each weight, length
-    (``lengths[1:]``), prev (``lengths[:-1]``) and ratio."""
-    n = weights.size
-    level = _digits(np.arange(first + 2, first + 2 + n, dtype=np.uint32), len(str(first + 1 + n)))
-    (w, w_ok), (ln, ln_ok), (r, r_ok) = map(_fixed, (weights, lengths, ratios))
-    pieces = [("level ", level), (": weight=", w), (" length=", ln[:, 1:]),
-              (" prev=", ln[:, :-1]), (" ratio=", r)]
-    line = np.empty((n, sum(len(t) + len(d) for t, d in pieces) + 1), np.uint8)
+def _digit_lines(level: np.ndarray, *values: np.ndarray) -> str:
+    """``_LEVEL_LINE`` of each ascending ``level`` from ``_fixed`` rows of its
+    weight, length, prev and ratio."""
+    pieces = list(zip(("level ", ": weight=", " length=", " prev=", " ratio="),
+                      (_digits(level, len(str(int(level[-1])))), *values)))
+    line = np.empty((level.size, sum(len(t) + len(d) for t, d in pieces) + 1), np.uint8)
     col = 0
     for text, digits in pieces:
         end = col + len(text)
@@ -142,24 +142,43 @@ def _level_lines(first: int, weights, lengths, ratios) -> str:
         col = end + len(digits)
         line[:, end:col] = digits.T
     line[:, col] = ord("\n")
-    text = line.tobytes().translate(None, b"\0").decode("ascii")
-    undecided = np.flatnonzero(~(w_ok & ln_ok[1:] & ln_ok[:-1] & r_ok)).tolist()
-    if not undecided:
-        return text
-    lines = text.splitlines(keepends=True)
-    for i in undecided:
-        values = weights[i], lengths[i + 1], lengths[i], ratios[i]
-        lines[i] = _LEVEL_LINE % (first + i + 2, *map(float, values))
-    return "".join(lines)
+    return line.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _level_lines(first: int, weights, lengths, ratios) -> str:
+    """``_LEVEL_LINE`` of levels first + 2 on: each weight, length
+    (``lengths[1:]``), prev (``lengths[:-1]``) and ratio. A line whose values
+    ``_millionths`` decides takes ``_digit_lines``; any other, ``%``."""
+    level = np.arange(first + 2, first + 2 + weights.size, dtype=np.uint32)
+    (kw, w_ok), (kl, ln_ok), (kr, r_ok) = map(_millionths, (weights, lengths, ratios))
+    ok = w_ok & ln_ok[1:] & ln_ok[:-1] & r_ok
+    if ok.all():
+        ln = _fixed(kl)  # each length's digits serve its own line and the next one's prev
+        return _digit_lines(level, _fixed(kw), ln[:, 1:], ln[:, :-1], _fixed(kr))
+    u = np.flatnonzero(~ok)
+    at = np.zeros(lengths.size, bool)
+    at[u] = at[u + 1] = True
+    shown = np.empty(lengths.size, object)  # here too, each length is formatted once
+    shown[at] = list(map("%.6f".__mod__, lengths[at].tolist()))
+    cells = [None] * (5 * u.size)  # one % over all of them is faster than one per line
+    for k, column in enumerate((level[u], weights[u], shown[u + 1], shown[u], ratios[u])):
+        cells[k::5] = column.tolist()
+    undecided = _LEVEL_LINE * u.size % tuple(cells)
+    if u.size == ok.size:
+        return undecided
+    lines = np.empty(ok.size, object)
+    lines[u] = undecided.splitlines(keepends=True)
+    decided = _digit_lines(level[ok], *(_fixed(k[ok]) for k in (kw, kl[1:], kl[:-1], kr)))
+    lines[ok] = decided.splitlines(keepends=True)
+    return "".join(lines.tolist())
 
 
 def _print_breakdown(breakdown: GammaBreakdown, out):
     """γ as ``%.6f``, then one ``_LEVEL_LINE`` per agreement level, each value's
-    text ``"%.6f"``'s to the byte. The lines are built PRINT_LINES at a time from
-    integer digits (``_fixed``). A line holding a value those cannot decide
-    (v * 1e6 within its spacing of a half-integer, -0.0, a negative, NaN, inf)
-    is formatted by ``%`` instead. Each block is written as it is done, so
-    memory stays O(PRINT_LINES) at any level count."""
+    text ``"%.6f"``'s to the byte: from integer digits, or by ``%`` for a line
+    holding a value ``_millionths`` cannot decide. The lines are built
+    PRINT_LINES at a time (``_level_lines``) and each block is written as it is
+    done, so memory stays O(PRINT_LINES) at any level count."""
     out.write("%.6f\n" % breakdown.gamma)
     weights, lengths, ratios = breakdown.weights, breakdown.lengths, breakdown.ratios
     for a in range(0, weights.size, PRINT_LINES):

@@ -23,7 +23,6 @@ region's ``total_length`` to the bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +34,7 @@ DEFAULT_SAMPLES = 1001
 
 GAUSSIAN_WINDOW_SIGMAS = 5.0
 GRID_CHUNK = 1 << 15  # walk_grid's points per step: a few such arrays stay in cache
+STEP_POINTS_PER_BREAKPOINT = 4  # PiecewiseConstant._on_grid slices a chunk from this density on
 ZERO_MEMBERSHIP = "membership is zero everywhere on the sampling grid; centroid undefined"
 
 
@@ -114,6 +114,13 @@ class PiecewiseConstant(MembershipFunction):
         _check_unit_range(lv, "levels")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "levels", lv)
+        # _on_grid's values: 0, then each breakpoint's and the level of the cell after
+        # it (0 past the last); a breakpoint reads step_values' max of its cells' levels
+        steps = np.zeros(2 * bp.size + 1)
+        if lv.size:
+            steps[2:-1:2] = lv
+            steps[1::2] = np.concatenate([lv[:1], np.maximum(lv[1:], lv[:-1]), lv[-1:]])
+        object.__setattr__(self, "_steps", steps)
 
     def _membership(self, x):
         bp, lv = self.breakpoints, self.levels
@@ -123,25 +130,18 @@ class PiecewiseConstant(MembershipFunction):
         return np.where((x >= bp[0]) & (x <= bp[-1]), step_values(bp, lv, x, idx, idx >= 1), 0.0)
 
     def _on_grid(self, x):
-        """``_membership``'s bits by slices: the breakpoints are placed in the
-        ascending ``x``, and each run between them, or on one, takes its value."""
-        edges = np.empty(2 * self.breakpoints.size + 2, np.intp)
+        """``_membership``'s bits by slices: the breakpoints within the ascending ``x``
+        are placed in it, and each run between them, or on one, takes its value. Under
+        STEP_POINTS_PER_BREAKPOINT points per such breakpoint, ``_membership`` is cheaper."""
+        bp = self.breakpoints
+        i, j = bp.searchsorted(x[0], "left"), bp.searchsorted(x[-1], "right")
+        if (j - i) * STEP_POINTS_PER_BREAKPOINT > x.size:
+            return self._membership(x)
+        edges = np.empty(2 * (j - i) + 2, np.intp)
         edges[0], edges[-1] = 0, x.size
-        edges[1:-1:2] = np.searchsorted(x, self.breakpoints, "left")
-        edges[2:-1:2] = np.searchsorted(x, self.breakpoints, "right")
-        return np.repeat(self._steps, np.diff(edges))
-
-    @cached_property
-    def _steps(self) -> np.ndarray:
-        """``_on_grid``'s values: 0, then each breakpoint's value and the level
-        of the cell after it (0 past the last). A breakpoint reads the larger of
-        its cells' levels, taken as ``step_values`` takes it; an end, its one cell's."""
-        lv = self.levels
-        steps = np.zeros(2 * lv.size + 3)
-        if lv.size:
-            steps[2:-1:2] = lv
-            steps[1::2] = np.concatenate([lv[:1], np.maximum(lv[1:], lv[:-1]), lv[-1:]])
-        return steps
+        edges[1:-1:2] = np.searchsorted(x, bp[i:j], "left")
+        edges[2:-1:2] = np.searchsorted(x, bp[i:j], "right")
+        return np.repeat(self._steps[2 * i : 2 * j + 1], np.diff(edges))
 
     def window(self) -> Interval:
         return Interval(float(self.breakpoints[0]), float(self.breakpoints[-1]))

@@ -202,7 +202,8 @@ def test_print_breakdown_matches_per_line_printer(pairs, cuts):
 
 def fixed_texts(values):
     """The digit path's text of each value, and whether it decided it."""
-    rows, decided = cli._fixed(np.array(values, dtype=float))
+    k, decided = cli._millionths(np.array(values, dtype=float))
+    rows = cli._fixed(k)
     line = np.ascontiguousarray(rows.T).tobytes()
     width = len(rows)
     texts = [line[i * width : (i + 1) * width].replace(b"\0", b"").decode() for i in range(len(values))]

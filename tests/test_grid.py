@@ -2,6 +2,7 @@
 ``np.sum``'s, bit for bit, and closed-form shapes never hold a whole grid."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from intervalagreement import (
     trapezoidal,
     triangular,
 )
+from intervalagreement import fuzzyset
 from intervalagreement.fuzzyset import (
     GRID_CHUNK,
     alpha_lengths,
@@ -255,22 +257,32 @@ def test_linear_on_grid_either_side_of_the_slice_path(vertices):
 def step_and_probes(draw):
     """A step function on lattice breakpoints (levels may be -0.0, and there
     may be none) with ascending probes: on breakpoints, some more than once,
-    between them and off both ends."""
+    between them and off either end, spanning all the breakpoints or some."""
     bp = sorted(draw(st.sets(vertex_xs, min_size=1, max_size=9)))
     level = st.one_of(vertex_mus, st.just(-0.0))
     levels = draw(st.lists(level, min_size=len(bp) - 1, max_size=len(bp) - 1))
-    probes = draw(st.lists(st.one_of(st.floats(-3, 3), st.sampled_from(bp)), max_size=60))
-    x = np.sort(np.array([-3.0, *probes, 3.0]))
-    return PiecewiseConstant(np.array(bp), np.array(levels, dtype=float)), x
+    probes = draw(st.lists(st.one_of(st.floats(-3, 3), st.sampled_from(bp)), min_size=1, max_size=60))
+    return PiecewiseConstant(np.array(bp), np.array(levels, dtype=float)), np.sort(np.array(probes))
 
 
 @given(step_and_probes())
 @example((PiecewiseConstant(np.array([1.0]), np.array([])), np.array([0, 1, 1, 2.0])))
 @example((PiecewiseConstant(np.array([0, 1, 2.0]), np.array([-0.0, 0.0])),
           np.array([-1, 0, 0.5, 1, 1, 1.5, 2, 3.0])))  # max(0.0, -0.0) as step_values takes it
+@example((PiecewiseConstant(np.array([0, 1, 2.0]), np.array([0.5, 0.25])),
+          np.array([1.5, 1.75])))  # no breakpoint within the probes: the one cell's level
+@example((PiecewiseConstant(np.array([0, 1, 2.0]), np.array([0.5, 0.25])),
+          np.array([0.5, 1, 1.5])))  # one breakpoint within
+@example((PiecewiseConstant(np.array([0, 1, 2.0]), np.array([0.5, 0.25])),
+          np.array([2.5, 3.0])))  # past the last
 def test_step_on_grid_equals_membership(shape_and_probes):
+    """Bit-equal on both of ``_on_grid``'s paths: slices (forced at any density) and,
+    past its density bound, ``_membership`` itself."""
     mf, x = shape_and_probes
-    assert np.array_equal(bits(mf._on_grid(x)), bits(mf._membership(x)))
+    want = bits(mf._membership(x))
+    with mock.patch.object(fuzzyset, "STEP_POINTS_PER_BREAKPOINT", 0):
+        assert np.array_equal(bits(mf._on_grid(x)), want)
+    assert np.array_equal(bits(mf._on_grid(x)), want)
 
 
 sampled_ends = st.floats(-60, 80)
