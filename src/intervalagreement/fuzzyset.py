@@ -8,11 +8,11 @@ in closed form. A sampled grid, or any shape under ``method="sampled"``, is
 evaluated on a uniform grid over its window, and a cut is the runs of grid
 points at or above alpha (:func:`.intervals.ladder_runs`); such a cut length
 is off the true one by at most two grid steps per run of the cut. A grid is
-walked GRID_CHUNK points at a time (:func:`walk_grid`): sums bit-equal to
-``np.sum`` over it whole, memory O(chunk) plus one membership array for cuts.
-A chunk's points ascend, so a shape may evaluate it by slices in
-``_on_grid``, which must give ``_membership``'s bits. ``survey.report`` walks
-its centroid grids, a row per cell, through the same chunks (:func:`walk_linspace`).
+walked GRID_CHUNK points at a time (:func:`walk_grid`): sums bit-equal to ``np.sum``
+over it whole, memory O(chunk) plus one membership array for cuts. A chunk's points
+ascend, so ``_on_grid`` may take them by slices; it gives ``_membership``'s bits. A step
+function's values are one :func:`step_table`, read by :func:`step_at`; ``survey.report``
+walks a block's cells through one table, a grid row per cell (:func:`walk_linspace`).
 
 Every path yields (alpha index, left, right) runs, by alpha, then left to
 right; :func:`.intervals.run_sums` adds them into lengths and
@@ -80,11 +80,20 @@ def _check_span(arr, name):
             raise ValueError(f"{name} span [{arr[0]}, {arr[-1]}] is wider than a float can measure")
 
 
-def step_values(bp, lv, x, idx, interior) -> np.ndarray:
-    """Level ``lv[idx]`` of the cell from breakpoint ``idx`` on, at each x in it;
-    on an ``interior`` breakpoint, the larger of the two cells' levels."""
-    val = lv[idx]
-    return np.where((x == bp[idx]) & interior, np.maximum(val, lv[idx - 1]), val)
+def step_table(levels) -> np.ndarray:
+    """Values of a step function on ``levels.size + 1`` breakpoints: 0, then each breakpoint's
+    (the larger of its cells' levels) and the level of the cell after it (0 after the last)."""
+    steps = np.zeros(2 * levels.size + 3)
+    if levels.size:
+        steps[2:-1:2] = levels
+        steps[1::2] = np.concatenate([levels[:1], np.maximum(levels[1:], levels[:-1]), levels[-1:]])
+    return steps
+
+
+def step_at(steps, bp, r, x) -> np.ndarray:
+    """``steps`` at each x, ``r = bp.searchsorted(x, "right")``: breakpoint ``r - 1``'s value
+    on it, else its cell's level; before ``bp[0]``, past ``bp[-1]`` and at NaN, a 0 entry."""
+    return steps[2 * r - (bp[r - 1] == x)]
 
 
 def _check_unit_range(arr, name):
@@ -94,10 +103,10 @@ def _check_unit_range(arr, name):
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseConstant(MembershipFunction):
-    """Step function: level ``levels[j]`` on the cell between consecutive
-    breakpoints, zero outside. At a shared breakpoint the membership is the
-    larger of the adjacent cell levels, so closed-interval endpoints keep
-    full membership."""
+    """Step function: level ``levels[j]`` on the cell between consecutive breakpoints,
+    zero outside; at a shared breakpoint, the larger of the adjacent cell levels, so
+    closed-interval endpoints keep full membership. ``_membership`` reads its
+    ``step_table`` by ``step_at``, ``_on_grid`` an entry per run of a chunk."""
 
     breakpoints: np.ndarray
     levels: np.ndarray
@@ -114,20 +123,10 @@ class PiecewiseConstant(MembershipFunction):
         _check_unit_range(lv, "levels")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "levels", lv)
-        # _on_grid's values: 0, then each breakpoint's and the level of the cell after
-        # it (0 past the last); a breakpoint reads step_values' max of its cells' levels
-        steps = np.zeros(2 * bp.size + 1)
-        if lv.size:
-            steps[2:-1:2] = lv
-            steps[1::2] = np.concatenate([lv[:1], np.maximum(lv[1:], lv[:-1]), lv[-1:]])
-        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "_steps", step_table(lv))
 
     def _membership(self, x):
-        bp, lv = self.breakpoints, self.levels
-        if not lv.size:
-            return np.zeros_like(x)
-        idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, lv.size - 1)
-        return np.where((x >= bp[0]) & (x <= bp[-1]), step_values(bp, lv, x, idx, idx >= 1), 0.0)
+        return step_at(self._steps, self.breakpoints, self.breakpoints.searchsorted(x, "right"), x)
 
     def _on_grid(self, x):
         """``_membership``'s bits by slices: the breakpoints within the ascending ``x``

@@ -30,7 +30,8 @@ from .errors import (
     UnknownGroup,
     UnknownTerm,
 )
-from .fuzzyset import DEFAULT_SAMPLES, ZERO_MEMBERSHIP, _check_samples, step_values, walk_linspace
+from .fuzzyset import (DEFAULT_SAMPLES, ZERO_MEMBERSHIP, _check_samples, step_at, step_table,
+                       walk_linspace)
 from .iaa import build_iaa
 from .intervals import (
     Interval,
@@ -461,10 +462,10 @@ def report(
 
 
 def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow]:
-    """Rows of cells whose responses lie cell after cell in ``ls`` and ``rs``,
-    ``n`` per cell: the cells' sweeps are concatenated, and each later step
-    runs once over them all, adding what the per-cell path adds, in order. The
-    centroid grids, a row per cell, are walked in chunks (``walk_linspace``)."""
+    """Rows of cells whose responses lie cell after cell in ``ls`` and ``rs``, ``n`` per
+    cell: the cells' sweeps are concatenated, and each later step runs once over them all,
+    adding what the per-cell path adds, in order. The centroid grids, a row per cell, walked
+    in chunks (``walk_linspace``), read one ``step_table`` of all cells by ``step_at``."""
     ends = np.cumsum(n)
     colls = [IntervalCollection._from_arrays(ls[e - c:e], rs[e - c:e])
              for e, c in zip(ends.tolist(), n.tolist())]
@@ -478,11 +479,10 @@ def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow
     pos = counts[:-1] > 0  # support: a cell's covered widths, each cell's sum pairwise
     per = np.cumsum(np.bincount(cell[:-1][pos], minlength=n.size))[:-1]
     support = [float(w.sum()) for w in np.split(np.diff(coords)[pos], per)]
-    # a grid point is in the cell of the last left edge at or before it, or, with no
-    # edge (m = 1, at = 0), reads its cell's closing 0 count
-    def chunk(xs, a, b):
-        at = np.stack([np.searchsorted(c.coverage[0][:-1], x, "right") for c, x in zip(colls, xs)])
-        mus = step_values(coords, levels, xs, at + (first - (m > 1))[:, None], at >= 2)
+    steps = step_table(levels[:-1])  # each cell's closing 0 is a level between cells
+    def chunk(xs, a, b):  # a row starts on its cell's first coordinate: r >= 1, r - 1 in the cell
+        r = np.stack([np.searchsorted(c.coverage[0], x, "right") for c, x in zip(colls, xs)])
+        mus = step_at(steps, coords, r + first[:, None], xs)
         return mus.sum(axis=1), np.multiply(xs, mus, out=xs).sum(axis=1)
     weight, moment = walk_linspace(coords[first, None], coords[first + m - 1, None], samples, chunk)
     compared, size = lengths, n  # the lengths γ compares: every level's, or every cut's

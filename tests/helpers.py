@@ -182,6 +182,22 @@ def all_vertex_membership(xs, mus, x):
     return out
 
 
+def step_membership(bp, lv, x):
+    """Step-function membership by a clipped cell index, as ``PiecewiseConstant``
+    must give it bit for bit: the level of the cell from the last breakpoint at
+    or before x; on an interior breakpoint ``np.maximum`` of the cell's level and
+    the one before it, in that order; 0 off the breakpoints' span, at NaN, and
+    everywhere when there is no cell."""
+    import numpy as np
+
+    if not lv.size:
+        return np.zeros_like(x)
+    idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, lv.size - 1)
+    val = lv[idx]
+    val = np.where((x == bp[idx]) & (idx >= 1), np.maximum(val, lv[idx - 1]), val)
+    return np.where((x >= bp[0]) & (x <= bp[-1]), val, 0.0)
+
+
 def oracle_run_sums(keys, widths, size):
     """The per-key builtin-``sum`` summation ``run_sums`` replaced: each key's
     widths (runs ordered by key, then position) sliced out and added left to

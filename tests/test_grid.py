@@ -33,7 +33,7 @@ from intervalagreement.fuzzyset import (
     walk_linspace,
 )
 
-from helpers import all_vertex_membership
+from helpers import all_vertex_membership, step_membership
 
 CHUNK_SIZES = [
     GRID_CHUNK - 1,
@@ -256,19 +256,24 @@ def test_linear_on_grid_either_side_of_the_slice_path(vertices):
 @st.composite
 def step_and_probes(draw):
     """A step function on lattice breakpoints (levels may be -0.0, and there
-    may be none) with ascending probes: on breakpoints, some more than once,
-    between them and off either end, spanning all the breakpoints or some."""
+    may be none) with probes in any order: on breakpoints, some more than once,
+    between them and off either end, at -0.0, NaN and +/-inf, spanning all the
+    breakpoints or some."""
     bp = sorted(draw(st.sets(vertex_xs, min_size=1, max_size=9)))
     level = st.one_of(vertex_mus, st.just(-0.0))
     levels = draw(st.lists(level, min_size=len(bp) - 1, max_size=len(bp) - 1))
-    probes = draw(st.lists(st.one_of(st.floats(-3, 3), st.sampled_from(bp)), min_size=1, max_size=60))
-    return PiecewiseConstant(np.array(bp), np.array(levels, dtype=float)), np.sort(np.array(probes))
+    odd = st.sampled_from([-0.0, np.nan, np.inf, -np.inf])
+    probes = draw(st.lists(st.one_of(st.floats(-3, 3), st.sampled_from(bp), odd),
+                           min_size=1, max_size=60))
+    return PiecewiseConstant(np.array(bp), np.array(levels, dtype=float)), np.array(probes)
 
 
 @given(step_and_probes())
 @example((PiecewiseConstant(np.array([1.0]), np.array([])), np.array([0, 1, 1, 2.0])))
 @example((PiecewiseConstant(np.array([0, 1, 2.0]), np.array([-0.0, 0.0])),
-          np.array([-1, 0, 0.5, 1, 1, 1.5, 2, 3.0])))  # max(0.0, -0.0) as step_values takes it
+          np.array([-1, -0.0, 0, 0.5, 1, 1, 1.5, 2, 3.0])))  # np.maximum(0.0, -0.0) is 0.0 at 1
+@example((PiecewiseConstant(np.array([-1, 0, 2.0]), np.array([0.5, 0.25])),
+          np.array([3, -0.0, np.nan, 0, -np.inf, 0.5, np.inf, -1, 2])))  # unsorted; -0.0 on 0.0
 @example((PiecewiseConstant(np.array([0, 1, 2.0]), np.array([0.5, 0.25])),
           np.array([1.5, 1.75])))  # no breakpoint within the probes: the one cell's level
 @example((PiecewiseConstant(np.array([0, 1, 2.0]), np.array([0.5, 0.25])),
@@ -276,10 +281,14 @@ def step_and_probes(draw):
 @example((PiecewiseConstant(np.array([0, 1, 2.0]), np.array([0.5, 0.25])),
           np.array([2.5, 3.0])))  # past the last
 def test_step_on_grid_equals_membership(shape_and_probes):
-    """Bit-equal on both of ``_on_grid``'s paths: slices (forced at any density) and,
-    past its density bound, ``_membership`` itself."""
+    """``_membership`` on the probes in any order, and both of ``_on_grid``'s paths on
+    them ascending, slices (forced at any density) and, past its density bound,
+    ``_membership`` itself: each bit-equal to the clipped-index referee."""
     mf, x = shape_and_probes
-    want = bits(mf._membership(x))
+    want = bits(step_membership(mf.breakpoints, mf.levels, x))
+    assert np.array_equal(bits(mf._membership(x)), want)
+    x = np.sort(x)
+    want = bits(step_membership(mf.breakpoints, mf.levels, x))
     with mock.patch.object(fuzzyset, "STEP_POINTS_PER_BREAKPOINT", 0):
         assert np.array_equal(bits(mf._on_grid(x)), want)
     assert np.array_equal(bits(mf._on_grid(x)), want)

@@ -514,8 +514,16 @@ def _responses(draw):
     return draw(st.permutations(responses)) if responses else [("G3", 1, "T1", 0.0, 0.0)]
 
 
+_TOUCHING = [("Patient", 1, "ITD", 0.0, 3.0), ("Patient", 2, "ITD", 1.0, 3.0),
+             ("Patient", 1, "ED", 3.0, 5.0), ("Patient", 2, "ED", 3.5, 4.0)]
+
+
 @settings(max_examples=150)
 @example([("G3", 1, "T1", 0.0, 0.0), ("G3", 2, "T1", 0.0, 0.0)], "exact", 2, 2, 2, 2)  # one point
+# Patient/ED starts on 3, where Patient/ITD ends at level 1: one block, whose ED grid row
+# starts on that coordinate and must read ED's 1/2 there
+@example(_TOUCHING, "exact", 4, 101, 60, 20_000)
+@example(_TOUCHING, "alpha", 4, 101, 60, 20_000)
 @given(
     _responses(),
     st.sampled_from(["exact", "alpha"]),
