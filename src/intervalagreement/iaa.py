@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fuzzyset import PiecewiseConstant
-from .intervals import IntervalCollection
+from .intervals import IntervalCollection, coverage_cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +33,7 @@ class AgreementFS(PiecewiseConstant):
 
 def build_iaa(coll: IntervalCollection) -> AgreementFS:
     """Aggregate a collection into its exact agreement step function."""
-    coords, counts = coll.coverage
+    coords, counts = coverage_cells(coll)
     return AgreementFS(
         breakpoints=coords,
         levels=counts / coll.n,

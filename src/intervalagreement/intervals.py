@@ -60,8 +60,8 @@ class IntervalCollection:
     """One interval per participant, in response order (never sorted).
 
     The validated endpoints are stored as two read-only float arrays;
-    ``intervals`` builds the ``Interval`` tuple on first read, and
-    ``coverage`` sweeps the collection once for every caller.
+    ``intervals`` builds the ``Interval`` tuple on first read. No sweep is
+    kept: each ``coverage_cells`` call sweeps the endpoints again.
     """
 
     def __init__(self, intervals: Iterable[Interval]):
@@ -89,14 +89,6 @@ class IntervalCollection:
     @cached_property
     def intervals(self) -> tuple[Interval, ...]:
         return tuple(map(Interval, self._ls.tolist(), self._rs.tolist()))
-
-    @cached_property
-    def coverage(self) -> tuple[np.ndarray, np.ndarray]:
-        """``coverage_cells`` of this collection, swept on first read and
-        shared (read-only) by ``build_iaa`` and ``level_lengths``."""
-        coords, counts = coverage_cells(self)
-        coords.flags.writeable = counts.flags.writeable = False
-        return coords, counts
 
     @property
     def n(self) -> int:
@@ -326,7 +318,7 @@ def level_sets(coll: IntervalCollection) -> list[DisjointRegion]:
     Regions are nested and their lengths are the agreement-level lengths the
     ratio measure is built from; all come from one ``level_runs``, in O(n log n).
     """
-    coords, counts = coll.coverage
+    coords, counts = coverage_cells(coll)
     key, start, stop = level_runs(counts)
     return run_regions(key, coords[start], coords[stop], coll.n)
 
@@ -337,7 +329,7 @@ def level_lengths(coll: IntervalCollection) -> np.ndarray:
     The runs of every level (``level_runs``, at most n in all) are summed by
     ``run_sums`` to the bits of each ``level_sets`` region's total length.
     """
-    coords, counts = coll.coverage
+    coords, counts = coverage_cells(coll)
     key, start, stop = level_runs(counts)
     return run_sums(key, coords[stop] - coords[start], coll.n)
 

@@ -36,6 +36,7 @@ from .iaa import build_iaa
 from .intervals import (
     Interval,
     IntervalCollection,
+    coverage_cells,
     endpoint_arrays,
     level_runs,
     plain,
@@ -415,10 +416,10 @@ def cell_gamma(coll: IntervalCollection, mode: str, alpha_cuts: int) -> GammaBre
     return gamma_exact(coll) if mode == "exact" else gamma_alpha(build_iaa(coll), cuts=alpha_cuts)
 
 
-# a cell costs the larger of its shares of the two budgets, and a block of
-# whole cells starts at each whole budget: at most one budget plus its last cell
-BLOCK_INTERVALS = 1 << 13
-BLOCK_POINTS = 1 << 14  # grid points, plus α-cuts in alpha mode
+# a block is the next BLOCK_POINTS // points cells, at least one, where points is the
+# grid samples plus the α-cuts in alpha mode: it bounds the (cells, chunk) grid arrays,
+# while a block's sweep arrays grow with its cells' responses
+BLOCK_POINTS = 1 << 14
 
 
 def report(
@@ -434,8 +435,10 @@ def report(
     in alpha mode, ``alpha_cuts`` are checked first. A row holds, to the bit,
     what ``attributes`` and ``cell_gamma`` give on the cell's collection, and
     a cell raises their first error, with ``.cell`` set to (group, term).
-    Blocks of whole cells are measured together (``_report_block``), their
-    centroid grids walked in chunks: memory is bounded at any ``samples``.
+    A block, the next ``max(1, BLOCK_POINTS // points)`` cells (``points`` is
+    ``samples``, plus ``alpha_cuts`` in alpha mode), is measured together by
+    ``_report_block``: its centroid grids are walked in chunks, bounded at any
+    ``samples``, while its sweep arrays grow with its cells' responses.
     """
     _check_samples(samples)
     _check_mode(mode)
@@ -450,11 +453,9 @@ def report(
     skipped = tuple((*names[i], "fewer than 2 responses" if n[i] else "no responses")
                     for i in np.flatnonzero(n < 2).tolist())
     kept = np.flatnonzero(n >= 2)
-    points = samples + (alpha_cuts if mode == "alpha" else 0)
-    cost = np.maximum(n[kept] / BLOCK_INTERVALS, points / BLOCK_POINTS)
-    block = (np.cumsum(cost) - cost).astype(np.intp)
+    size = max(1, BLOCK_POINTS // (samples + (alpha_cuts if mode == "alpha" else 0)))
     out = []
-    for cells in np.split(kept, np.unique(block, return_index=True)[1][1:]) if kept.size else ():
+    for cells in (kept[i:i + size] for i in range(0, kept.size, size)):
         picked = order[ranges(starts[cells], starts[cells] + n[cells])]
         out += _report_block([names[i] for i in cells.tolist()], ds.l[picked], ds.r[picked],
                              n[cells], mode, alpha_cuts, samples)
@@ -463,15 +464,16 @@ def report(
 
 def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow]:
     """Rows of cells whose responses lie cell after cell in ``ls`` and ``rs``, ``n`` per
-    cell: the cells' sweeps are concatenated, and each later step runs once over them all,
+    cell: each cell is swept once (``coverage_cells``), the sweeps are concatenated, so their
+    arrays grow with the block's responses, and each later step runs once over them all,
     adding what the per-cell path adds, in order. The centroid grids, a row per cell, walked
     in chunks (``walk_linspace``), read one ``step_table`` of all cells by ``step_at``."""
     ends = np.cumsum(n)
-    colls = [IntervalCollection._from_arrays(ls[e - c:e], rs[e - c:e])
-             for e, c in zip(ends.tolist(), n.tolist())]
-    coords = np.concatenate([c.coverage[0] for c in colls])
-    counts = np.concatenate([y for c in colls for y in (c.coverage[1], [0])])  # no run crosses a 0
-    m = np.array([c.coverage[0].size for c in colls])
+    sweeps = [coverage_cells(IntervalCollection._from_arrays(ls[e - c:e], rs[e - c:e]))
+              for e, c in zip(ends.tolist(), n.tolist())]
+    coords = np.concatenate([x for x, _ in sweeps])
+    counts = np.concatenate([y for _, c in sweeps for y in (c, [0])])  # no run crosses a 0
+    m = np.array([x.size for x, _ in sweeps])
     first, cell = np.cumsum(m) - m, np.repeat(np.arange(n.size), m)
     levels = counts / n[cell]
     key, start, stop = level_runs(counts)  # cell c's level k is summed at ends[c] - n[c] + k - 1
@@ -481,7 +483,7 @@ def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow
     support = [float(w.sum()) for w in np.split(np.diff(coords)[pos], per)]
     steps = step_table(levels[:-1])  # each cell's closing 0 is a level between cells
     def chunk(xs, a, b):  # a row starts on its cell's first coordinate: r >= 1, r - 1 in the cell
-        r = np.stack([np.searchsorted(c.coverage[0], x, "right") for c, x in zip(colls, xs)])
+        r = np.stack([np.searchsorted(c, x, "right") for (c, _), x in zip(sweeps, xs)])
         mus = step_at(steps, coords, r + first[:, None], xs)
         return mus.sum(axis=1), np.multiply(xs, mus, out=xs).sum(axis=1)
     weight, moment = walk_linspace(coords[first, None], coords[first + m - 1, None], samples, chunk)

@@ -9,7 +9,6 @@ from intervalagreement import intervals as intervals_mod
 from intervalagreement import (
     AgreementError,
     CombinatorialLimit,
-    build_iaa,
     gamma_exact,
     DisjointRegion,
     EmptyCollection,
@@ -136,22 +135,6 @@ def test_collection_endpoints_are_read_only():
         with pytest.raises(ValueError):
             rs[0] = 5.0
         assert coll.intervals == (Interval(1.0, 2.0), Interval(0.0, 3.0))
-
-
-def test_collection_is_swept_once(monkeypatch):
-    calls = []
-    sweep = intervals_mod.coverage_cells
-
-    def counted(coll):
-        calls.append(coll)
-        return sweep(coll)
-
-    monkeypatch.setattr(intervals_mod, "coverage_cells", counted)
-    coll = collection(FIG_NONCONVEX)
-    build_iaa(coll)
-    assert gamma_exact(coll).gamma == pytest.approx(1 / 3)
-    level_sets(coll)
-    assert calls == [coll]
 
 
 def test_disjoint_region_rejects_touching_segments():

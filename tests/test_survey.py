@@ -1,7 +1,9 @@
 import csv
 import json
 import re
+import sys
 import tracemalloc
+from contextlib import ExitStack
 from io import BytesIO, StringIO
 from pathlib import Path
 from unittest.mock import patch
@@ -30,7 +32,7 @@ from intervalagreement import (
     make_interval,
     report,
 )
-from intervalagreement import survey
+from intervalagreement import intervals, survey
 from intervalagreement.survey import (
     CSV_HEADER,
     TERM_ORDER,
@@ -519,35 +521,32 @@ _TOUCHING = [("Patient", 1, "ITD", 0.0, 3.0), ("Patient", 2, "ITD", 1.0, 3.0),
 
 
 @settings(max_examples=150)
-@example([("G3", 1, "T1", 0.0, 0.0), ("G3", 2, "T1", 0.0, 0.0)], "exact", 2, 2, 2, 2)  # one point
+@example([("G3", 1, "T1", 0.0, 0.0), ("G3", 2, "T1", 0.0, 0.0)], "exact", 2, 2, 2)  # one point
 # Patient/ED starts on 3, where Patient/ITD ends at level 1: one block, whose ED grid row
 # starts on that coordinate and must read ED's 1/2 there
-@example(_TOUCHING, "exact", 4, 101, 60, 20_000)
-@example(_TOUCHING, "alpha", 4, 101, 60, 20_000)
+@example(_TOUCHING, "exact", 4, 101, 20_000)
+@example(_TOUCHING, "alpha", 4, 101, 20_000)
 @given(
     _responses(),
     st.sampled_from(["exact", "alpha"]),
     st.integers(2, 30),
     st.one_of(st.integers(2, 3000), st.sampled_from([32_769, 40_000, 65_537])),
-    st.integers(2, 60),
     st.one_of(st.integers(2, 20_000), st.just(1 << 20)),
 )
-def test_report_matches_per_cell_loop(responses, mode, alpha_cuts, samples, intervals, points):
-    """Small block budgets make many blocks, and cells larger than a block;
-    over 32,768 samples a row spans several grid chunks, and a budget of 2^20
-    points puts several such rows in one block."""
+def test_report_matches_per_cell_loop(responses, mode, alpha_cuts, samples, points):
+    """A small point budget makes blocks of one cell or a few, a large one a
+    block of every cell; over 32,768 samples a row spans several grid chunks,
+    and a budget of 2^20 points puts several such rows in one block."""
     ds = load_survey(StringIO(_survey_text(responses)))
-    with patch.object(survey, "BLOCK_INTERVALS", intervals), patch.object(
-        survey, "BLOCK_POINTS", points
-    ):
+    with patch.object(survey, "BLOCK_POINTS", points):
         _assert_same_report(ds, mode, alpha_cuts, samples)
 
 
 @pytest.mark.parametrize("mode", ["exact", "alpha"])
 def test_report_matches_per_cell_loop_across_blocks(mode):
-    """The shipped budgets: 453 cells fill 31 blocks (32 in alpha mode), and
+    """The shipped budget: 453 cells fill 29 blocks of 16 (in both modes), and
     the 9,000-response G1/MD and G2/MD cells and the 18,000-response ALL/MD
-    cell each exceed the interval budget on their own."""
+    cell each share their block with 15-response cells."""
     rng = np.random.default_rng(11)
     terms = [("MD", 9000)] + [(f"T{i:03d}", 15) for i in range(150)]
     responses = [
@@ -557,8 +556,31 @@ def test_report_matches_per_cell_loop_across_blocks(mode):
         for p in range(participants)
     ]
     ds = load_survey(StringIO(_survey_text(responses)))
-    assert 9000 > survey.BLOCK_INTERVALS
+    assert survey.BLOCK_POINTS // (1001 + 7) == survey.BLOCK_POINTS // 1001 == 16
     _assert_same_report(ds, mode, 7, 1001)
+
+
+@pytest.mark.parametrize("mode", ["exact", "alpha"])
+def test_report_sweeps_each_reported_cell_once(mode):
+    """Each reported cell gets exactly one ``coverage_cells`` call, counted at
+    every module that looks it up: no step of a block sweeps a cell again. The
+    fixture's 8 cells fill 3 blocks of at most 3."""
+    ds = load_survey(FIXTURE)
+    sweep, calls = intervals.coverage_cells, []
+
+    def counted(coll):
+        calls.append(coll.n)
+        return sweep(coll)
+
+    sites = [m for name, m in sorted(sys.modules.items())
+             if name.startswith("intervalagreement") and hasattr(m, "coverage_cells")]
+    with ExitStack() as stack:
+        for site in sites:
+            stack.enter_context(patch.object(site, "coverage_cells", counted))
+        stack.enter_context(patch.object(survey, "BLOCK_POINTS", 3 * 1011))
+        rep = report(ds, mode=mode)
+    assert survey in sites
+    assert calls == [row.n for row in rep.rows] and len(calls) == 8
 
 
 def test_report_matches_per_cell_loop_on_an_underflowing_grid_step():
