@@ -26,7 +26,8 @@ Sections:
   in double quotes (read by ``csv.reader``, not split directly); and
   ``cli.parse_interval_lines`` on LINES seeded lines, as they are and with a
   reversed last line. The bad inputs raise, and the error's type and line
-  are kept.
+  are kept. Each case adds the ``tracemalloc`` peak of one more call, which
+  counts the ``io.StringIO`` a survey is read from.
 * ``alpha``: ``attributes`` of a Gaussian, a triangle, a trapezoid, a
   POLYLINE_VERTICES-vertex ``PiecewiseLinear`` and a seeded noisy ``Sampled``
   grid, ``jaccard`` of the triangle and the trapezoid and of the polyline and
@@ -166,7 +167,8 @@ def repeated(run) -> dict:
 
 
 def timed(run) -> dict:
-    """``repeated`` after one warm-up, and the error the call raises, if any."""
+    """``repeated`` after one warm-up, the error the call raises, if any, and
+    the ``tracemalloc`` peak of one more call."""
     def once():
         try:
             run()
@@ -175,7 +177,12 @@ def timed(run) -> dict:
         return {"raises": None, "line": None}
 
     outcome = once()
-    return {**repeated(once), **outcome}
+    point = {**repeated(once), **outcome}
+    tracemalloc.start()
+    once()
+    point["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
+    return point
 
 
 def load() -> list[dict]:
@@ -334,7 +341,8 @@ def main(argv=None) -> int:
               f"tracemalloc peak {p['tracemalloc_peak_mb']:7.2f} MB")
     for c in entry["load"]["cases"]:
         print(f"{args.label}: load {c['input']} {c['case']}: best {c['best_s'] * 1e3:8.2f} ms, "
-              f"median {c['median_s'] * 1e3:8.2f} ms, raises {c['raises']} at line {c['line']}")
+              f"median {c['median_s'] * 1e3:8.2f} ms, tracemalloc peak "
+              f"{c['tracemalloc_peak_mb']:7.2f} MB, raises {c['raises']} at line {c['line']}")
     for c in entry["alpha"]["cases"]:
         print(f"{args.label}: alpha {c['case']}, {c['samples']} samples: "
               f"best {c['best_s'] * 1e3:8.2f} ms, median {c['median_s'] * 1e3:8.2f} ms, "

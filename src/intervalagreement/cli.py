@@ -9,6 +9,8 @@ inputs and flags produce identical bytes.
 PRINT_LINES at a time and each block is written when done, so the print holds
 O(PRINT_LINES) memory; a line holding a value whose digits the integer path
 cannot decide (``_millionths`` gives the rule) is formatted by ``%``.
+``build`` and ``series`` write their series the same way, PRINT_LINES points
+per block (``survey.series_blocks``).
 
 Each subcommand takes only the flags it reads, and argparse rejects a bad
 value with exit 2. ``--scale`` defaults to the set's hull in ``build`` and to
@@ -39,6 +41,7 @@ from .errors import AgreementError, ParseError
 from .fuzzyset import DEFAULT_SAMPLES, attributes
 from .iaa import build_iaa
 from .intervals import Interval, IntervalCollection, endpoint_arrays, plain, read_interval
+from .survey import PRINT_LINES
 
 # upper bounds on the size flags, so a typo cannot ask for an unbounded allocation
 MAX_SAMPLES = 10_000_001
@@ -81,7 +84,6 @@ def _source(path: str):
     return getattr(sys.stdin, "buffer", sys.stdin) if path == "-" else path
 
 
-PRINT_LINES = 1 << 12  # level lines built and written per step
 _LEVEL_LINE = "level %d: weight=%.6f length=%s prev=%s ratio=%.6f\n"  # lengths as "%.6f" text
 
 
@@ -196,8 +198,7 @@ def cmd_build(args) -> None:
     fs = build_iaa(coll)
     window = Interval(*args.scale) if args.scale else fs.window()
     xs = np.linspace(window.l, window.r, args.samples)
-    to_text = survey_mod.series_to_json if args.format == "json" else survey_mod.series_to_csv
-    sys.stdout.write(to_text(xs, fs.membership(xs)))
+    sys.stdout.writelines(survey_mod.series_blocks(xs, fs.membership(xs), args.format))
 
 
 def cmd_attrs(args) -> None:
@@ -230,8 +231,7 @@ def cmd_report(args) -> None:
 def cmd_series(args) -> None:
     ds = _load_dataset(args)
     xs, mus = survey_mod.emit_series(ds, args.group, args.term, samples=args.samples)
-    to_text = survey_mod.series_to_json if args.format == "json" else survey_mod.series_to_csv
-    sys.stdout.write(to_text(xs, mus))
+    sys.stdout.writelines(survey_mod.series_blocks(xs, mus, args.format))
 
 
 def _number_type(read, low, high):

@@ -195,60 +195,55 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
     commas directly; any other text, quoted fields included, is read by
     ``csv.reader``. Both give the rows, errors and lines ``csv.reader`` gives.
 
-    Each check runs once over a whole column and marks the rows that pass:
-    names present and not reserved, endpoints plain, finite, ordered and
-    inside the scale. Only failing rows, and rows whose endpoint text is not
-    plain, go to the one-row validator, in line order; the first bad one
-    raises its own message and ``.line``, and all-blank CSV rows are skipped.
-    Then the first repeated response in line order raises, naming the line
-    it repeats.
+    Rows are checked, encoded and converted LOAD_ROWS at a time by
+    ``_dataset``, so the Python objects a load holds are O(LOAD_ROWS) while
+    its arrays are O(rows). Split text is sliced a block at a time, and the
+    block is split only when it is reached; ``csv.reader`` and JSON read every
+    row first, so a malformed line or invalid JSON raises before any bad value
+    on an earlier line. In each block every check runs once over a column
+    and marks the rows that pass: names present and not reserved, endpoints
+    plain, finite, ordered and inside the scale. Only failing rows, and rows
+    whose endpoint text is not plain, go to the one-row validator, in line
+    order; the first bad one raises its own message and ``.line``, and
+    all-blank CSV rows are skipped. After the last block, the first repeated
+    response in line order raises, naming the line it repeats.
     """
     text = read_text(source)
     if format == "csv":
-        columns, row, lines = _csv_rows(text)
-        decided = True  # endpoint text that is not plain is left to the one-row validator
-        if not plain(text.partition("\n")[2]) and not plain("".join(columns[3] + columns[4])):
-            decided = np.fromiter(map(plain, map(operator.add, columns[3], columns[4])), bool)
-        return _dataset(columns, decided, lambda i: _csv_record(row(i), lines[i], scale),
-                        lines, scale)
+        blocks, lines = _csv_blocks(text)
+        del text  # text split directly is read from its UTF-8 bytes from here on
+        return _dataset(blocks, _csv_record, lines, scale)
     if format == "json":
         payload = _json_rows(text)
-        try:
-            columns = [list(map(operator.itemgetter(key), payload)) for key in CSV_HEADER]
-        except (TypeError, KeyError):  # a record that is no object, or lacks a key, reads as nulls
-            columns = [[obj.get(key) if isinstance(obj, dict) else None for obj in payload]
-                       for key in CSV_HEADER]
-        # names must be strings or numbers and endpoints numbers, or the one-row validator decides
-        kinds = [(str, int, float)] * 3 + [(int, float)] * 2
-        decided = True
-        if any({*map(type, col)} - {*kind} for col, kind in zip(columns, kinds)):
-            decided = np.fromiter((all(type(v) in kind for v, kind in zip(row, kinds))
-                                   for row in zip(*columns)), bool)
-        columns[:3] = (list(map(str, col)) for col in columns[:3])
-        return _dataset(columns, decided, lambda i: _json_record(payload[i], i + 1, scale),
+        return _dataset(map(_json_block, _blocks(payload)), _json_record,
                         range(1, len(payload) + 1), scale)
     raise ValueError(f"format must be csv or json, got {format!r}")
 
 
-def _csv_rows(text: str):
-    """The five columns of the rows after the header (a row of another length
-    reads as five blanks), a function giving row i's fields, and each row's
-    line number. Text ``load_survey`` splits directly is split at once, and
-    a line without four commas is split again only when asked for."""
+# rows split, checked, encoded and converted per step of load_survey
+LOAD_ROWS = 1 << 12
+
+
+def _blocks(rows):
+    """``rows`` LOAD_ROWS at a time."""
+    return (rows[a:a + LOAD_ROWS] for a in range(0, len(rows), LOAD_ROWS))
+
+
+def _csv_blocks(text: str):
+    """The rows after the header, LOAD_ROWS at a time, and each row's line
+    number. A block is its five columns (a row of another length reads as five
+    blanks), whether each row's endpoint text is ``plain`` (True: all of them),
+    and a function giving its row j's fields. Text ``load_survey`` splits
+    directly is sliced and split a block at a time; other text is read whole
+    by ``csv.reader`` first."""
     if text and not any(map(text.__contains__, '"\r\0')):
-        body = text.removesuffix("\n")  # in UTF-8, "\n" and "," are one byte each
-        data = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
-        ends = np.append(np.flatnonzero(data == 10), data.size)  # where each line ends
+        data = text.encode("utf-8", "surrogatepass")  # in UTF-8, "\n" and "," are one byte each
+        body = np.frombuffer(data, np.uint8, len(data) - data.endswith(b"\n"))
+        ends = np.append(np.flatnonzero(body == 10), body.size)  # where each line ends
         if np.diff(ends, prepend=-1).max() <= csv.field_size_limit() + 1:
-            head, _, rest = body.partition("\n")
-            _check_header(head.split(","))
-            bad = np.diff(np.searchsorted(np.flatnonzero(data == 44), ends)) != 4
-            if bad.any():  # a line without four commas reads as five blanks
-                raw = rest.split("\n")
-                rest = "\n".join([",,,," if b else line for line, b in zip(raw, bad.tolist())])
-            fields = rest.replace("\n", ",").split(",") if bad.size else []
-            row = (lambda i: raw[i].split(",")) if bad.any() else (lambda i: fields[5 * i:5 * i + 5])
-            return [fields[i::5] for i in range(5)], row, range(2, bad.size + 2)
+            _check_header(data[:ends[0]].decode("utf-8", "surrogatepass").split(","))
+            return ((_split_block(data, body, ends[a:a + LOAD_ROWS + 1])
+                     for a in range(0, ends.size - 1, LOAD_ROWS)), range(2, ends.size + 1))
     reader = csv.reader(io.StringIO(text))
     rows, lines = [], []
     try:
@@ -258,10 +253,41 @@ def _csv_rows(text: str):
             lines.append(reader.line_num)
     except csv.Error as exc:  # a field over the size limit, or a stray carriage return
         raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+    return map(_reader_block, _blocks(rows)), lines
+
+
+def _split_block(data: bytes, body: np.ndarray, ends: np.ndarray):
+    """The block of the lines of ``data`` (``body`` as bytes) that end at
+    ``ends[1:]``, sliced and split on its own; a line without four commas is
+    split again only when asked for."""
+    lo, hi = ends[0] + 1, ends[-1]
+    lines = data[lo:hi].decode("utf-8", "surrogatepass")
+    decided = plain(lines)
+    bad = np.diff(np.searchsorted(np.flatnonzero(body[lo:hi] == 44), ends - lo)) != 4
+    if bad.any():  # a line without four commas reads as five blanks
+        raw = lines.split("\n")
+        lines = "\n".join([",,,," if b else line for line, b in zip(raw, bad.tolist())])
+    fields = lines.replace("\n", ",").split(",")
+    row = (lambda j: raw[j].split(",")) if bad.any() else (lambda j: fields[5 * j:5 * j + 5])
+    columns = [fields[i::5] for i in range(5)]
+    return columns, decided or _plain_rows(columns), row
+
+
+def _reader_block(rows: list):
+    """The block of rows ``csv.reader`` read."""
     shaped = rows
     if {*map(len, rows)} - {5}:  # a row of another length reads as five blanks
         shaped = [row if len(row) == 5 else [""] * 5 for row in rows]
-    return [list(map(operator.itemgetter(i), shaped)) for i in range(5)], rows.__getitem__, lines
+    columns = [list(map(operator.itemgetter(i), shaped)) for i in range(5)]
+    return columns, _plain_rows(columns), rows.__getitem__
+
+
+def _plain_rows(columns):
+    """True when all endpoint text of a block is ``plain``, else whether each
+    row's is: text that is not is left to the one-row validator."""
+    if plain("".join(columns[3] + columns[4])):
+        return True
+    return np.fromiter(map(plain, map(operator.add, columns[3], columns[4])), bool)
 
 
 def _check_header(header):
@@ -292,6 +318,24 @@ def _json_rows(text: str) -> list:
     return payload
 
 
+def _json_block(records: list):
+    """A block of JSON records, as ``_csv_blocks`` gives rows: a record that is
+    no object, or lacks a key, reads as nulls, and each name is its ``str``."""
+    try:
+        columns = [list(map(operator.itemgetter(key), records)) for key in CSV_HEADER]
+    except (TypeError, KeyError):
+        columns = [[obj.get(key) if isinstance(obj, dict) else None for obj in records]
+                   for key in CSV_HEADER]
+    # names must be strings or numbers and endpoints numbers, or the one-row validator decides
+    kinds = [(str, int, float)] * 3 + [(int, float)] * 2
+    decided = True
+    if any({*map(type, col)} - {*kind} for col, kind in zip(columns, kinds)):
+        decided = np.fromiter((all(type(v) in kind for v, kind in zip(row, kinds))
+                               for row in zip(*columns)), bool)
+    columns[:3] = (list(map(str, col)) for col in columns[:3])
+    return columns, decided, records.__getitem__
+
+
 _JSON_KINDS = {dict: "an object", list: "an array", bool: "a boolean", type(None): "null"}
 
 
@@ -312,13 +356,19 @@ def _json_record(obj, i: int, scale: Interval) -> SurveyRecord:
     )
 
 
-def _encode(column, clean) -> tuple[tuple, np.ndarray]:
-    """Distinct non-empty cleaned values in first-appearance order, and each
-    row's index into them (-1 for ""); ``clean`` runs once per distinct raw value."""
-    names: dict = {"": -1}
-    code = {raw: names.setdefault(clean(raw), len(names) - 1) for raw in dict.fromkeys(column)}
-    del names[""]
-    return tuple(names), np.fromiter(map(code.__getitem__, column), np.intp, len(column))
+def _encode(column, clean, names: dict, code: dict) -> np.ndarray:
+    """Each row's index among the distinct non-empty cleaned values in
+    first-appearance order (-1 for ""). ``names`` (cleaned value to index,
+    starting as {"": -1}) and ``code`` (raw value to index) carry over from one
+    block to the next; ``clean`` runs once per distinct raw value."""
+    if code:  # a later block often holds only raw values earlier blocks held
+        try:
+            return np.fromiter(map(code.__getitem__, column), np.intp, len(column))
+        except KeyError:
+            pass
+    code.update({raw: names.setdefault(clean(raw), len(names) - 1)
+                 for raw in dict.fromkeys(column) if raw not in code})
+    return np.fromiter(map(code.__getitem__, column), np.intp, len(column))
 
 
 def _repeats(names, lines):
@@ -333,26 +383,44 @@ def _repeats(names, lines):
         j = at[np.argmin(order[at + 1])]
         row, first = order[j + 1], order[j]
         key = tuple(values[codes[row]] for values, codes in names)
-        raise ParseError(f"duplicate response for {key} (first seen at line {lines[first]})",
-                         line=lines[row])
+        raise ParseError(f"duplicate response for {key} (first seen at line {int(lines[first])})",
+                         line=int(lines[row]))
 
 
-def _dataset(columns, decided, validate, lines, scale: Interval) -> SurveyDataset:
-    """The dataset over five raw columns, checked a column at a time. Rows that
-    fail a check, or that ``decided`` leaves open, go to ``validate`` in order:
-    the first bad one raises, and a blank one (None) is dropped."""
+def _dataset(blocks, validate, lines, scale: Interval) -> SurveyDataset:
+    """The dataset over ``blocks``, one after another: each is five raw columns
+    of up to LOAD_ROWS rows, which rows ``decided`` (``plain`` endpoint text),
+    and a function giving row j's raw row. A block is checked a column at a
+    time, its names encoded (the name tables carry over, so names keep their
+    first appearance in the file) and its endpoints written into arrays
+    allocated once for every row; then the rows that fail a check, or that are
+    not decided, go to ``validate(row, line, scale)`` in order: the first bad
+    one raises, and a blank one (None) is dropped. So the Python objects held
+    are O(LOAD_ROWS), the arrays O(rows), and an error on an earlier line wins.
+    Repeats are checked once, after the last block."""
+    n = len(lines)
     clean = (lambda g: "" if g.strip() in DERIVED_GROUPS else g.strip(), str.strip, canonical_term)
-    names = list(map(_encode, columns[:3], clean))  # a missing or reserved name is code -1
-    ls, rs, ok = endpoint_arrays(columns[3], columns[4])
-    ok &= decided & (ls >= scale.l) & (rs <= scale.r)
-    for _, codes in names:
-        ok &= codes >= 0
-    blank = [i for i in np.flatnonzero(~ok).tolist() if validate(i) is None]
-    if blank:
-        names = [(values, np.delete(codes, blank)) for values, codes in names]
-        ls, rs, lines = np.delete(ls, blank), np.delete(rs, blank), np.delete(lines, blank).tolist()
+    tables = [({"": -1}, {}) for _ in clean]  # a missing or reserved name is code -1
+    codes = [np.empty(n, np.intp) for _ in clean]
+    ls, rs, blank = np.empty(n), np.empty(n), np.zeros(n, bool)
+    a = 0
+    for columns, decided, row in blocks:
+        b = a + len(columns[0])
+        l, r, ok = endpoint_arrays(columns[3], columns[4])
+        ok &= decided & (l >= scale.l) & (r <= scale.r)
+        ls[a:b], rs[a:b] = l, r
+        for column, f, (seen, code), out in zip(columns, clean, tables, codes):
+            out[a:b] = c = _encode(column, f, seen, code)
+            ok &= c >= 0
+        for j in np.flatnonzero(~ok).tolist():
+            blank[a + j] = validate(row(j), lines[a + j], scale) is None
+        a = b
+        del columns, row  # so the next block is split without this one
+    if blank.any():
+        *codes, ls, rs, lines = (arr[~blank] for arr in (*codes, ls, rs, np.asarray(lines)))
+    names = [(tuple(seen)[1:], c) for (seen, _), c in zip(tables, codes)]
     _repeats(names, lines)
-    for arr in [codes for _, codes in names] + [ls, rs]:
+    for arr in [*codes, ls, rs]:
         arr.flags.writeable = False
     return SurveyDataset(scale, *names[0], *names[1], *names[2], ls, rs)
 
@@ -548,12 +616,28 @@ def report_to_json(rep: AgreementReport) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+PRINT_LINES = 1 << 12  # printed lines built and written per step
+
+
+def series_blocks(xs: np.ndarray, mus: np.ndarray, format: str):
+    """The text of a membership series as ``format`` (csv or json), PRINT_LINES
+    points at a time, so a writer holds O(PRINT_LINES) text: CSV lines ``x,mu``
+    under a header, or one JSON array of [x, mu] pairs, each value ``_fmt``'s."""
+    yield "x,mu\n" if format == "csv" else "["
+    for a in range(0, xs.size, PRINT_LINES):
+        pairs = zip(xs[a:a + PRINT_LINES].tolist(), mus[a:a + PRINT_LINES].tolist())
+        if format == "csv":
+            yield "".join([f"{_fmt(x)},{_fmt(m)}\n" for x, m in pairs])
+        else:  # json.dumps of a block of pairs, brackets dropped, is that stretch of the whole
+            block = json.dumps([[float(_fmt(x)), float(_fmt(m))] for x, m in pairs])
+            yield (", " if a else "") + block[1:-1]
+    if format != "csv":
+        yield "]\n"
+
+
 def series_to_csv(xs: np.ndarray, mus: np.ndarray) -> str:
-    lines = ["x,mu"]
-    lines.extend(f"{_fmt(x)},{_fmt(m)}" for x, m in zip(xs, mus))
-    return "\n".join(lines) + "\n"
+    return "".join(series_blocks(xs, mus, "csv"))
 
 
 def series_to_json(xs: np.ndarray, mus: np.ndarray) -> str:
-    pairs = [[float(_fmt(x)), float(_fmt(m))] for x, m in zip(xs, mus)]
-    return json.dumps(pairs) + "\n"
+    return "".join(series_blocks(xs, mus, "json"))

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from intervalagreement import attributes, build_iaa, cli, collection, gamma_alpha, gamma_exact
+from intervalagreement import survey as survey_mod
 from intervalagreement.agreement import DEFAULT_CUTS, GammaBreakdown
 from intervalagreement.cli import (
     _print_breakdown,
@@ -296,6 +297,34 @@ def test_build_respects_scale_flag(intervals_file, capsys):
     pairs = json.loads(capsys.readouterr().out)
     assert pairs[0] == [0.0, 0.0]
     assert pairs[2] == [5.0, 0.75]
+
+
+class _Writes(io.StringIO):
+    """A stdout stand-in that keeps each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["build", "--input", "{intervals}", "--samples", "7"],
+    ["series", "--input", str(FIXTURE), "--group", "Patient", "--term", "ITD", "--samples", "7"],
+])
+def test_build_and_series_write_a_block_at_a_time(monkeypatch, capsys, intervals_file, fmt, argv):
+    argv = [arg.format(intervals=intervals_file) for arg in argv] + ["--format", fmt]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(survey_mod, "PRINT_LINES", 3)
+    monkeypatch.setattr(sys, "stdout", _Writes())
+    assert main(argv) == 0
+    assert "".join(sys.stdout.writes) == want
+    assert len(sys.stdout.writes) == 1 + 3 + (fmt == "json")  # the head, 3 + 3 + 1 points, the tail
 
 
 def test_attrs_output(tmp_path, capsys):

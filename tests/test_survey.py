@@ -737,6 +737,19 @@ def test_series_render_formats():
     assert pairs[2] == [5.0, 1.0]
 
 
+@pytest.mark.parametrize("points", [0, 1, 2, 3, 4, 7])
+def test_series_blocks_join_to_the_whole_text(monkeypatch, points):
+    monkeypatch.setattr(survey, "PRINT_LINES", 3)
+    rng = np.random.default_rng(points)
+    xs = rng.uniform(-1e6, 1e6, points) * 10.0 ** rng.integers(-300, 300, points)
+    mus = rng.uniform(0.0, 1.0, points)
+    assert series_to_csv(xs, mus) == "\n".join(
+        ["x,mu", *(f"{survey._fmt(x)},{survey._fmt(m)}" for x, m in zip(xs, mus))]) + "\n"
+    assert series_to_json(xs, mus) == json.dumps(
+        [[float(survey._fmt(x)), float(survey._fmt(m))] for x, m in zip(xs, mus)]) + "\n"
+    assert len(list(survey.series_blocks(xs, mus, "csv"))) == 1 + -(-points // 3)
+
+
 # ------------------------------------------------- columnar loader vs per-row
 
 GROUP_NAMES = ["Patient", " Patient", "Surgeon", "Physiotherapist ", "Nurse"]
@@ -843,11 +856,22 @@ def _outcome(load):
 @given(survey_inputs())
 @settings(max_examples=400)
 def test_columnar_loader_matches_per_row_loader(case):
-    fmt, text = case
+    _assert_loads_as_oracle(*case)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@given(case=survey_inputs())
+@settings(max_examples=200)
+def test_columnar_loader_matches_per_row_loader_in_small_blocks(rows, case):
+    with patch.object(survey, "LOAD_ROWS", rows):
+        _assert_loads_as_oracle(*case)
+
+
+def _assert_loads_as_oracle(fmt, text):
     got = _outcome(lambda: load_survey(StringIO(text), format=fmt))
     want = _outcome(lambda: oracle_load_survey(text, fmt))
     if isinstance(want, tuple) and want and isinstance(want[0], type):
-        assert got == want
+        assert got == want and type(got[2]) is type(want[2])
         return
     assert got.records == want
     assert got.groups == tuple(dict.fromkeys(r.group for r in want))
@@ -899,6 +923,82 @@ def test_first_error_in_line_order_wins(rows, error, line):
         load_survey(StringIO(text), format=fmt)
     assert info.value.line == line
     assert (type(info.value), str(info.value)) == _outcome(lambda: oracle_load_survey(text, fmt))[:2]
+
+
+# ------------------------------------------------- rows across load blocks
+
+def _in_blocks(monkeypatch, rows, size=2, fmt="csv"):
+    """The survey of ``rows`` loaded ``size`` rows per block, and the per-row
+    loader's outcome on it."""
+    text = HEADER + "".join(row + "\n" for row in rows) if fmt == "csv" else json.dumps(rows)
+    monkeypatch.setattr(survey, "LOAD_ROWS", size)
+    got = _outcome(lambda: load_survey(StringIO(text), format=fmt))
+    return got, _outcome(lambda: oracle_load_survey(text, fmt))
+
+
+def test_group_first_seen_in_a_later_block(monkeypatch):
+    ds, want = _in_blocks(monkeypatch, ["Patient,P01,ITD,0,1", "Patient,P02,ITD,1,2",
+                                        " Surgeon ,S01,ITD,2,3", "Patient,P03,ED,1,2",
+                                        "Surgeon,P01,ITD,0,2"])
+    assert ds.records == want
+    assert (ds.groups, ds.group_codes.tolist()) == (("Patient", "Surgeon"), [0, 0, 1, 0, 1])
+    assert (ds.participant_ids, ds.participant_codes.tolist()) == (
+        ("P01", "P02", "S01", "P03"), [0, 1, 2, 3, 0])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_alias_in_a_later_block_gets_the_codes_term(monkeypatch, fmt):
+    rows = [["Patient", "P01", "ED", 0, 1], ["Patient", "P02", "MD", 1, 2],
+            ["Patient", "P03", "extremely  Difficult", 2, 3]]
+    if fmt == "csv":
+        rows = [",".join(map(str, row)) for row in rows]
+    else:
+        rows = [dict(zip(CSV_HEADER, row)) for row in rows]
+    ds, want = _in_blocks(monkeypatch, rows, fmt=fmt)
+    assert ds.records == want
+    assert (ds.term_names, ds.term_codes.tolist()) == (("ED", "MD"), [0, 1, 0])
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_duplicate_of_a_row_in_an_earlier_block_names_its_line(monkeypatch, size):
+    rows = ["Patient,P01,ITD,0,1", "Patient,P02,ITD,1,2", "Patient,P03,ITD,1,2",
+            " Patient , P01 ,impossible to do,2,3"]
+    got, want = _in_blocks(monkeypatch, rows, size)
+    assert got == want == (ParseError, "line 5: duplicate response for ('Patient', 'P01', "
+                           "'ITD') (first seen at line 2)", 5)
+    assert type(got[2]) is int
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("blank", [" , , , , ", ",,", ""])
+def test_blank_or_comma_short_row_at_a_block_edge(monkeypatch, size, blank):
+    rows = ["Patient,P01,ITD,0,1", blank, blank, "Patient,P02,ITD,1,2"]
+    ds, want = _in_blocks(monkeypatch, rows, size)
+    assert ds.records == want
+    got, want = _in_blocks(monkeypatch, rows + ["Patient,P01,ITD,0,2"], size)
+    assert got == want and got[2] == 6 and "first seen at line 2" in got[1]
+    got, want = _in_blocks(monkeypatch, rows + ["Patient,P03,ITD,4,2"], size)
+    assert got == want and got[:1] + got[2:] == (InvalidInterval, 6)
+
+
+@pytest.mark.parametrize("endpoint", ["1_0", "\u0661", "\uff15.5"])
+def test_endpoint_text_not_plain_only_in_a_later_block(monkeypatch, endpoint):
+    rows = ["Patient,P01,ITD,0,1", "Patient,P02,ITD,1,2", f"Patient,P03,ITD,0,{endpoint}"]
+    got, want = _in_blocks(monkeypatch, rows)
+    assert got[0] is ParseError and got[2] == 4 and got == want
+    ds, want = _in_blocks(monkeypatch, rows[:2] + ["P\u00e2tient,P03,ITD,0,1"])
+    assert ds.records == want  # a name that is not ASCII is no endpoint
+
+
+def test_late_malformed_line_beats_an_early_reversed_interval(monkeypatch):
+    field = "G" * (csv.field_size_limit() + 1)
+    rows = ['"Patient","P01","ITD",6,4', '"Patient","P02","ITD",0,1', '"Patient","P03","ITD",0,1',
+            f'"{field}","P04","ITD",0,1']
+    got, want = _in_blocks(monkeypatch, rows, 1)
+    assert got[0] is ParseError and "malformed CSV" in got[1] and got[2] == 5
+    assert got == want
+    got, want = _in_blocks(monkeypatch, rows[:3], 1)
+    assert got == want and got[:1] + got[2:] == (InvalidInterval, 2)
 
 
 def test_one_row_validator_runs_only_on_the_bad_row(monkeypatch):
