@@ -1,8 +1,8 @@
 """Command-line front end: gamma, build, attrs, series, and report workflows.
 
-Interval lists are one `l,r` pair per line with `#` comments; survey data is
-CSV or JSON per the survey module. All output is deterministic: identical
-inputs and flags produce identical bytes.
+Interval lists (one `l,r` pair per line, `#` comments) and CSV surveys are read
+by one block split in the survey module, JSON surveys per that module. All
+output is deterministic: identical inputs and flags produce identical bytes.
 
 ``gamma`` prints γ, then one line per agreement level; every value is
 ``"%.6f"``'s text to the byte. The level lines are built from integer digits
@@ -30,53 +30,20 @@ import functools
 import math
 import re
 import sys
-from itertools import compress, repeat
-from operator import contains
 
 import numpy as np
 
 from . import survey as survey_mod
 from .agreement import DEFAULT_CUTS, GammaBreakdown
-from .errors import AgreementError, ParseError
+from .errors import AgreementError
 from .fuzzyset import DEFAULT_SAMPLES, attributes
 from .iaa import build_iaa
-from .intervals import Interval, IntervalCollection, endpoint_arrays, plain, read_interval
-from .survey import PRINT_LINES
+from .intervals import Interval, plain
+from .survey import PRINT_LINES, parse_interval_lines
 
 # upper bounds on the size flags, so a typo cannot ask for an unbounded allocation
 MAX_SAMPLES = 10_000_001
 MAX_ALPHA_CUTS = 10_000
-
-
-def parse_interval_lines(text: str) -> IntervalCollection:
-    """One interval per line as `l,r`; blank lines and `#` comments ignored.
-
-    The lines are joined, split once and checked a column at a time. Only the
-    lines that fail (as one without exactly one comma does), or whose text is
-    not plain, are read on their own, in line order: the first bad one raises.
-    """
-    raw = text.splitlines()
-    lines = [line.split("#", 1)[0] for line in raw] if "#" in text else raw
-    kept = list(filter(str.strip, lines))
-    if not kept:
-        raise ParseError("no intervals in input")
-    joined = ",".join(kept)
-    fields = joined.split(",")
-    if len(fields) != 2 * len(kept) or not all(map(contains, kept, repeat(","))):
-        fields = ",".join(line if line.count(",") == 1 else "," for line in kept).split(",")
-    ls, rs, ok = endpoint_arrays(fields[0::2], fields[1::2])
-    if not plain(joined):  # comments may hold any text
-        ok &= np.fromiter(map(plain, kept), bool)
-    if not ok.all():
-        number = np.flatnonzero(~ok)
-        if len(kept) < len(lines):  # kept line k is the k-th line that is not blank
-            number = np.array(list(compress(range(len(lines)), map(str.strip, lines))))[number]
-        for i in number.tolist():
-            parts = [part.strip() for part in lines[i].split(",")]
-            if len(parts) != 2:
-                raise ParseError(f"expected 'l,r', got {raw[i]!r}", line=i + 1)
-            read_interval(*parts, i + 1, raw[i])
-    return IntervalCollection._from_arrays(ls, rs)
 
 
 def _source(path: str):

@@ -571,7 +571,10 @@ def attributes(mf: MembershipFunction, samples: int = DEFAULT_SAMPLES) -> Attrib
     The centroid is the membership-weighted mean over the discretised window
     for every representation, so analytic and sampled sets are directly
     comparable; one ``walk_grid`` gives its weight and moment, bit-equal to
-    ``np.sum`` over the whole grid, in O(GRID_CHUNK) memory. Closed-form shapes
+    ``np.sum`` over the whole grid, in O(GRID_CHUNK) memory. A moment past the
+    largest float is summed again on the grid scaled by 2**-k, k the bit length
+    of samples, and the quotient scaled back by 2**k: the centroid is finite,
+    and scaling by a power of two is exact. Closed-form shapes
     take their exact height, support and core (the cut at 1); a ``Sampled``
     grid reads them off the walk's membership array, with the support cut at
     1/samples (positivity below one quantisation step is noise). Raises
@@ -579,10 +582,15 @@ def attributes(mf: MembershipFunction, samples: int = DEFAULT_SAMPLES) -> Attrib
     """
     _check_samples(samples)
     mus = None if mf.closed_form else np.empty(samples)
-    weight, moment = walk_grid([mf], samples, lambda xs, mu: (mu.sum(), (xs * mu).sum()), mus)
+    with np.errstate(over="ignore", invalid="ignore"):  # a moment past the largest float is redone
+        weight, moment = walk_grid([mf], samples, lambda xs, mu: (mu.sum(), (xs * mu).sum()), mus)
     if weight == 0.0:
         raise EmptySet(ZERO_MEMBERSHIP)
     centroid = float(moment / weight)
+    if not np.isfinite(moment):  # summed on the grid scaled by 2**-k: samples points stay finite
+        k = samples.bit_length()
+        (moment,) = walk_grid([mf], samples, lambda xs, mu: ((xs * 2.0**-k * mu).sum(),))
+        centroid = float(moment / weight) * 2.0**k
     if mf.closed_form:
         height, support = mf.height(), mf.support_length()
         (core,) = _lengths(mf, [1.0], samples, "auto")

@@ -1,4 +1,4 @@
-"""Interval-valued survey ingestion and per-group agreement reporting.
+"""Interval-valued survey and interval-list ingestion, and per-group agreement reporting.
 
 Input is one row per response: stakeholder group, participant id, linguistic
 term, and the interval endpoints, all constrained to a declared scale.
@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -190,22 +191,20 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
     line (CSV) or record number (JSON). A participant may answer each
     (group, term) cell at most once.
 
-    CSV text without a quote, carriage return or NUL, and without a line
-    longer than ``csv.field_size_limit()``, is split on its newlines and
-    commas directly; any other text, quoted fields included, is read by
-    ``csv.reader``. Both give the rows, errors and lines ``csv.reader`` gives.
+    CSV text without a quote, carriage return, NUL or line longer than
+    ``csv.field_size_limit()`` is sliced from its UTF-8 bytes LOAD_ROWS lines
+    at a time, and a block is split by ``_split_block``, the block split that
+    interval lists share (``parse_interval_lines``), only when it is reached.
+    Other text is read whole by ``csv.reader``, and JSON whole, so there a
+    malformed line raises before a bad value on an earlier one. Either way the
+    rows, errors and lines are those ``csv.reader`` gives.
 
-    Rows are checked, encoded and converted LOAD_ROWS at a time by
-    ``_dataset``, so the Python objects a load holds are O(LOAD_ROWS) while
-    its arrays are O(rows). Split text is sliced a block at a time, and the
-    block is split only when it is reached; ``csv.reader`` and JSON read every
-    row first, so a malformed line or invalid JSON raises before any bad value
-    on an earlier line. In each block every check runs once over a column
-    and marks the rows that pass: names present and not reserved, endpoints
-    plain, finite, ordered and inside the scale. Only failing rows, and rows
-    whose endpoint text is not plain, go to the one-row validator, in line
-    order; the first bad one raises its own message and ``.line``, and
-    all-blank CSV rows are skipped. After the last block, the first repeated
+    ``_dataset`` checks, encodes and converts a block a column at a time:
+    names present and not reserved, endpoints plain, finite, ordered and in
+    the scale. A load holds O(LOAD_ROWS) Python objects and O(rows) arrays.
+    Only failing rows, and rows whose endpoint text is not plain, go to the
+    one-row validator in line order: the first bad one raises its own message
+    and ``.line``, and all-blank CSV rows are skipped. Then the first repeated
     response in line order raises, naming the line it repeats.
     """
     text = read_text(source)
@@ -220,7 +219,7 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
     raise ValueError(f"format must be csv or json, got {format!r}")
 
 
-# rows split, checked, encoded and converted per step of load_survey
+# lines split, and survey rows checked, encoded and converted, per block
 LOAD_ROWS = 1 << 12
 
 
@@ -233,17 +232,14 @@ def _csv_blocks(text: str):
     """The rows after the header, LOAD_ROWS at a time, and each row's line
     number. A block is its five columns (a row of another length reads as five
     blanks), whether each row's endpoint text is ``plain`` (True: all of them),
-    and a function giving its row j's fields. Text ``load_survey`` splits
-    directly is sliced and split a block at a time; other text is read whole
-    by ``csv.reader`` first."""
+    and a function giving its row j's fields."""
     if text and not any(map(text.__contains__, '"\r\0')):
         data = text.encode("utf-8", "surrogatepass")  # in UTF-8, "\n" and "," are one byte each
-        body = np.frombuffer(data, np.uint8, len(data) - data.endswith(b"\n"))
-        ends = np.append(np.flatnonzero(body == 10), body.size)  # where each line ends
-        if np.diff(ends, prepend=-1).max() <= csv.field_size_limit() + 1:
-            _check_header(data[:ends[0]].decode("utf-8", "surrogatepass").split(","))
-            return ((_split_block(data, body, ends[a:a + LOAD_ROWS + 1])
-                     for a in range(0, ends.size - 1, LOAD_ROWS)), range(2, ends.size + 1))
+        ends = _line_ends(data, len(data) - data.endswith(b"\n"))
+        if np.diff(ends).max() <= csv.field_size_limit() + 1:
+            _check_header(data[:ends[1]].decode("utf-8", "surrogatepass").split(","))
+            return ((_split_block(data, ends[a:a + LOAD_ROWS + 1], 5)
+                     for a in range(1, ends.size - 1, LOAD_ROWS)), range(2, ends.size))
     reader = csv.reader(io.StringIO(text))
     rows, lines = [], []
     try:
@@ -256,21 +252,58 @@ def _csv_blocks(text: str):
     return map(_reader_block, _blocks(rows)), lines
 
 
-def _split_block(data: bytes, body: np.ndarray, ends: np.ndarray):
-    """The block of the lines of ``data`` (``body`` as bytes) that end at
-    ``ends[1:]``, sliced and split on its own; a line without four commas is
-    split again only when asked for."""
+def _line_ends(data: bytes, size: int) -> np.ndarray:
+    """-1, then where each line of ``data[:size]`` ends: at its "\n", or at ``size``."""
+    return np.concatenate([[-1], np.flatnonzero(np.frombuffer(data, np.uint8, size) == 10), [size]])
+
+
+def _split_block(data: bytes, ends: np.ndarray, width: int):
+    """The lines of ``data`` that end at ``ends[1:]``, sliced and split on their own
+    into ``width`` columns, the last two endpoints (a survey's five, a list's two);
+    a line without ``width - 1`` commas reads as blanks and is split when asked for."""
     lo, hi = ends[0] + 1, ends[-1]
     lines = data[lo:hi].decode("utf-8", "surrogatepass")
-    decided = plain(lines)
-    bad = np.diff(np.searchsorted(np.flatnonzero(body[lo:hi] == 44), ends - lo)) != 4
-    if bad.any():  # a line without four commas reads as five blanks
+    commas = np.flatnonzero(np.frombuffer(data, np.uint8, hi - lo, lo) == 44)
+    bad = np.diff(np.searchsorted(commas, ends - lo)) != width - 1
+    if bad.any():
         raw = lines.split("\n")
-        lines = "\n".join([",,,," if b else line for line, b in zip(raw, bad.tolist())])
+        lines = "\n".join(["," * (width - 1) if b else line for line, b in zip(raw, bad.tolist())])
     fields = lines.replace("\n", ",").split(",")
-    row = (lambda j: raw[j].split(",")) if bad.any() else (lambda j: fields[5 * j:5 * j + 5])
-    columns = [fields[i::5] for i in range(5)]
-    return columns, decided or _plain_rows(columns), row
+    columns = [fields[i::width] for i in range(width)]
+    row = (lambda j: raw[j].split(",")) if bad.any() else (lambda j: [c[j] for c in columns])
+    return columns, plain(lines) or _plain_rows(columns), row
+
+
+def parse_interval_lines(text: str) -> IntervalCollection:
+    """One interval per line as ``l,r``, split as ``load_survey`` splits CSV;
+    blank lines and ``#`` comments (cut a block at a time) are ignored, and
+    every ``str.splitlines`` boundary ends a line. Lines that fail, or whose
+    text is not plain, are read on their own in line order: a blank one is
+    dropped, the first bad one raises."""
+    if any(map(text.__contains__, "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")):
+        text = "\n".join(text.splitlines())
+    data = text.encode("utf-8", "surrogatepass")
+    ends = _line_ends(data, len(data) - data.endswith(b"\n"))
+    ls, rs, kept = np.empty(ends.size - 1), np.empty(ends.size - 1), np.ones(ends.size - 1, bool)
+    for a in range(0, kept.size, LOAD_ROWS):
+        at = ends[a:a + LOAD_ROWS + 1]
+        block, at = data[at[0] + 1:at[-1]], at - at[0] - 1
+        if b"#" in block:  # comments are cut, so the block's line ends are found again
+            block = re.sub(rb"#[^\n]*", b"", block)
+            at = _line_ends(block, len(block))
+        (l, r), decided, _ = _split_block(block, at, 2)
+        ls[a:a + len(l)], rs[a:a + len(l)], ok = endpoint_arrays(l, r)
+        for k in (a + np.flatnonzero(~(ok & decided))).tolist():
+            raw = data[ends[k] + 1:ends[k + 1]].decode("utf-8", "surrogatepass")
+            parts = [part.strip() for part in raw.split("#", 1)[0].split(",")]
+            kept[k] = parts != [""]  # a blank or comment-only line is dropped
+            if len(parts) == 2:
+                read_interval(*parts, k + 1, raw)
+            elif kept[k]:
+                raise ParseError(f"expected 'l,r', got {raw!r}", line=k + 1)
+    if not kept.any():
+        raise ParseError("no intervals in input")
+    return IntervalCollection._from_arrays(*((ls, rs) if kept.all() else (ls[kept], rs[kept])))
 
 
 def _reader_block(rows: list):
@@ -285,9 +318,9 @@ def _reader_block(rows: list):
 def _plain_rows(columns):
     """True when all endpoint text of a block is ``plain``, else whether each
     row's is: text that is not is left to the one-row validator."""
-    if plain("".join(columns[3] + columns[4])):
+    if plain("".join(columns[-2] + columns[-1])):
         return True
-    return np.fromiter(map(plain, map(operator.add, columns[3], columns[4])), bool)
+    return np.fromiter(map(plain, map(operator.add, columns[-2], columns[-1])), bool)
 
 
 def _check_header(header):
@@ -550,11 +583,17 @@ def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow
     per = np.cumsum(np.bincount(cell[:-1][pos], minlength=n.size))[:-1]
     support = [float(w.sum()) for w in np.split(np.diff(coords)[pos], per)]
     steps = step_table(levels[:-1])  # each cell's closing 0 is a level between cells
-    def chunk(xs, a, b):  # a row starts on its cell's first coordinate: r >= 1, r - 1 in the cell
+    def chunk(xs, a, b, scale=1.0):
+        # a row starts on its cell's first coordinate: r >= 1, r - 1 in the cell
         r = np.stack([np.searchsorted(c, x, "right") for (c, _), x in zip(sweeps, xs)])
         mus = step_at(steps, coords, r + first[:, None], xs)
-        return mus.sum(axis=1), np.multiply(xs, mus, out=xs).sum(axis=1)
-    weight, moment = walk_linspace(coords[first, None], coords[first + m - 1, None], samples, chunk)
+        np.multiply(xs, mus, out=xs)
+        if scale != 1.0:
+            xs *= scale
+        return mus.sum(axis=1), xs.sum(axis=1)
+    lo, hi = coords[first, None], coords[first + m - 1, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # a moment past the largest float is redone
+        weight, moment = walk_linspace(lo, hi, samples, chunk)
     compared, size = lengths, n  # the lengths γ compares: every level's, or every cut's
     if mode == "alpha":  # cut i is level k, the first with k/n >= i/alpha_cuts
         alphas = np.arange(1, alpha_cuts + 1) / alpha_cuts
@@ -568,8 +607,13 @@ def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow
         exc = EmptySet(ZERO_MEMBERSHIP) if weight[c] == 0.0 else EmptySupport(empty)
         exc.cell = names[c]
         raise exc
+    centroid = moment / weight
+    if not np.isfinite(moment).all():  # summed on grids scaled by 2**-k, as in attributes
+        k, huge = samples.bit_length(), ~np.isfinite(moment)
+        _, scaled = walk_linspace(lo, hi, samples, lambda xs, a, b: chunk(xs, a, b, 2.0**-k))
+        centroid[huge] = scaled[huge] / weight[huge] * 2.0**k
     return list(map(ReportRow, *zip(*names), np.maximum.reduceat(levels, first).tolist(),
-                    (moment / weight).tolist(), gamma_sums(compared, size)[0].tolist(), support,
+                    centroid.tolist(), gamma_sums(compared, size)[0].tolist(), support,
                     lengths[ends - 1].tolist(), n.tolist()))
 
 

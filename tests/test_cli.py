@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ def test_non_ascii_comment_keeps_the_column_path(monkeypatch):
     def per_line(*args):
         raise AssertionError("a line was read on its own")
 
-    monkeypatch.setattr(cli, "read_interval", per_line)
+    monkeypatch.setattr(survey_mod, "read_interval", per_line)  # the one-row reader's lookup
     coll = parse_interval_lines("# Sch\u00e4tzungen\n0,1\n2,3  # \u0661 \u00fcber\n")
     assert coll.endpoints()[0].tolist() == [0.0, 2.0]
 
@@ -115,13 +116,23 @@ def test_gamma_rejects_non_ascii_digits(tmp_path, capsys):
 LINE_PIECES = [
     "1,2", " 3 , 7 ", "2.5,2.5", "5,1", "0,inf", "nan,1", "-1e308,1e308", "1_0,2_0",
     "a,1", "1;2", "1,2,3", ",", "", "   ", "# note", "2,4 # inline", "\t0 ,\u2003 9",
-    "\u0661,\u0662", "# \u00fcber", "1,\uff12",
+    "\u0661,\u0662", "# \u00fcber", "1,\uff12", "\x0c", "\u2028", "\x85",
 ]
 
 
 @given(st.lists(st.sampled_from(LINE_PIECES), max_size=8))
 def test_parse_interval_lines_matches_per_line_parser(lines):
-    text = "\n".join(lines)
+    _assert_parses_as_per_line_parser("\n".join(lines))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@given(lines=st.lists(st.sampled_from(LINE_PIECES), max_size=8))
+def test_parse_interval_lines_matches_per_line_parser_in_small_blocks(rows, lines):
+    with patch.object(survey_mod, "LOAD_ROWS", rows):
+        _assert_parses_as_per_line_parser("\n".join(lines))
+
+
+def _assert_parses_as_per_line_parser(text):
     try:
         got = parse_interval_lines(text)
     except AgreementError as exc:
@@ -138,6 +149,43 @@ def test_parse_interval_lines_matches_per_line_parser(lines):
     ls, rs = got.endpoints()
     assert np.array_equal(ls, [iv.l for iv in want])
     assert np.array_equal(rs, [iv.r for iv in want])
+
+
+@pytest.mark.parametrize("sep", ["\x0c", "\u2028", "\x85", "\x1c", "\r", "\r\n"])
+def test_every_splitlines_break_ends_a_line(sep):
+    coll = parse_interval_lines(f"0,1{sep}2,3")
+    assert coll.endpoints()[0].tolist() == [0.0, 2.0]
+    with pytest.raises(ParseError, match="expected 'l,r'") as info:
+        parse_interval_lines(f"0,1{sep}2,3{sep}4")
+    assert info.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0,1\n1,2\n# only\n\n   \n# comments\n5,6\n",  # a block of comments and blanks
+        "0,1\n1,2\n2,3\n3,4\n4,5\n6;7\n",  # a bad line only in the last block
+        "0,1\n1,2\n2,3 # inline\n3,4\n4,5\n5,4\n",  # a reversed line after a comment
+        "0,1\r\n1,2\r\n2,3\r\n3,4\r\n",  # CRLF at every block edge
+        "\ufeff0,1\n1,2\n",  # a BOM left in the text is read as the per-line parser reads it
+        "0,1\n1,2\n2,3\n0,\u2003 9\n",  # non-plain text only in a later block, valid
+        "0,1\n1,2\n2,3\n\u0661,\u0662\n",  # non-plain text only in a later block, invalid
+        "# nothing\n\n# at all\n  # here\n",  # all comments: "no intervals in input"
+    ],
+    ids=["comment-block", "bad-later-block", "reversed-after-comment", "crlf", "bom",
+         "non-plain-valid", "non-plain-invalid", "all-comments"],
+)
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_parse_interval_lines_across_block_edges(rows, text):
+    with patch.object(survey_mod, "LOAD_ROWS", rows):
+        _assert_parses_as_per_line_parser(text)
+
+
+def test_gamma_reads_a_bom_and_crlf_file(tmp_path, capsys):
+    path = tmp_path / "iv.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + FIG_NONCONVEX_TEXT.replace("\n", "\r\n").encode())
+    assert main(["gamma", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "0.333333"
 
 
 # ----------------------------------------------------------------------- gamma

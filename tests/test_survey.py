@@ -25,6 +25,9 @@ from intervalagreement import (
     TooFewSources,
     UnknownGroup,
     UnknownTerm,
+    attributes,
+    build_iaa,
+    collection,
     emit_series,
     gamma_exact,
     group_collection,
@@ -692,6 +695,32 @@ def test_report_checks_arguments_before_any_cell(text, args, error, message):
 def test_report_exact_mode_ignores_alpha_cuts():
     ds = load_survey(StringIO(TWO))
     assert report(ds, alpha_cuts=1) == report(ds)
+
+
+def _centroids(pairs, samples):
+    """``attributes``' centroid of the pairs' agreement set, then ``report``'s,
+    in the rows of their one cell and of ALL, on the scale [0, 1.7e308]."""
+    text = HEADER + "".join(f"A,P{i},ITD,{l!r},{r!r}\n" for i, (l, r) in enumerate(pairs))
+    rows = report(load_survey(StringIO(text), scale=Interval(0.0, 1.7e308)), samples=samples).rows
+    return [attributes(build_iaa(collection(pairs)), samples).centroid, *(r.centroid for r in rows)]
+
+
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 1930), st.integers(0, 1930))
+                   .filter(lambda p: p[0] != p[1]).map(sorted), min_size=2, max_size=6),
+    k=st.integers(1000, 1013),  # 1930 * 2**1013 < 1.7e308
+    samples=st.sampled_from([2, 7, 1001, 70_000]),
+)
+@example(pairs=[(1e307, 1.7e308), (2e307, 1.6e308)], k=0, samples=1001)
+def test_centroid_past_the_largest_float_is_finite_and_scales_exactly(pairs, k, samples):
+    """A moment past the largest float is summed again on a grid scaled by a
+    power of two, so scaling the endpoints by 2**k scales every centroid by
+    exactly 2**k, and each stays finite, inside the support's hull."""
+    scale = 2.0**k
+    huge = _centroids([(l * scale, r * scale) for l, r in pairs], samples)
+    assert huge == [c * scale for c in _centroids(pairs, samples)]
+    lo, hi = min(l for l, _ in pairs) * scale, max(r for _, r in pairs) * scale
+    assert all(np.isfinite(c) and lo <= c <= hi for c in huge)
 
 
 # ---------------------------------------------------------------------- series
