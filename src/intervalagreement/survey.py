@@ -85,7 +85,7 @@ class SurveyDataset:
     Each text column is held as its distinct values in first-appearance order
     plus one code per response; endpoints are read-only float arrays.
     ``records`` builds the ``SurveyRecord`` tuple on first read, and the cell
-    index behind ``group_collection`` is built once, on first use.
+    index (a span per (term, group) cell; "ALL" is a term's span) on first use.
     """
 
     scale: Interval
@@ -122,20 +122,20 @@ class SurveyDataset:
 
     @cached_property
     def _index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Response numbers sorted stably by (group, term) cell, and each
-        cell's bounds: cell g * terms + t holds group g's answers to term t,
-        and group number len(groups) is "ALL"."""
-        nt, size = len(self.term_names), self.l.size
-        groups = np.concatenate([self.group_codes, np.full(size, len(self.groups))])
-        cells = groups * nt + np.tile(self.term_codes, 2)
-        bounds = np.zeros((len(self.groups) + 1) * nt + 1, dtype=np.intp)
+        """Response numbers sorted stably by (term, group) cell, and the cells'
+        bounds: cell t * groups + g holds group g's answers to term t, so term
+        t's "ALL" cell is the span of its cells t * groups to (t + 1) * groups."""
+        cells = self.term_codes * len(self.groups)
+        cells += self.group_codes
+        bounds = np.zeros(len(self.term_names) * len(self.groups) + 1, dtype=np.intp)
         np.cumsum(np.bincount(cells, minlength=bounds.size - 1), out=bounds[1:])
-        return np.argsort(cells, kind="stable") % size, bounds
+        return np.argsort(cells, kind="stable"), bounds
 
-    def _rows(self, group: int, term: str) -> np.ndarray:
+    def _rows(self, groups, term: str) -> np.ndarray:
+        """The responses of stored group numbers ``groups`` to ``term``, in response order."""
         order, bounds = self._index
-        k = group * len(self.term_names) + self.term_names.index(term)
-        return order[bounds[k]:bounds[k + 1]]
+        k = self.term_names.index(term) * len(self.groups) + np.asarray(groups, dtype=np.intp)
+        return np.sort(order[ranges(bounds[k], bounds[k + 1])])
 
 
 def _validate_record(
@@ -461,26 +461,22 @@ def _dataset(blocks, validate, lines, scale: Interval) -> SurveyDataset:
 def group_collection(ds: SurveyDataset, group: str, term: str) -> IntervalCollection:
     """Intervals of one (group, term) cell, in response order.
 
-    "PS" pools the professional groups (Physiotherapist + Surgeon); "ALL"
-    pools every stored group. The endpoints are sliced from the dataset's
-    columns through its cell index.
+    "PS" pools the professional groups (Physiotherapist + Surgeon) and "ALL"
+    every stored group: their cells of the term in the dataset's cell index
+    (for "ALL", the term's whole span), put back in response order.
     """
     term = canonical_term(term)
     if term not in ds.terms:
         raise UnknownTerm(f"term {term!r} not in dataset (has {', '.join(ds.terms)})")
-    stored = ds.groups
-    if group == "ALL":
-        rows = ds._rows(len(stored), term)
-    elif group == "PS":
-        wanted = [i for i, g in enumerate(stored) if g in PROFESSIONAL_GROUPS]
+    if group == "PS":
+        wanted = [i for i, g in enumerate(ds.groups) if g in PROFESSIONAL_GROUPS]
         if not wanted:
             raise UnknownGroup("no professional groups (Physiotherapist/Surgeon) in dataset")
-        rows = ds._rows(len(stored), term)
-        rows = rows[np.isin(ds.group_codes[rows], wanted)]
-    elif group in stored:
-        rows = ds._rows(stored.index(group), term)
+    elif group in (*ds.groups, "ALL"):
+        wanted = range(len(ds.groups)) if group == "ALL" else [ds.groups.index(group)]
     else:
-        raise UnknownGroup(f"group {group!r} not in dataset (has {', '.join(stored)})")
+        raise UnknownGroup(f"group {group!r} not in dataset (has {', '.join(ds.groups)})")
+    rows = ds._rows(wanted, term)
     if not rows.size:
         raise TooFewSources(f"no responses for group {group!r}, term {term!r}")
     return IntervalCollection._from_arrays(ds.l[rows], ds.r[rows])
@@ -531,6 +527,8 @@ def report(
 ) -> AgreementReport:
     """Tabulate attributes and agreement per cell, for each stored group and "ALL".
 
+    "ALL" is a term's whole span of the cell index, read group by group: no
+    value depends on row order, as ``coverage_cells`` sorts the endpoints.
     Cells with fewer than two responses are skipped and listed in
     ``report.skipped`` so the run always completes. ``samples``, ``mode`` and,
     in alpha mode, ``alpha_cuts`` are checked first. A row holds, to the bit,
@@ -546,10 +544,11 @@ def report(
     if mode == "alpha":
         _check_cuts(alpha_cuts)
     order, bounds = ds._index
-    code = {term: i for i, term in enumerate(ds.term_names)}
-    t = np.array([code[term] for term in ds.terms], dtype=np.intp)
-    k = (np.arange(len(ds.groups) + 1)[:, None] * len(ds.term_names) + t).ravel()
-    starts, n = bounds[k], bounds[k + 1] - bounds[k]
+    code, ng = {term: i for i, term in enumerate(ds.term_names)}, len(ds.groups)
+    t = np.array([code[term] for term in ds.terms], dtype=np.intp) * ng
+    # stored group g's cell of a term spans its cells t + g to t + g + 1, "ALL"'s t to t + ng
+    first, last = (np.array(g)[:, None] + t for g in ([*range(ng), 0], [*range(1, ng + 1), ng]))
+    starts, n = bounds[first].ravel(), (bounds[last] - bounds[first]).ravel()
     names = [(g, term) for g in (*ds.groups, "ALL") for term in ds.terms]
     skipped = tuple((*names[i], "fewer than 2 responses" if n[i] else "no responses")
                     for i in np.flatnonzero(n < 2).tolist())
@@ -633,12 +632,13 @@ def _fmt(value) -> str:
 
 
 def report_to_csv(rep: AgreementReport) -> str:
-    """Five-column table: group, term, height, centroid, agreement ratio."""
+    """Five-column CSV: group, term, height, centroid, agreement ratio, names quoted as needed."""
+    names = {s: '"' + s.replace('"', '""') + '"' if re.search('[,"\r\n]', s) else s
+             for s in {name for row in rep.rows for name in (row.group, row.term)}}
     lines = ["group,term,height,centroid,agreement_ratio"]
     for row in rep.rows:
-        lines.append(
-            f"{row.group},{row.term},{_fmt(row.height)},{_fmt(row.centroid)},{_fmt(row.gamma)}"
-        )
+        lines.append(f"{names[row.group]},{names[row.term]},{_fmt(row.height)},"
+                     f"{_fmt(row.centroid)},{_fmt(row.gamma)}")
     return "\n".join(lines) + "\n"
 
 

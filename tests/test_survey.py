@@ -379,6 +379,33 @@ def test_group_collection_matches_record_filter(text):
             assert group_collection(ds, group, term).intervals == tuple(expected)
 
 
+def test_cell_index_sorts_each_response_once():
+    """The cell index keys each response once, by (term, group): its traced
+    peak is the keys, the order and some slack, at most 3 x 8 bytes a row (an
+    index with a second copy of every response for "ALL" takes about 8 x 8).
+    A cell holds its group's answers to its term in response order, and a
+    term's "ALL" span is its group cells side by side."""
+    n, ng, nt = 200_000, 20, 5
+    rng = np.random.default_rng(22)
+    groups, terms, ends = rng.integers(0, ng, n), rng.integers(0, nt, n), np.zeros(n)
+    ds = survey.SurveyDataset(Interval(0.0, 10.0), tuple(f"G{g}" for g in range(ng)), groups,
+                              ("P1",), np.zeros(n, np.intp), tuple(f"T{t}" for t in range(nt)),
+                              terms, ends, ends)
+    tracemalloc.start()
+    try:
+        order, bounds = ds._index
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n
+    for t in range(nt):
+        cells = [order[bounds[t * ng + g]:bounds[t * ng + g + 1]] for g in range(ng)]
+        for g, rows in enumerate(cells):
+            assert np.array_equal(rows, np.flatnonzero((terms == t) & (groups == g)))
+        assert np.array_equal(order[bounds[t * ng]:bounds[(t + 1) * ng]], np.concatenate(cells))
+        assert np.array_equal(ds._rows(range(ng), f"T{t}"), np.flatnonzero(terms == t))
+
+
 def test_groups_and_terms_in_first_appearance_order():
     ds = load_survey(StringIO(MIXED_ROWS))
     assert ds.groups == ("Surgeon", "Patient", "Physiotherapist", "Nurse")
@@ -455,6 +482,29 @@ def test_report_json_round_trips(ds):
     assert first["agreement_ratio"] == 0.5
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_csv_quotes_names_that_need_it(fmt):
+    """A name holding a comma, a quote, a carriage return or a line feed is
+    quoted, its quotes doubled: ``csv.reader`` reads every row back as five
+    fields, with the dataset's names. (A term's line breaks are read as
+    spaces, so only groups hold them.)"""
+    groups = ["Pa,tient", 'Sur"geon', "Physio\rtherapist", "Nur\nse", "Plain"]
+    terms = ['M"D', "E,D"]
+    rows = [(g, f"P{p}", t, p, p + 2) for g in groups for t in terms for p in range(2)]
+    if fmt == "csv":
+        quoted = ['"' + str(v).replace('"', '""') + '"' for row in rows for v in row]
+        text = "\n".join([",".join(CSV_HEADER), *map(",".join, zip(*[iter(quoted)] * 5))])
+    else:
+        text = json.dumps([dict(zip(CSV_HEADER, row)) for row in rows])
+    ds = load_survey(StringIO(text), format=fmt)
+    assert (ds.groups, ds.terms) == (tuple(groups), tuple(terms))
+    rep = report(ds)
+    read = list(csv.reader(StringIO(report_to_csv(rep), newline="")))
+    assert read[0] == ["group", "term", "height", "centroid", "agreement_ratio"]
+    assert [len(row) for row in read[1:]] == [5] * len(rep.rows) == [5] * 12
+    assert [tuple(row[:2]) for row in read[1:]] == [(r.group, r.term) for r in rep.rows]
+
+
 def test_identical_cell_reports_gamma_one():
     text = (
         "group,participant_id,term,l,r\n"
@@ -489,29 +539,33 @@ def _assert_same_report(ds, mode, alpha_cuts, samples):
     assert got.skipped == want.skipped
     assert len(got.rows) == len(want.rows)
     for row, expected in zip(got.rows, want.rows):
-        assert row == expected  # every field, floats compared with exact ==
+        assert repr(row) == repr(expected)  # every field, floats to the bit, the sign of 0 too
 
 
-def _endpoints(draw):
-    """An interval on the [0, 10] scale: quarter points, so that ties, touching
+def _endpoints(draw, low):
+    """An interval on the [low, 10] scale: quarter points, so that ties, touching
     and zero-width responses are common, each moved off the lattice now and
-    then, so that lengths and sums are inexact."""
-    left, width = draw(st.integers(0, 40)), draw(st.sampled_from([0, 1, 2, 3, 8, 20]))
+    then, so that lengths and sums are inexact. Half the intervals start near
+    0, and an endpoint at 0 is 0.0 or -0.0."""
+    left = draw(st.integers(4 * low, 40) | st.integers(max(4 * low, -2), 2))
+    width = draw(st.sampled_from([0, 1, 2, 3, 8, 20]))
     jitter = st.sampled_from([0.0, 0.0, 0.0, 0.01, 0.07, 1 / 3])
     l = min(left / 4 + draw(jitter), 10.0)
     r = min((left + width) / 4 + draw(jitter), 10.0) if width else l
-    return min(l, r), r
+    return tuple(draw(st.sampled_from([0.0, -0.0])) if x == 0 else x for x in (min(l, r), r))
 
 
 @st.composite
 def _responses(draw):
-    """Responses to a few terms by a few groups, 0 to 12 per cell, in any order."""
+    """Responses to a few terms by a few groups, 0 to 12 per cell, in any order,
+    on the [0, 10] scale or, with negative endpoints, on [-10, 10]."""
     groups = draw(st.lists(st.sampled_from(["Patient", "Physiotherapist", "G3"]), min_size=1,
                            max_size=3, unique=True))
     terms = draw(st.lists(st.sampled_from([*TERM_ORDER, "T1", "T2", "T3"]), min_size=1,
                           max_size=6, unique=True))
+    low = draw(st.sampled_from([0, -10]))
     responses = [
-        (group, p, term, *_endpoints(draw))
+        (group, p, term, *_endpoints(draw, low))
         for group in groups
         for term in terms
         for p in range(draw(st.integers(0, 12)))
@@ -539,8 +593,10 @@ _TOUCHING = [("Patient", 1, "ITD", 0.0, 3.0), ("Patient", 2, "ITD", 1.0, 3.0),
 def test_report_matches_per_cell_loop(responses, mode, alpha_cuts, samples, points):
     """A small point budget makes blocks of one cell or a few, a large one a
     block of every cell; over 32,768 samples a row spans several grid chunks,
-    and a budget of 2^20 points puts several such rows in one block."""
-    ds = load_survey(StringIO(_survey_text(responses)))
+    and a budget of 2^20 points puts several such rows in one block. Groups
+    are interleaved, so an "ALL" cell reaches the sweep in another order than
+    the oracle's, with -0.0 and 0.0 among its endpoints."""
+    ds = load_survey(StringIO(_survey_text(responses)), scale=Interval(-10.0, 10.0))
     with patch.object(survey, "BLOCK_POINTS", points):
         _assert_same_report(ds, mode, alpha_cuts, samples)
 
