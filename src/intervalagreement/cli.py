@@ -9,8 +9,9 @@ output is deterministic: identical inputs and flags produce identical bytes.
 PRINT_LINES at a time and each block is written when done, so the print holds
 O(PRINT_LINES) memory; a line holding a value whose digits the integer path
 cannot decide (``_millionths`` gives the rule) is formatted by ``%``.
-``build`` and ``series`` write their series the same way, PRINT_LINES points
-per block (``survey.series_blocks``).
+``build`` and ``series`` evaluate and write their series the same way,
+PRINT_LINES points per block (``survey.grid_series``, ``survey.series_text``),
+so no array covers the whole grid.
 
 Each subcommand takes only the flags it reads, and argparse rejects a bad
 value with exit 2. ``--scale`` defaults to the set's hull in ``build`` and to
@@ -164,8 +165,8 @@ def cmd_build(args) -> None:
     coll = parse_interval_lines(survey_mod.read_text(_source(args.input)))
     fs = build_iaa(coll)
     window = Interval(*args.scale) if args.scale else fs.window()
-    xs = np.linspace(window.l, window.r, args.samples)
-    sys.stdout.writelines(survey_mod.series_blocks(xs, fs.membership(xs), args.format))
+    blocks = survey_mod.grid_series(fs, window.l, window.r, args.samples)
+    sys.stdout.writelines(survey_mod.series_text(blocks, args.format))
 
 
 def cmd_attrs(args) -> None:
@@ -197,8 +198,9 @@ def cmd_report(args) -> None:
 
 def cmd_series(args) -> None:
     ds = _load_dataset(args)
-    xs, mus = survey_mod.emit_series(ds, args.group, args.term, samples=args.samples)
-    sys.stdout.writelines(survey_mod.series_blocks(xs, mus, args.format))
+    fs = build_iaa(survey_mod.group_collection(ds, args.group, args.term))
+    blocks = survey_mod.grid_series(fs, ds.scale.l, ds.scale.r, args.samples)
+    sys.stdout.writelines(survey_mod.series_text(blocks, args.format))
 
 
 def _number_type(read, low, high):

@@ -9,8 +9,9 @@ evaluated on a uniform grid over its window, and a cut is the runs of grid
 points at or above alpha (:func:`.intervals.ladder_runs`); such a cut length
 is off the true one by at most two grid steps per run of the cut. A grid is
 walked GRID_CHUNK points at a time (:func:`walk_grid`): sums bit-equal to ``np.sum``
-over it whole, memory O(chunk) plus one membership array for cuts. A chunk's points
-ascend, so ``_on_grid`` may take them by slices; it gives ``_membership``'s bits. A step
+over it whole, and memory O(chunk) for cuts too, as each chunk's cut runs are found in
+it and joined at chunk edges (:func:`_grid_runs`). A chunk's points ascend, so
+``_on_grid`` may take them by slices; it gives ``_membership``'s bits. A step
 function's values are one :func:`step_table`, read by :func:`step_at`; ``survey.report``
 walks a block's cells through one table, a grid row per cell (:func:`walk_linspace`).
 
@@ -457,7 +458,8 @@ def linspace_at(lo, hi, samples: int, i: np.ndarray) -> np.ndarray:
 def pairwise_sums(n: int, leaf, start: int = 0) -> tuple:
     """``np.sum``'s bits over n values: ``leaf(a, b)`` gives tuples of ``np.sum``
     over values a..b-1 (at most GRID_CHUNK) left to right, added as ``np.sum``
-    splits: the first ``n//2 - (n//2) % 8`` values, then the rest."""
+    splits: the first ``n//2 - (n//2) % 8`` values, then the rest. A list entry
+    is concatenated instead, so it lists the leaves' items left to right."""
     if n <= GRID_CHUNK:
         return leaf(start, start + n)
     half = n // 2 - (n // 2) % 8
@@ -473,16 +475,40 @@ def walk_linspace(lo, hi, samples: int, leaf) -> tuple:
         samples, lambda a, b: leaf(linspace_at(lo, hi, samples, base[: b - a] + a), a, b))
 
 
-def walk_grid(mfs, samples: int, leaf, mus=None) -> tuple:
+def walk_grid(mfs, samples: int, leaf) -> tuple:
     """``walk_linspace`` of ``leaf(xs, *mu)`` over all ``mfs``' windows, mu each one's
-    ``_on_grid`` (``_membership``'s bits; the first's fills ``mus``)."""
+    ``_on_grid`` (``_membership``'s bits), in O(GRID_CHUNK) memory: a leaf finds cut
+    runs in its chunk by ``_cut_chunk``, and ``_grid_runs`` joins them."""
     def chunk(xs, a: int, b: int) -> tuple:
-        mu = [mf._on_grid(xs) for mf in mfs]
-        if mus is not None:
-            mus[a:b] = mu[0]
-        return leaf(xs, *mu)
+        return leaf(xs, *[mf._on_grid(xs) for mf in mfs])
     lo, hi = min(mf.window().l for mf in mfs), max(mf.window().r for mf in mfs)
     return walk_linspace(lo, hi, samples, chunk)
+
+
+def _cut_chunk(mu: np.ndarray, alphas: np.ndarray) -> list:
+    """A walk chunk's cuts, for ``_grid_runs``: its size, its largest membership and the
+    ``ladder_runs`` of its points, in a list, which ``pairwise_sums`` joins chunk by chunk."""
+    return [(mu.size, mu.max(), *ladder_runs(mu, alphas))]
+
+
+def _grid_runs(mf: MembershipFunction, samples: int, chunks: list):
+    """(alpha index, left, right) of every maximal run of grid points at or above each
+    alpha, by alpha, then left to right, each spanning its first to last point, from a
+    walk's ``_cut_chunk`` list: the chunks' runs, offset by each chunk's start, are put
+    in alpha order by a stable sort (each chunk's are in position order), and a run that
+    starts where the one before it in its cut stops is joined to it, at a chunk edge."""
+    sizes, _, cols, starts, stops = zip(*chunks)
+    at = np.cumsum((0, *sizes[:-1]))
+    col = np.concatenate(cols)
+    order = np.argsort(col, kind="stable")
+    col = col[order]
+    start = np.concatenate([s + a for s, a in zip(starts, at)])[order]
+    stop = np.concatenate([s + a for s, a in zip(stops, at)])[order]
+    opens = np.ones(col.size, dtype=bool)
+    opens[1:] = (col[1:] != col[:-1]) | (start[1:] != stop[:-1])
+    w = mf.window()
+    return (col[opens], linspace_at(w.l, w.r, samples, start[opens]),
+            linspace_at(w.l, w.r, samples, stop[np.roll(opens, -1)] - 1))
 
 
 def _sampled(mf: MembershipFunction, method: str) -> bool:
@@ -494,24 +520,21 @@ def _sampled(mf: MembershipFunction, method: str) -> bool:
     return method == "sampled" or not mf.closed_form
 
 
-def _runs(mf: MembershipFunction, alphas, samples: int, method: str, mus=None):
+def _runs(mf: MembershipFunction, alphas, samples: int, method: str):
     """(alpha index, left, right) of every maximal run of every cut, by alpha,
     then left to right: a closed form's ``_cut_runs``, or the runs of grid
-    points whose membership ``mus`` (walked when not given) is at or above
-    each alpha, each spanning its first to last point."""
+    points at or above each alpha, found chunk by chunk in one walk and joined
+    (``_grid_runs``), in O(GRID_CHUNK) memory plus the runs."""
     alphas = np.array(alphas, dtype=np.float64)
     if not _sampled(mf, method):
         return mf._cut_runs(alphas)
-    if mus is None:
-        walk_grid([mf], samples, lambda xs, mu: (), mus := np.empty(samples))
-    col, start, stop = ladder_runs(mus, alphas)
-    w = mf.window()
-    return col, linspace_at(w.l, w.r, samples, start), linspace_at(w.l, w.r, samples, stop - 1)
+    (chunks,) = walk_grid([mf], samples, lambda xs, mu: (_cut_chunk(mu, alphas),))
+    return _grid_runs(mf, samples, chunks)
 
 
-def _lengths(mf: MembershipFunction, alphas, samples: int, method: str, mus=None) -> np.ndarray:
+def _lengths(mf: MembershipFunction, alphas, samples: int, method: str) -> np.ndarray:
     """Each cut's length: its ``_runs`` added left to right (``run_sums``)."""
-    col, lefts, rights = _runs(mf, alphas, samples, method, mus)
+    col, lefts, rights = _runs(mf, alphas, samples, method)
     return run_sums(col, rights - lefts, len(alphas))
 
 
@@ -576,14 +599,19 @@ def attributes(mf: MembershipFunction, samples: int = DEFAULT_SAMPLES) -> Attrib
     of samples, and the quotient scaled back by 2**k: the centroid is finite,
     and scaling by a power of two is exact. Closed-form shapes
     take their exact height, support and core (the cut at 1); a ``Sampled``
-    grid reads them off the walk's membership array, with the support cut at
-    1/samples (positivity below one quantisation step is noise). Raises
-    EmptySet when the function is identically zero.
+    grid reads them off the same walk, chunk by chunk (``_cut_chunk``): the
+    height is the largest chunk maximum, and the support is cut at 1/samples
+    (positivity below one quantisation step is noise). Memory stays
+    O(GRID_CHUNK) plus the cuts' runs. Raises EmptySet when the function is
+    identically zero.
     """
     _check_samples(samples)
-    mus = None if mf.closed_form else np.empty(samples)
+    cuts = np.array([1.0 / samples, 1.0])  # a grid's support and core
+
+    def leaf(xs, mu):
+        return mu.sum(), (xs * mu).sum(), [] if mf.closed_form else _cut_chunk(mu, cuts)
     with np.errstate(over="ignore", invalid="ignore"):  # a moment past the largest float is redone
-        weight, moment = walk_grid([mf], samples, lambda xs, mu: (mu.sum(), (xs * mu).sum()), mus)
+        weight, moment, chunks = walk_grid([mf], samples, leaf)
     if weight == 0.0:
         raise EmptySet(ZERO_MEMBERSHIP)
     centroid = float(moment / weight)
@@ -595,8 +623,9 @@ def attributes(mf: MembershipFunction, samples: int = DEFAULT_SAMPLES) -> Attrib
         height, support = mf.height(), mf.support_length()
         (core,) = _lengths(mf, [1.0], samples, "auto")
     else:
-        height = float(mus.max())
-        support, core = _lengths(mf, [1.0 / samples, 1.0], samples, "auto", mus)
+        height = float(np.max([top for _, top, *_ in chunks]))  # NaN propagates, as in one max
+        col, lefts, rights = _grid_runs(mf, samples, chunks)
+        support, core = run_sums(col, rights - lefts, 2)
     return Attributes(
         height=height, centroid=centroid, support_length=float(support), core_length=float(core)
     )

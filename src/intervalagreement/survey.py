@@ -31,8 +31,8 @@ from .errors import (
     UnknownGroup,
     UnknownTerm,
 )
-from .fuzzyset import (DEFAULT_SAMPLES, ZERO_MEMBERSHIP, _check_samples, step_at, step_table,
-                       walk_linspace)
+from .fuzzyset import (DEFAULT_SAMPLES, ZERO_MEMBERSHIP, MembershipFunction, _check_samples,
+                       linspace_at, step_at, step_table, walk_linspace)
 from .iaa import build_iaa
 from .intervals import (
     Interval,
@@ -513,10 +513,11 @@ def cell_gamma(coll: IntervalCollection, mode: str, alpha_cuts: int) -> GammaBre
     return gamma_exact(coll) if mode == "exact" else gamma_alpha(build_iaa(coll), cuts=alpha_cuts)
 
 
-# a block is the next BLOCK_POINTS // points cells, at least one, where points is the
-# grid samples plus the α-cuts in alpha mode: it bounds the (cells, chunk) grid arrays,
-# while a block's sweep arrays grow with its cells' responses
+# a block is the next cells, at least one, up to BLOCK_POINTS // points of them, where points
+# is the grid samples plus the α-cuts in alpha mode, and up to BLOCK_RESPONSES responses:
+# the first bounds the (cells, chunk) grid arrays, the second the sweep arrays
 BLOCK_POINTS = 1 << 14
+BLOCK_RESPONSES = 1 << 16
 
 
 def report(
@@ -534,10 +535,11 @@ def report(
     in alpha mode, ``alpha_cuts`` are checked first. A row holds, to the bit,
     what ``attributes`` and ``cell_gamma`` give on the cell's collection, and
     a cell raises their first error, with ``.cell`` set to (group, term).
-    A block, the next ``max(1, BLOCK_POINTS // points)`` cells (``points`` is
-    ``samples``, plus ``alpha_cuts`` in alpha mode), is measured together by
-    ``_report_block``: its centroid grids are walked in chunks, bounded at any
-    ``samples``, while its sweep arrays grow with its cells' responses.
+    A block, the next cells, at least one, up to ``BLOCK_POINTS // points`` of
+    them (``points`` is ``samples``, plus ``alpha_cuts`` in alpha mode) and up to
+    ``BLOCK_RESPONSES`` responses, is measured together by ``_report_block``: its
+    centroid grids are walked in chunks, bounded at any ``samples``, and its
+    sweep arrays grow with its responses, bounded but for a single larger cell.
     """
     _check_samples(samples)
     _check_mode(mode)
@@ -554,10 +556,14 @@ def report(
                     for i in np.flatnonzero(n < 2).tolist())
     kept = np.flatnonzero(n >= 2)
     size = max(1, BLOCK_POINTS // (samples + (alpha_cuts if mode == "alpha" else 0)))
-    out = []
-    for cells in (kept[i:i + size] for i in range(0, kept.size, size)):
+    ends = np.cumsum(n[kept])  # kept cells i to fits[i] - 1 hold up to BLOCK_RESPONSES
+    fits = np.searchsorted(ends, ends - n[kept] + BLOCK_RESPONSES, "right").tolist()
+    out, i = [], 0
+    while i < kept.size:
+        j = min(i + size, max(i + 1, fits[i]))
+        cells, i = kept[i:j], j
         picked = order[ranges(starts[cells], starts[cells] + n[cells])]
-        out += _report_block([names[i] for i in cells.tolist()], ds.l[picked], ds.r[picked],
+        out += _report_block([names[c] for c in cells.tolist()], ds.l[picked], ds.r[picked],
                              n[cells], mode, alpha_cuts, samples)
     return AgreementReport(rows=tuple(out), skipped=skipped)
 
@@ -663,20 +669,36 @@ def report_to_json(rep: AgreementReport) -> str:
 PRINT_LINES = 1 << 12  # printed lines built and written per step
 
 
-def series_blocks(xs: np.ndarray, mus: np.ndarray, format: str):
-    """The text of a membership series as ``format`` (csv or json), PRINT_LINES
-    points at a time, so a writer holds O(PRINT_LINES) text: CSV lines ``x,mu``
-    under a header, or one JSON array of [x, mu] pairs, each value ``_fmt``'s."""
+def grid_series(mf: MembershipFunction, lo: float, hi: float, samples: int):
+    """``np.linspace(lo, hi, samples)`` and mf's membership on it, in (xs, mu) blocks of
+    PRINT_LINES points: ``linspace_at``'s points and ``_on_grid``'s values, to the bit,
+    so no array covers the whole grid."""
+    base = np.arange(min(samples, PRINT_LINES), dtype=np.float64)
+    for a in range(0, samples, PRINT_LINES):
+        xs = linspace_at(lo, hi, samples, base[:samples - a] + a)
+        yield xs, mf._on_grid(xs)
+
+
+def series_text(blocks, format: str):
+    """The text of a membership series as ``format`` (csv or json), a block of (xs, mus)
+    at a time, so a writer holds one block's text: CSV lines ``x,mu`` under a header, or
+    one JSON array of [x, mu] pairs, each value ``_fmt``'s."""
     yield "x,mu\n" if format == "csv" else "["
-    for a in range(0, xs.size, PRINT_LINES):
-        pairs = zip(xs[a:a + PRINT_LINES].tolist(), mus[a:a + PRINT_LINES].tolist())
+    for i, (xs, mus) in enumerate(blocks):
+        pairs = zip(xs.tolist(), mus.tolist())
         if format == "csv":
             yield "".join([f"{_fmt(x)},{_fmt(m)}\n" for x, m in pairs])
         else:  # json.dumps of a block of pairs, brackets dropped, is that stretch of the whole
             block = json.dumps([[float(_fmt(x)), float(_fmt(m))] for x, m in pairs])
-            yield (", " if a else "") + block[1:-1]
+            yield (", " if i else "") + block[1:-1]
     if format != "csv":
         yield "]\n"
+
+
+def series_blocks(xs: np.ndarray, mus: np.ndarray, format: str):
+    """``series_text`` of whole arrays, PRINT_LINES points at a time."""
+    return series_text(((xs[a:a + PRINT_LINES], mus[a:a + PRINT_LINES])
+                        for a in range(0, xs.size, PRINT_LINES)), format)
 
 
 def series_to_csv(xs: np.ndarray, mus: np.ndarray) -> str:

@@ -326,9 +326,9 @@ def test_attributes_samples_once_and_matches_alpha_length(monkeypatch, mf, sampl
     calls = []
     walk = fuzzyset_mod.walk_grid
 
-    def counted(mfs, n, leaf, mus=None):
+    def counted(mfs, n, leaf):
         calls.append(n)
-        return walk(mfs, n, leaf, mus)
+        return walk(mfs, n, leaf)
 
     monkeypatch.setattr(fuzzyset_mod, "walk_grid", counted)
     attrs = attributes(mf, samples)

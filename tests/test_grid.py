@@ -1,5 +1,6 @@
 """The chunked grid walk: its points are ``np.linspace``'s, its totals are
-``np.sum``'s, bit for bit, and closed-form shapes never hold a whole grid."""
+``np.sum``'s and its cut runs are the whole grid's, bit for bit, and no shape
+holds a whole grid."""
 
 import tracemalloc
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from intervalagreement import (
+    EmptySet,
     Gaussian,
     PiecewiseConstant,
     PiecewiseLinear,
@@ -25,6 +27,7 @@ from intervalagreement import (
 from intervalagreement import fuzzyset
 from intervalagreement.fuzzyset import (
     GRID_CHUNK,
+    alpha_cut,
     alpha_lengths,
     linspace_at,
     pairwise_sums,
@@ -32,6 +35,7 @@ from intervalagreement.fuzzyset import (
     walk_grid,
     walk_linspace,
 )
+from intervalagreement.intervals import ladder_runs, run_regions, run_sums
 
 from helpers import all_vertex_membership, step_membership
 
@@ -139,14 +143,98 @@ def test_pairwise_sums_equal_np_sum(n, kind, seed):
     assert leaves[-1][1] == n
 
 
-def test_walk_grid_sums_linspace_and_fills_membership():
-    mf = triangular(-3, 0, 3)
+def test_walk_grid_sums_linspace_and_finds_cut_runs():
+    mf, alphas = triangular(-3, 0, 3), np.array([0.5, 0.25, 1.0])
     for n in CHUNK_SIZES:
         xs, mus = sample_grid(mf, n)
-        filled = np.empty(n)
-        total, moment = walk_grid([mf], n, lambda x, mu: (np.sum(x), np.sum(x * mu)), filled)
+        total, moment, chunks = walk_grid(
+            [mf], n, lambda x, mu: (np.sum(x), np.sum(x * mu), fuzzyset._cut_chunk(mu, alphas)))
         assert np.array_equal(bits([total, moment]), bits([np.sum(xs), np.sum(xs * mus)]))
-        assert np.array_equal(bits(filled), bits(mus))
+        assert bits(max(top for _, top, *_ in chunks)) == bits(mus.max())
+        _assert_runs_equal(fuzzyset._grid_runs(mf, n, chunks), _whole_grid_runs(xs, mus, alphas))
+
+
+def _whole_grid_runs(xs, mus, alphas):
+    """(alpha index, left, right) of ``ladder_runs`` over the whole grid: the referee."""
+    col, start, stop = ladder_runs(mus, alphas)
+    return col, xs[start], xs[stop - 1]
+
+
+def _assert_runs_equal(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(bits(got[1]), bits(want[1]))
+    assert np.array_equal(bits(got[2]), bits(want[2]))
+
+
+def _chunk_starts(n: int) -> list:
+    """Where the walk's chunks of an n-point grid start, bar the first."""
+    starts = []
+    pairwise_sums(n, lambda a, b: starts.append(a) or ())
+    return starts[1:]
+
+
+LEVELS = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def _edge_grid(data, chunk: int) -> np.ndarray:
+    """Memberships of an n-point grid in runs of LEVELS, reworked at each chunk edge
+    e into a run over e - 1 and e, a one-point run at e - 1 or at e, or left as
+    drawn; then some chunks are capped below the top cuts, or zeroed."""
+    n = data.draw(st.one_of(st.integers(2, 3 * chunk + 3),
+                            st.sampled_from([chunk, chunk + 1, 2 * chunk + 8, 3 * chunk - 1])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mus = np.repeat(rng.choice(LEVELS, n), rng.integers(1, 40, n))[:n]
+    starts = _chunk_starts(n)
+    for e in starts:
+        v = data.draw(st.sampled_from(LEVELS[1:]))
+        pattern = data.draw(st.sampled_from(["across", "last", "first", "drawn"]))
+        if pattern == "across":  # a run ends on a chunk's last point, resumes on the next's first
+            mus[e - 1] = mus[e] = v
+        elif pattern == "last":  # a one-point run left of the edge
+            mus[max(e - 2, 0):e + 1] = [0.0] * (e >= 2) + [v, 0.0]
+        elif pattern == "first":  # a one-point run right of the edge
+            mus[e - 1:e + 2] = [0.0, v, 0.0][: n - e + 1]
+    for a, b in zip([0, *starts], [*starts, n]):
+        cap = data.draw(st.sampled_from([None, None, 0.5, 0.0]))  # the top cuts empty here only
+        if cap is not None:
+            np.minimum(mus[a:b], cap, out=mus[a:b])
+    return mus
+
+
+@pytest.mark.parametrize("chunk", [128, GRID_CHUNK])  # 128: np.sum's own pairwise block
+@given(data=st.data())
+def test_sampled_cuts_found_chunk_by_chunk_equal_the_whole_grid(chunk, data):
+    """Cut lengths, cut regions and a ``Sampled`` grid's attributes, walked in chunks
+    of ``chunk`` points, equal ``ladder_runs`` over ``sample_grid``'s whole grid to
+    the bit: runs across chunk edges are joined, one-point runs either side of an edge
+    kept, cuts empty in some chunks only are found in the rest, and ladders may be
+    unsorted and repeat a level."""
+    mus = _edge_grid(data, chunk)
+    n = mus.size
+    alphas = data.draw(st.lists(st.sampled_from([1e-3, 0.25, 0.5, 0.6, 0.75, 1.0]),
+                                min_size=1, max_size=6))
+    mf = Sampled(np.linspace(0.0, n - 1.0, n), mus)  # grid point i is mus[i]
+    with mock.patch.object(fuzzyset, "GRID_CHUNK", chunk):
+        xs, grid = sample_grid(mf, n)
+        assert np.array_equal(grid, mus)
+        col, lefts, rights = _whole_grid_runs(xs, grid, alphas)
+        want = run_sums(col, rights - lefts, len(alphas))
+        assert np.array_equal(bits(alpha_lengths(mf, alphas, n)), bits(want))
+        for alpha in alphas:
+            (region,) = run_regions(*_whole_grid_runs(xs, grid, [alpha]), 1)
+            got = alpha_cut(mf, alpha, n).region.segments
+            assert bits([[s.l, s.r] for s in got]).tolist() == bits(
+                [[s.l, s.r] for s in region.segments]).tolist()
+        if not grid.any():
+            with pytest.raises(EmptySet):
+                attributes(mf, n)
+            return
+        attrs = attributes(mf, n)
+        col, lefts, rights = _whole_grid_runs(xs, grid, [1.0 / n, 1.0])
+        support, core = run_sums(col, rights - lefts, 2)
+        got = [attrs.height, attrs.centroid, attrs.support_length, attrs.core_length]
+        want = [grid.max(), (xs * grid).sum() / grid.sum(), support, core]
+        assert bits(got).tolist() == bits(want).tolist()
 
 
 GRID_SHAPES = [
@@ -201,6 +289,19 @@ def test_closed_form_grid_memory_is_one_chunk(mf):
     try:
         attributes(mf, samples)
         jaccard(mf, GRID_SHAPES[1], samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_sampled_grid_cut_memory_is_one_chunk():
+    mf = GRID_SHAPES[4]
+    samples = 4_000_001  # a whole membership array would be 32 MB
+    tracemalloc.start()
+    try:
+        alpha_lengths(mf, np.arange(1, 21) / 20, samples)
+        attributes(mf, samples)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

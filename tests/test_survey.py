@@ -619,6 +619,38 @@ def test_report_matches_per_cell_loop_across_blocks(mode):
     _assert_same_report(ds, mode, 7, 1001)
 
 
+@pytest.mark.parametrize("cap", [1, 40, 100, 1 << 16])
+def test_report_blocks_close_on_responses(cap):
+    """A block is the next cells, at least one, up to ``BLOCK_POINTS // points`` of
+    them (16 here) and up to ``BLOCK_RESPONSES`` responses: each block is as long as
+    both bounds let it be, a cell over the response cap is a block of its own, and
+    the rows stay the per-cell loop's."""
+    rng = np.random.default_rng(5)
+    sizes = rng.integers(2, 30, 40).tolist()
+    terms = [("MD", 60)] + [(f"T{i:02d}", k) for i, k in enumerate(sizes)]
+    responses = [
+        (group, p, term, *sorted(np.round(rng.uniform(0.0, 10.0, 2), 2).tolist()))
+        for term, participants in terms
+        for group in ("G1", "G2")
+        for p in range(participants)
+    ]
+    ds = load_survey(StringIO(_survey_text(responses)))
+    blocks, block = [], survey._report_block
+
+    def spy(names, ls, rs, n, *args):
+        blocks.append(n.tolist())
+        return block(names, ls, rs, n, *args)
+
+    with patch.object(survey, "BLOCK_RESPONSES", cap), patch.object(survey, "_report_block", spy):
+        _assert_same_report(ds, "exact", 7, 1001)
+    assert sum(map(len, blocks)) == 3 * len(terms)
+    for b, after in zip(blocks, blocks[1:] + [None]):
+        assert 1 <= len(b) <= 16 and (len(b) == 1 or sum(b) <= cap)
+        assert after is None or len(b) == 16 or sum(b) + after[0] > cap
+    if cap == 1 << 16:
+        assert max(map(len, blocks)) == 16
+
+
 @pytest.mark.parametrize("mode", ["exact", "alpha"])
 def test_report_sweeps_each_reported_cell_once(mode):
     """Each reported cell gets exactly one ``coverage_cells`` call, counted at
@@ -833,6 +865,25 @@ def test_series_blocks_join_to_the_whole_text(monkeypatch, points):
     assert series_to_json(xs, mus) == json.dumps(
         [[float(survey._fmt(x)), float(survey._fmt(m))] for x, m in zip(xs, mus)]) + "\n"
     assert len(list(survey.series_blocks(xs, mus, "csv"))) == 1 + -(-points // 3)
+
+
+
+@pytest.mark.parametrize("samples", [2, 3, 4, 7])
+def test_grid_series_walks_linspace_in_blocks(monkeypatch, samples):
+    """``grid_series`` gives ``np.linspace`` and ``membership`` on it, to the bit,
+    PRINT_LINES points per block, and ``series_text`` of its blocks is the text of
+    the whole arrays: on an underflowing step, a -0.0 end and a zero-width window too."""
+    monkeypatch.setattr(survey, "PRINT_LINES", 3)
+    fs = build_iaa(collection([(2, 5), (3, 5), (6, 8), (-0.0, 1e-321)]))
+    for lo, hi in ((-1.0, 9.0), (0.0, 1e-321), (-0.0, 3.0), (5.0, 5.0)):
+        blocks = list(survey.grid_series(fs, lo, hi, samples))
+        xs = np.linspace(lo, hi, samples)
+        mus = fs.membership(xs)
+        assert [b.size for b, _ in blocks] == [min(3, samples - a) for a in range(0, samples, 3)]
+        got = np.concatenate([b for b, _ in blocks]), np.concatenate([m for _, m in blocks])
+        assert np.array_equal(np.array(got).view(np.int64), np.array([xs, mus]).view(np.int64))
+        assert "".join(survey.series_text(iter(blocks), "csv")) == series_to_csv(xs, mus)
+        assert "".join(survey.series_text(iter(blocks), "json")) == series_to_json(xs, mus)
 
 
 # ------------------------------------------------- columnar loader vs per-row
