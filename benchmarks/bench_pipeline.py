@@ -47,6 +47,10 @@ Sections:
   ``gamma_alpha`` one, printed to ``os.devnull``, and of the exact breakdown
   of the list scaled by GAMMA_MS_SCALE, whose lengths ``%`` formats; each
   print adds the ``tracemalloc`` peak of one more call.
+* ``sweep``: the exact γ path's stages on their own, on SWEEP_LINES seeded
+  intervals, with unrounded endpoints (about 2n distinct coordinates) and with
+  endpoints rounded to 0.01 (heavy ties): ``coverage_cells``, ``level_runs``
+  of its counts and ``gamma_exact``.
 
 Every case is run REPEATS times after one warm-up, and keeps the best, the
 quartiles and the median of those calls, and their minor page faults per
@@ -77,6 +81,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import intervalagreement as ia  # noqa: E402
 from intervalagreement import AgreementError, IntervalCollection, survey  # noqa: E402
 from intervalagreement.fuzzyset import alpha_lengths  # noqa: E402
+from intervalagreement.intervals import coverage_cells, level_runs  # noqa: E402
 from intervalagreement.cli import _print_breakdown, parse_interval_lines  # noqa: E402
 
 ROWS = 50_000
@@ -93,6 +98,7 @@ ATTRS_LISTS = ((20_000, 3), (LINES, 2), (LINES, None))  # (lines, decimals kept;
 ATTRS_SAMPLES = (1_001, 1_000_001)
 GAMMA_LINES = (20_000, 200_000, 1_000_000)
 GAMMA_CUTS = 10_000
+SWEEP_LINES = (5_000, 20_000, 80_000)
 GAMMA_MS_SCALE = 1.6e10  # [0, 100] to epoch milliseconds: lengths past 2**51 millionths
 
 
@@ -290,6 +296,27 @@ def gamma() -> list[dict]:
     return cases
 
 
+def sweep() -> list[dict]:
+    cases = []
+    for n in SWEEP_LINES:
+        for decimals in (None, 2):
+            pairs = interval_pairs(n)
+            if decimals is not None:
+                pairs = np.round(pairs, decimals)
+            coll = IntervalCollection._from_arrays(*np.ascontiguousarray(pairs.T))
+            coords, counts = coverage_cells(coll)
+            calls = {
+                "coverage_cells": functools.partial(coverage_cells, coll),
+                "level_runs": functools.partial(level_runs, counts),
+                "gamma_exact": functools.partial(ia.gamma_exact, coll),
+            }
+            for case, run in calls.items():
+                run()  # warm-up
+                cases.append({"case": case, "lines": n, "decimals": decimals,
+                              "coordinates": coords.size, **repeated(run)})
+    return cases
+
+
 def machine() -> str:
     try:
         with open("/proc/cpuinfo") as fh:
@@ -328,6 +355,7 @@ def main(argv=None) -> int:
         "alpha": {"cuts": ALPHA_CUTS, "cases": alpha()},
         "attrs": {"cases": attrs()},
         "gamma": {"cuts": GAMMA_CUTS, "cases": gamma()},
+        "sweep": {"cases": sweep()},
     }
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
     runs = [run for run in runs if run["label"] != args.label] + [entry]
@@ -355,6 +383,10 @@ def main(argv=None) -> int:
         peak = f", tracemalloc peak {c['tracemalloc_peak_mb']:7.2f} MB" if "levels" in c else ""
         print(f"{args.label}: gamma {c['case']}, {c['lines']} lines: best {c['best_s'] * 1e3:8.2f} ms, "
               f"median {c['median_s'] * 1e3:8.2f} ms{peak}")
+    for c in entry["sweep"]["cases"]:
+        print(f"{args.label}: sweep {c['case']}, {c['lines']} lines to {c['decimals']} decimals "
+              f"({c['coordinates']} coordinates): best {c['best_s'] * 1e3:8.3f} ms, "
+              f"median {c['median_s'] * 1e3:8.3f} ms")
     return 0
 
 

@@ -58,7 +58,7 @@ _LEVEL_LINE = "level %d: weight=%.6f length=%s prev=%s ratio=%.6f\n"  # lengths 
 def _digits(x: np.ndarray, width: int) -> np.ndarray:
     """ASCII decimal digits of uint32 ``x``, ``width`` rows by x.size, most
     significant first; a zero left of a value's highest non-zero digit (bar
-    the last row's) is a 0 byte, for ``bytes.translate`` to delete."""
+    the last row's) is a 0 byte, for ``bytes.replace`` to delete."""
     rows = np.empty((width, x.size), np.uint8)
     rest = x
     for r in range(width - 1, -1, -1):
@@ -112,7 +112,7 @@ def _digit_lines(level: np.ndarray, *values: np.ndarray) -> str:
         col = end + len(digits)
         line[:, end:col] = digits.T
     line[:, col] = ord("\n")
-    return line.tobytes().translate(None, b"\0").decode("ascii")
+    return line.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _level_lines(first: int, weights, lengths, ratios) -> str:

@@ -216,23 +216,19 @@ def coverage_cells(coll: IntervalCollection) -> tuple[np.ndarray, np.ndarray]:
     """Sweep the 2n endpoints: sorted distinct coordinates plus the number of
     intervals covering the open cell between each consecutive pair.
 
-    Coverage is counted on open cells, so touching or zero-width intervals
-    never contribute measurable overlap. Raises InvalidInterval when the
-    intervals together span more than a float can measure.
+    Coverage is counted on open cells, so touching or zero-width intervals never
+    contribute measurable overlap. Of the first[j + 1] sorted endpoints below coordinate
+    j + 1, one binary search finds the ℓ left ones: cell j's count is ℓ - (first[j + 1] - ℓ).
+    Raises InvalidInterval when the intervals together span more than a float can measure.
     """
     ls, rs = coll.endpoints()
-    coords = np.sort(np.concatenate([ls, rs]))  # np.unique's sort, so of -0.0 and 0.0
-    coords = coords[np.concatenate([[True], coords[1:] != coords[:-1]])]  # the same one stays
+    ends = np.sort(np.concatenate([ls, rs]))  # np.unique's sort, so of -0.0 and 0.0
+    first = np.flatnonzero(np.concatenate([[True], ends[1:] != ends[:-1]]))
+    coords = ends[first]  # the same copy of each value np.unique keeps
     lo, hi = float(coords[0]), float(coords[-1])
     if not math.isfinite(hi - lo):
         raise InvalidInterval(f"intervals span [{lo}, {hi}], wider than a float can measure")
-    if coords.size < 2:
-        return coords, np.zeros(0, dtype=np.int64)
-    cell_left = coords[:-1]
-    counts = np.searchsorted(np.sort(ls), cell_left, side="right") - np.searchsorted(
-        np.sort(rs), cell_left, side="right"
-    )
-    return coords, counts
+    return coords, 2 * np.searchsorted(np.sort(ls), coords[:-1], "right") - first[1:]
 
 
 def runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,12 +286,16 @@ def ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
 
 
 def _level_marks(at: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(level, coordinate index) for each level lo+1..hi at each index in `at`,
-    ordered by level, then by position."""
-    idx = np.repeat(at, hi - lo)
-    level = ranges(lo + 1, hi + 1)
-    order = np.lexsort((idx, level))
-    return level[order], idx[order]
+    """(k - 1, coordinate index) for each level k in lo+1..hi at each distinct index in
+    `at`, by level, then by position: one sort of the unique int64 keys (k - 1) << shift
+    | index, which fit while the top level's and index's bit lengths add to at most 63."""
+    shift = int(at.max(initial=0)).bit_length()
+    if int(hi.max(initial=0)).bit_length() + shift > 63:  # reached only from 2**31 intervals on
+        raise OverflowError("coverage levels and indices overflow an int64 key")
+    keys = ranges(lo, hi) << shift
+    keys |= np.repeat(at, hi - lo)  # in place: two mark arrays at a time, not three
+    keys.sort()
+    return keys >> shift, keys & ((1 << shift) - 1)
 
 
 def level_runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -307,9 +307,9 @@ def level_runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     padded = np.concatenate([[0], counts, [0]])  # count left/right of each boundary
     step = np.diff(padded)
     rises, falls = np.flatnonzero(step > 0), np.flatnonzero(step < 0)
-    level, start = _level_marks(rises, padded[rises], padded[rises + 1])
+    key, start = _level_marks(rises, padded[rises], padded[rises + 1])
     _, stop = _level_marks(falls, padded[falls + 1], padded[falls])
-    return level - 1, start, stop
+    return key, start, stop
 
 
 def level_sets(coll: IntervalCollection) -> list[DisjointRegion]:

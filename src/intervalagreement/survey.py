@@ -682,15 +682,16 @@ def grid_series(mf: MembershipFunction, lo: float, hi: float, samples: int):
 def series_text(blocks, format: str):
     """The text of a membership series as ``format`` (csv or json), a block of (xs, mus)
     at a time, so a writer holds one block's text: CSV lines ``x,mu`` under a header, or
-    one JSON array of [x, mu] pairs, each value ``_fmt``'s."""
+    one JSON array of [x, mu] pairs, each value ``_fmt``'s. A block's ``.6g`` text is
+    one ``%`` over its values; JSON dumps the floats that text reads as."""
     yield "x,mu\n" if format == "csv" else "["
     for i, (xs, mus) in enumerate(blocks):
-        pairs = zip(xs.tolist(), mus.tolist())
+        text = "%.6g,%.6g\n" * xs.size % tuple(np.column_stack([xs, mus]).ravel().tolist())
         if format == "csv":
-            yield "".join([f"{_fmt(x)},{_fmt(m)}\n" for x, m in pairs])
+            yield text
         else:  # json.dumps of a block of pairs, brackets dropped, is that stretch of the whole
-            block = json.dumps([[float(_fmt(x)), float(_fmt(m))] for x, m in pairs])
-            yield (", " if i else "") + block[1:-1]
+            values = iter(map(float, text.replace(",", " ").split()))
+            yield (", " if i else "") + json.dumps(list(zip(values, values)))[1:-1]
     if format != "csv":
         yield "]\n"
 

@@ -128,6 +128,31 @@ def parse_each_line(text):
     return intervals
 
 
+def two_search_counts(coll, coords):
+    """The cover count ``coverage_cells`` must give each open cell between
+    consecutive ``coords``: the left endpoints at or below its left end, less
+    the right ones, by two binary searches in separately sorted endpoints."""
+    import numpy as np
+
+    ls, rs = coll.endpoints()
+    cell_left = coords[:-1]
+    return (np.searchsorted(np.sort(ls), cell_left, side="right")
+            - np.searchsorted(np.sort(rs), cell_left, side="right"))
+
+
+def lexsort_level_marks(at, lo, hi):
+    """The (k - 1, index) marks ``intervals._level_marks`` must give: each level k
+    in lo+1..hi at each index in ``at``, ordered by ``np.lexsort`` on (level, index)."""
+    import numpy as np
+
+    from intervalagreement.intervals import ranges
+
+    idx = np.repeat(at, hi - lo)
+    level = ranges(lo, hi)
+    order = np.lexsort((idx, level))
+    return level[order], idx[order]
+
+
 def oracle_level_sets(coll):
     """The per-level region builder ``level_sets`` must agree with: for each
     level k, the maximal runs of coverage cells with count >= k, merged into

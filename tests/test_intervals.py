@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from intervalagreement import intervals as intervals_mod
@@ -31,6 +31,7 @@ from helpers import (
     lattice_intervals,
     oracle_level_sets,
     oracle_run_sums,
+    two_search_counts,
 )
 
 
@@ -124,6 +125,24 @@ def test_coverage_coordinates_are_np_unique_to_the_bit(pairs):
     want = np.unique(np.concatenate(coll.endpoints()))
     assert coords.tolist() == want.tolist()
     assert np.signbit(coords).tolist() == np.signbit(want).tolist()
+
+
+# ties, ±0.0 and subnormals; free floats between them add distinct coordinates
+COVER_ENDPOINTS = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1050, 1.0, -1.0, 2.5, 3.0]
+
+
+@given(st.lists(
+    st.tuples(*[st.sampled_from(COVER_ENDPOINTS) | st.floats(-4, 4)] * 2).map(sorted),
+    min_size=1, max_size=60))
+@example([(0.0, 0.0)])
+@example([(-0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 2.5), (-5e-324, 5e-324)])
+@example([(1.0, 2.0)] * 60)
+def test_coverage_counts_match_two_searches(pairs):
+    coll = collection(pairs)
+    coords, counts = intervals_mod.coverage_cells(coll)
+    want = two_search_counts(coll, coords)
+    assert counts.dtype == want.dtype
+    assert counts.tolist() == want.tolist()
 
 
 def test_collection_endpoints_are_read_only():

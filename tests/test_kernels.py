@@ -1,15 +1,18 @@
 """Threshold runs: sampled alpha-cuts against a pure-Python scan, and the
 run enumerators (``runs``, ``ladder_runs``, ``level_runs``) against masks."""
 
+from unittest.mock import patch
+
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from intervalagreement import Sampled, alpha_cut, alpha_length
+from intervalagreement import Sampled, alpha_cut, alpha_length, intervals
 from intervalagreement.fuzzyset import alpha_lengths
-from intervalagreement.intervals import ladder_runs, level_runs, runs
+from intervalagreement.intervals import _level_marks, ladder_runs, level_runs, runs
 
-from helpers import run_length_scan
+from helpers import lexsort_level_marks, run_length_scan
 
 
 def grid_cut(xs, mus, alpha):
@@ -150,3 +153,54 @@ def test_level_runs_rebuild_each_level(counts):
     masks = _rebuilt_masks(keys, starts, stops, top, counts.size)
     for k, mask in enumerate(masks, start=1):
         assert np.array_equal(mask, counts >= k)
+
+
+def assert_runs_match_lexsort(counts):
+    """``level_runs`` of ``counts`` equals its runs with the marks ordered by ``np.lexsort``."""
+    got = level_runs(counts)
+    with patch.object(intervals, "_level_marks", lexsort_level_marks):
+        want = level_runs(counts)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@given(st.lists(st.integers(0, 9), max_size=80))
+@example([])
+@example([0])
+@example([0] * 7)
+@example([0, 70_000, 70_000, 0, 3, 70_001, 2])  # levels past 2**16
+def test_level_runs_match_lexsort_marks(counts):
+    assert_runs_match_lexsort(np.asarray(counts, dtype=np.int64))
+
+
+@pytest.mark.parametrize("bits", range(1, 21))
+def test_level_runs_match_lexsort_marks_at_each_index_width(bits):
+    counts = np.zeros(1 << (bits - 1), dtype=np.int64)  # its last fall is at index 2**(bits-1)
+    counts[0] = 2
+    counts[-5:] = [3, 1, 4, 1, 5][-counts.size:]
+    assert int(np.flatnonzero(np.diff(counts, prepend=0, append=0))[-1]).bit_length() == bits
+    assert_runs_match_lexsort(counts)
+
+
+@given(st.sets(st.integers(0, 1 << 20), max_size=20),
+       st.lists(st.integers(0, 40), min_size=20, max_size=20),
+       st.lists(st.integers(0, 6), min_size=20, max_size=20))
+def test_level_marks_match_lexsort(at, lo, rise):
+    at = np.array(sorted(at), dtype=np.int64)
+    lo = np.array(lo[:at.size], dtype=np.int64)
+    hi = lo + np.array(rise[:at.size], dtype=np.int64)
+    for g, w in zip(_level_marks(at, lo, hi), lexsort_level_marks(at, lo, hi)):
+        assert np.array_equal(g, w)
+
+
+def test_level_marks_key_bound_is_63_bits():
+    # one mark each (hi = lo + 1), so nothing large is allocated at any level or index
+    def marks(index, level):
+        return _level_marks(np.array([index]), np.array([level - 1]), np.array([level]))
+
+    for index, level in ((2**40 - 1, 2**23 - 1), (2**62 - 1, 1), (0, 2**62)):
+        got = marks(index, level)
+        assert [a.tolist() for a in got] == [[level - 1], [index]]
+    for index, level in ((2**40 - 1, 2**23), (2**40, 2**23 - 1), (2**62, 1), (1, 2**62)):
+        with pytest.raises(OverflowError):
+            marks(index, level)
