@@ -17,7 +17,8 @@ Sections:
 
 * ``report_cells``: ``survey.report`` (exact, 1001 samples) on one seeded
   50,000-row survey of 4 groups, with 5, 50 and 625 terms (25, 250 and
-  3,125 cells; 2,500, 250 and 20 participants per cell). Loading is not
+  3,125 cells; 2,500, 250 and 20 participants per cell), and the number of
+  blocks ``survey._report_block`` measures them in. Loading is not
   timed. Its ``samples_sweep`` runs the 25-cell survey at each of
   REPORT_SAMPLES samples, and adds the ``tracemalloc`` peak of one more call.
 * ``load``: ``survey.load_survey`` on the 5-term survey above (50,000 rows)
@@ -72,6 +73,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -123,9 +125,12 @@ def report_cells() -> list[dict]:
     points = []
     for terms in TERM_COUNTS:
         ds = survey.load_survey(io.StringIO(survey_text(terms)))
-        rep = survey.report(ds)  # warm-up
+        blocks, block = [], survey._report_block
+        with mock.patch.object(survey, "_report_block", lambda *a: blocks.append(1) or block(*a)):
+            rep = survey.report(ds)  # warm-up
         cells = len(rep.rows) + len(rep.skipped)
-        points.append({"terms": terms, "cells": cells, **repeated(lambda: survey.report(ds))})
+        points.append({"terms": terms, "cells": cells, "blocks": len(blocks),
+                       **repeated(lambda: survey.report(ds))})
     return points
 
 
@@ -361,8 +366,8 @@ def main(argv=None) -> int:
     runs = [run for run in runs if run["label"] != args.label] + [entry]
     args.out.write_text(json.dumps({"seed": SEED, "runs": runs}, indent=2) + "\n")
     for p in entry["report_cells"]["points"]:
-        print(f"{args.label}: report, {p['cells']:5d} cells: best {p['best_s'] * 1e3:8.2f} ms, "
-              f"median {p['median_s'] * 1e3:8.2f} ms")
+        print(f"{args.label}: report, {p['cells']:5d} cells in {p['blocks']:3d} blocks: best "
+              f"{p['best_s'] * 1e3:8.2f} ms, median {p['median_s'] * 1e3:8.2f} ms")
     for p in entry["report_cells"]["samples_sweep"]:
         print(f"{args.label}: report, 25 cells, {p['samples']:7d} samples: best "
               f"{p['best_s'] * 1e3:8.2f} ms, median {p['median_s'] * 1e3:8.2f} ms, "

@@ -5,12 +5,12 @@ by one block split in the survey module, JSON surveys per that module. All
 output is deterministic: identical inputs and flags produce identical bytes.
 
 ``gamma`` prints γ, then one line per agreement level; every value is
-``"%.6f"``'s text to the byte. The level lines are built from integer digits
-PRINT_LINES at a time and each block is written when done, so the print holds
-O(PRINT_LINES) memory; a line holding a value whose digits the integer path
-cannot decide (``_millionths`` gives the rule) is formatted by ``%``.
+``"%.6f"``'s text to the byte. The level lines are built TEXT_LINES at a time
+and each block is written when done, so the print holds O(TEXT_LINES) memory:
+from integer digits, or, for a block holding a value whose digits the integer
+path cannot decide (``_millionths`` gives the rule), whole by one ``%``.
 ``build`` and ``series`` evaluate and write their series the same way,
-PRINT_LINES points per block (``survey.grid_series``, ``survey.series_text``),
+TEXT_LINES points per block (``survey.grid_series``, ``survey.series_text``),
 so no array covers the whole grid.
 
 Each subcommand takes only the flags it reads, and argparse rejects a bad
@@ -40,7 +40,7 @@ from .errors import AgreementError
 from .fuzzyset import DEFAULT_SAMPLES, attributes
 from .iaa import build_iaa
 from .intervals import Interval, plain
-from .survey import PRINT_LINES, parse_interval_lines
+from .survey import TEXT_LINES, parse_interval_lines
 
 # upper bounds on the size flags, so a typo cannot ask for an unbounded allocation
 MAX_SAMPLES = 10_000_001
@@ -52,7 +52,7 @@ def _source(path: str):
     return getattr(sys.stdin, "buffer", sys.stdin) if path == "-" else path
 
 
-_LEVEL_LINE = "level %d: weight=%.6f length=%s prev=%s ratio=%.6f\n"  # lengths as "%.6f" text
+_LEVEL_LINE = "level %d: weight=%.6f length=%.6f prev=%.6f ratio=%.6f\n"
 
 
 def _digits(x: np.ndarray, width: int) -> np.ndarray:
@@ -117,42 +117,27 @@ def _digit_lines(level: np.ndarray, *values: np.ndarray) -> str:
 
 def _level_lines(first: int, weights, lengths, ratios) -> str:
     """``_LEVEL_LINE`` of levels first + 2 on: each weight, length
-    (``lengths[1:]``), prev (``lengths[:-1]``) and ratio. A line whose values
-    ``_millionths`` decides takes ``_digit_lines``; any other, ``%``."""
+    (``lengths[1:]``), prev (``lengths[:-1]``) and ratio. A block all of whose
+    values ``_millionths`` decides takes ``_digit_lines``; any other is one ``%``."""
     level = np.arange(first + 2, first + 2 + weights.size, dtype=np.uint32)
     (kw, w_ok), (kl, ln_ok), (kr, r_ok) = map(_millionths, (weights, lengths, ratios))
-    ok = w_ok & ln_ok[1:] & ln_ok[:-1] & r_ok
-    if ok.all():
+    if w_ok.all() and ln_ok.all() and r_ok.all():
         ln = _fixed(kl)  # each length's digits serve its own line and the next one's prev
         return _digit_lines(level, _fixed(kw), ln[:, 1:], ln[:, :-1], _fixed(kr))
-    u = np.flatnonzero(~ok)
-    at = np.zeros(lengths.size, bool)
-    at[u] = at[u + 1] = True
-    shown = np.empty(lengths.size, object)  # here too, each length is formatted once
-    shown[at] = list(map("%.6f".__mod__, lengths[at].tolist()))
-    cells = [None] * (5 * u.size)  # one % over all of them is faster than one per line
-    for k, column in enumerate((level[u], weights[u], shown[u + 1], shown[u], ratios[u])):
-        cells[k::5] = column.tolist()
-    undecided = _LEVEL_LINE * u.size % tuple(cells)
-    if u.size == ok.size:
-        return undecided
-    lines = np.empty(ok.size, object)
-    lines[u] = undecided.splitlines(keepends=True)
-    decided = _digit_lines(level[ok], *(_fixed(k[ok]) for k in (kw, kl[1:], kl[:-1], kr)))
-    lines[ok] = decided.splitlines(keepends=True)
-    return "".join(lines.tolist())
+    values = np.column_stack([level, weights, lengths[1:], lengths[:-1], ratios])
+    return _LEVEL_LINE * level.size % tuple(values.ravel().tolist())
 
 
 def _print_breakdown(breakdown: GammaBreakdown, out):
     """γ as ``%.6f``, then one ``_LEVEL_LINE`` per agreement level, each value's
-    text ``"%.6f"``'s to the byte: from integer digits, or by ``%`` for a line
-    holding a value ``_millionths`` cannot decide. The lines are built
-    PRINT_LINES at a time (``_level_lines``) and each block is written as it is
-    done, so memory stays O(PRINT_LINES) at any level count."""
+    text ``"%.6f"``'s to the byte: from integer digits, or by one ``%`` for a
+    block holding a value ``_millionths`` cannot decide. The lines are built
+    TEXT_LINES at a time (``_level_lines``) and each block is written as it is
+    done, so memory stays O(TEXT_LINES) at any level count."""
     out.write("%.6f\n" % breakdown.gamma)
     weights, lengths, ratios = breakdown.weights, breakdown.lengths, breakdown.ratios
-    for a in range(0, weights.size, PRINT_LINES):
-        b = a + PRINT_LINES
+    for a in range(0, weights.size, TEXT_LINES):
+        b = a + TEXT_LINES
         out.write(_level_lines(a, weights[a:b], lengths[a : b + 1], ratios[a:b]))
 
 

@@ -192,7 +192,7 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
     (group, term) cell at most once.
 
     CSV text without a quote, carriage return, NUL or line longer than
-    ``csv.field_size_limit()`` is sliced from its UTF-8 bytes LOAD_ROWS lines
+    ``csv.field_size_limit()`` is sliced from its UTF-8 bytes TEXT_LINES lines
     at a time, and a block is split by ``_split_block``, the block split that
     interval lists share (``parse_interval_lines``), only when it is reached.
     Other text is read whole by ``csv.reader``, and JSON whole, so there a
@@ -201,7 +201,7 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
 
     ``_dataset`` checks, encodes and converts a block a column at a time:
     names present and not reserved, endpoints plain, finite, ordered and in
-    the scale. A load holds O(LOAD_ROWS) Python objects and O(rows) arrays.
+    the scale. A load holds O(TEXT_LINES) Python objects and O(rows) arrays.
     Only failing rows, and rows whose endpoint text is not plain, go to the
     one-row validator in line order: the first bad one raises its own message
     and ``.line``, and all-blank CSV rows are skipped. Then the first repeated
@@ -219,17 +219,17 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
     raise ValueError(f"format must be csv or json, got {format!r}")
 
 
-# lines split, and survey rows checked, encoded and converted, per block
-LOAD_ROWS = 1 << 12
+# lines of text split, survey rows checked, encoded and converted, or lines printed, per step
+TEXT_LINES = 1 << 12
 
 
 def _blocks(rows):
-    """``rows`` LOAD_ROWS at a time."""
-    return (rows[a:a + LOAD_ROWS] for a in range(0, len(rows), LOAD_ROWS))
+    """``rows`` TEXT_LINES at a time."""
+    return (rows[a:a + TEXT_LINES] for a in range(0, len(rows), TEXT_LINES))
 
 
 def _csv_blocks(text: str):
-    """The rows after the header, LOAD_ROWS at a time, and each row's line
+    """The rows after the header, TEXT_LINES at a time, and each row's line
     number. A block is its five columns (a row of another length reads as five
     blanks), whether each row's endpoint text is ``plain`` (True: all of them),
     and a function giving its row j's fields."""
@@ -238,8 +238,8 @@ def _csv_blocks(text: str):
         ends = _line_ends(data, len(data) - data.endswith(b"\n"))
         if np.diff(ends).max() <= csv.field_size_limit() + 1:
             _check_header(data[:ends[1]].decode("utf-8", "surrogatepass").split(","))
-            return ((_split_block(data, ends[a:a + LOAD_ROWS + 1], 5)
-                     for a in range(1, ends.size - 1, LOAD_ROWS)), range(2, ends.size))
+            return ((_split_block(data, ends[a:a + TEXT_LINES + 1], 5)
+                     for a in range(1, ends.size - 1, TEXT_LINES)), range(2, ends.size))
     reader = csv.reader(io.StringIO(text))
     rows, lines = [], []
     try:
@@ -285,8 +285,8 @@ def parse_interval_lines(text: str) -> IntervalCollection:
     data = text.encode("utf-8", "surrogatepass")
     ends = _line_ends(data, len(data) - data.endswith(b"\n"))
     ls, rs, kept = np.empty(ends.size - 1), np.empty(ends.size - 1), np.ones(ends.size - 1, bool)
-    for a in range(0, kept.size, LOAD_ROWS):
-        at = ends[a:a + LOAD_ROWS + 1]
+    for a in range(0, kept.size, TEXT_LINES):
+        at = ends[a:a + TEXT_LINES + 1]
         block, at = data[at[0] + 1:at[-1]], at - at[0] - 1
         if b"#" in block:  # comments are cut, so the block's line ends are found again
             block = re.sub(rb"#[^\n]*", b"", block)
@@ -422,14 +422,14 @@ def _repeats(names, lines):
 
 def _dataset(blocks, validate, lines, scale: Interval) -> SurveyDataset:
     """The dataset over ``blocks``, one after another: each is five raw columns
-    of up to LOAD_ROWS rows, which rows ``decided`` (``plain`` endpoint text),
+    of up to TEXT_LINES rows, which rows ``decided`` (``plain`` endpoint text),
     and a function giving row j's raw row. A block is checked a column at a
     time, its names encoded (the name tables carry over, so names keep their
     first appearance in the file) and its endpoints written into arrays
     allocated once for every row; then the rows that fail a check, or that are
     not decided, go to ``validate(row, line, scale)`` in order: the first bad
     one raises, and a blank one (None) is dropped. So the Python objects held
-    are O(LOAD_ROWS), the arrays O(rows), and an error on an earlier line wins.
+    are O(TEXT_LINES), the arrays O(rows), and an error on an earlier line wins.
     Repeats are checked once, after the last block."""
     n = len(lines)
     clean = (lambda g: "" if g.strip() in DERIVED_GROUPS else g.strip(), str.strip, canonical_term)
@@ -513,11 +513,10 @@ def cell_gamma(coll: IntervalCollection, mode: str, alpha_cuts: int) -> GammaBre
     return gamma_exact(coll) if mode == "exact" else gamma_alpha(build_iaa(coll), cuts=alpha_cuts)
 
 
-# a block is the next cells, at least one, up to BLOCK_POINTS // points of them, where points
-# is the grid samples plus the α-cuts in alpha mode, and up to BLOCK_RESPONSES responses:
-# the first bounds the (cells, chunk) grid arrays, the second the sweep arrays
-BLOCK_POINTS = 1 << 14
-BLOCK_RESPONSES = 1 << 16
+# a block is the next cells, at least one, whose costs add up to at most BLOCK_SIZE; a cell
+# costs its responses, which size its sweep arrays, plus its grid points, which size its
+# (cells, chunk) grid rows: the samples, plus the α-cuts in alpha mode
+BLOCK_SIZE = 1 << 15
 
 
 def report(
@@ -535,9 +534,9 @@ def report(
     in alpha mode, ``alpha_cuts`` are checked first. A row holds, to the bit,
     what ``attributes`` and ``cell_gamma`` give on the cell's collection, and
     a cell raises their first error, with ``.cell`` set to (group, term).
-    A block, the next cells, at least one, up to ``BLOCK_POINTS // points`` of
-    them (``points`` is ``samples``, plus ``alpha_cuts`` in alpha mode) and up to
-    ``BLOCK_RESPONSES`` responses, is measured together by ``_report_block``: its
+    A block, the next cells, at least one, whose costs add up to at most
+    ``BLOCK_SIZE`` (a cell costs its responses plus ``samples``, plus
+    ``alpha_cuts`` in alpha mode), is measured together by ``_report_block``: its
     centroid grids are walked in chunks, bounded at any ``samples``, and its
     sweep arrays grow with its responses, bounded but for a single larger cell.
     """
@@ -555,12 +554,12 @@ def report(
     skipped = tuple((*names[i], "fewer than 2 responses" if n[i] else "no responses")
                     for i in np.flatnonzero(n < 2).tolist())
     kept = np.flatnonzero(n >= 2)
-    size = max(1, BLOCK_POINTS // (samples + (alpha_cuts if mode == "alpha" else 0)))
-    ends = np.cumsum(n[kept])  # kept cells i to fits[i] - 1 hold up to BLOCK_RESPONSES
-    fits = np.searchsorted(ends, ends - n[kept] + BLOCK_RESPONSES, "right").tolist()
+    cost = n[kept] + samples + (alpha_cuts if mode == "alpha" else 0)
+    ends = np.cumsum(cost)  # kept cells i to fits[i] - 1 cost up to BLOCK_SIZE
+    fits = np.searchsorted(ends, ends - cost + BLOCK_SIZE, "right").tolist()
     out, i = [], 0
     while i < kept.size:
-        j = min(i + size, max(i + 1, fits[i]))
+        j = max(i + 1, fits[i])
         cells, i = kept[i:j], j
         picked = order[ranges(starts[cells], starts[cells] + n[cells])]
         out += _report_block([names[c] for c in cells.tolist()], ds.l[picked], ds.r[picked],
@@ -584,9 +583,7 @@ def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow
     levels = counts / n[cell]
     key, start, stop = level_runs(counts)  # cell c's level k is summed at ends[c] - n[c] + k - 1
     lengths = run_sums((ends - n)[cell[start]] + key, coords[stop] - coords[start], ends[-1])
-    pos = counts[:-1] > 0  # support: a cell's covered widths, each cell's sum pairwise
-    per = np.cumsum(np.bincount(cell[:-1][pos], minlength=n.size))[:-1]
-    support = [float(w.sum()) for w in np.split(np.diff(coords)[pos], per)]
+    support = [float(np.diff(x)[c > 0].sum()) for x, c in sweeps]  # as support_length sums
     steps = step_table(levels[:-1])  # each cell's closing 0 is a level between cells
     def chunk(xs, a, b, scale=1.0):
         # a row starts on its cell's first coordinate: r >= 1, r - 1 in the cell
@@ -666,15 +663,12 @@ def report_to_json(rep: AgreementReport) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-PRINT_LINES = 1 << 12  # printed lines built and written per step
-
-
 def grid_series(mf: MembershipFunction, lo: float, hi: float, samples: int):
     """``np.linspace(lo, hi, samples)`` and mf's membership on it, in (xs, mu) blocks of
-    PRINT_LINES points: ``linspace_at``'s points and ``_on_grid``'s values, to the bit,
+    TEXT_LINES points: ``linspace_at``'s points and ``_on_grid``'s values, to the bit,
     so no array covers the whole grid."""
-    base = np.arange(min(samples, PRINT_LINES), dtype=np.float64)
-    for a in range(0, samples, PRINT_LINES):
+    base = np.arange(min(samples, TEXT_LINES), dtype=np.float64)
+    for a in range(0, samples, TEXT_LINES):
         xs = linspace_at(lo, hi, samples, base[:samples - a] + a)
         yield xs, mf._on_grid(xs)
 
@@ -697,9 +691,9 @@ def series_text(blocks, format: str):
 
 
 def series_blocks(xs: np.ndarray, mus: np.ndarray, format: str):
-    """``series_text`` of whole arrays, PRINT_LINES points at a time."""
-    return series_text(((xs[a:a + PRINT_LINES], mus[a:a + PRINT_LINES])
-                        for a in range(0, xs.size, PRINT_LINES)), format)
+    """``series_text`` of whole arrays, TEXT_LINES points at a time."""
+    return series_text(((xs[a:a + TEXT_LINES], mus[a:a + TEXT_LINES])
+                        for a in range(0, xs.size, TEXT_LINES)), format)
 
 
 def series_to_csv(xs: np.ndarray, mus: np.ndarray) -> str:

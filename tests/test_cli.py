@@ -128,7 +128,7 @@ def test_parse_interval_lines_matches_per_line_parser(lines):
 @pytest.mark.parametrize("rows", [1, 3])
 @given(lines=st.lists(st.sampled_from(LINE_PIECES), max_size=8))
 def test_parse_interval_lines_matches_per_line_parser_in_small_blocks(rows, lines):
-    with patch.object(survey_mod, "LOAD_ROWS", rows):
+    with patch.object(survey_mod, "TEXT_LINES", rows):
         _assert_parses_as_per_line_parser("\n".join(lines))
 
 
@@ -177,7 +177,7 @@ def test_every_splitlines_break_ends_a_line(sep):
 )
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_parse_interval_lines_across_block_edges(rows, text):
-    with patch.object(survey_mod, "LOAD_ROWS", rows):
+    with patch.object(survey_mod, "TEXT_LINES", rows):
         _assert_parses_as_per_line_parser(text)
 
 
@@ -233,9 +233,9 @@ def nested_then_apart(n):
 @example([(2, 5)] * 6, 3)
 @example([(0, 1), (2, 3), (4, 5), (6, 7)], 4)  # every level past the first is zero
 # n intervals print n - 1 level lines: one block less one, one block, one block and one
-@example(nested_then_apart(cli.PRINT_LINES), 12)
-@example(nested_then_apart(cli.PRINT_LINES + 1), 12)
-@example(nested_then_apart(cli.PRINT_LINES + 2), 12)
+@example(nested_then_apart(cli.TEXT_LINES), 12)
+@example(nested_then_apart(cli.TEXT_LINES + 1), 12)
+@example(nested_then_apart(cli.TEXT_LINES + 2), 12)
 def test_print_breakdown_matches_per_line_printer(pairs, cuts):
     coll = collection(pairs)
     try:
@@ -368,7 +368,7 @@ def test_build_and_series_write_a_block_at_a_time(monkeypatch, capsys, intervals
     argv = [arg.format(intervals=intervals_file) for arg in argv] + ["--format", fmt]
     assert main(argv) == 0
     want = capsys.readouterr().out
-    monkeypatch.setattr(survey_mod, "PRINT_LINES", 3)
+    monkeypatch.setattr(survey_mod, "TEXT_LINES", 3)
     monkeypatch.setattr(sys, "stdout", _Writes())
     assert main(argv) == 0
     assert "".join(sys.stdout.writes) == want

@@ -68,7 +68,7 @@ def _parse_outcome(text):
 @given(text=texts)
 def test_parse_interval_lines_in_small_blocks_as_in_one(rows, text):
     whole = _parse_outcome(text)
-    with patch.object(survey, "LOAD_ROWS", rows):
+    with patch.object(survey, "TEXT_LINES", rows):
         split = _parse_outcome(text)
     if isinstance(whole[0], type):
         assert split == whole

@@ -590,22 +590,36 @@ _TOUCHING = [("Patient", 1, "ITD", 0.0, 3.0), ("Patient", 2, "ITD", 1.0, 3.0),
     st.one_of(st.integers(2, 3000), st.sampled_from([32_769, 40_000, 65_537])),
     st.one_of(st.integers(2, 20_000), st.just(1 << 20)),
 )
-def test_report_matches_per_cell_loop(responses, mode, alpha_cuts, samples, points):
-    """A small point budget makes blocks of one cell or a few, a large one a
+def test_report_matches_per_cell_loop(responses, mode, alpha_cuts, samples, budget):
+    """A small block budget makes blocks of one cell or a few, a large one a
     block of every cell; over 32,768 samples a row spans several grid chunks,
-    and a budget of 2^20 points puts several such rows in one block. Groups
-    are interleaved, so an "ALL" cell reaches the sweep in another order than
-    the oracle's, with -0.0 and 0.0 among its endpoints."""
+    and a budget of 2^20 puts several such rows in one block. Groups are
+    interleaved, so an "ALL" cell reaches the sweep in another order than the
+    oracle's, with -0.0 and 0.0 among its endpoints."""
     ds = load_survey(StringIO(_survey_text(responses)), scale=Interval(-10.0, 10.0))
-    with patch.object(survey, "BLOCK_POINTS", points):
+    with patch.object(survey, "BLOCK_SIZE", budget):
         _assert_same_report(ds, mode, alpha_cuts, samples)
+
+
+def _report_blocks(ds, mode, alpha_cuts, samples):
+    """``_assert_same_report``, and the response counts of the cells of each
+    block that ``report`` measured together, block by block."""
+    blocks, block = [], survey._report_block
+
+    def spy(names, ls, rs, n, *args):
+        blocks.append(n.tolist())
+        return block(names, ls, rs, n, *args)
+
+    with patch.object(survey, "_report_block", spy):
+        _assert_same_report(ds, mode, alpha_cuts, samples)
+    return blocks
 
 
 @pytest.mark.parametrize("mode", ["exact", "alpha"])
 def test_report_matches_per_cell_loop_across_blocks(mode):
-    """The shipped budget: 453 cells fill 29 blocks of 16 (in both modes), and
-    the 9,000-response G1/MD and G2/MD cells and the 18,000-response ALL/MD
-    cell each share their block with 15-response cells."""
+    """The shipped budget: 453 cells fill 16 blocks (the same in both modes),
+    and the 9,000-response G1/MD and G2/MD cells and the 18,000-response ALL/MD
+    cell each share their block with 15- or 30-response cells."""
     rng = np.random.default_rng(11)
     terms = [("MD", 9000)] + [(f"T{i:03d}", 15) for i in range(150)]
     responses = [
@@ -615,16 +629,20 @@ def test_report_matches_per_cell_loop_across_blocks(mode):
         for p in range(participants)
     ]
     ds = load_survey(StringIO(_survey_text(responses)))
-    assert survey.BLOCK_POINTS // (1001 + 7) == survey.BLOCK_POINTS // 1001 == 16
-    _assert_same_report(ds, mode, 7, 1001)
+    blocks = _report_blocks(ds, mode, 7, 1001)
+    assert len(blocks) == 16
+    assert [(b[0], len(b)) for b in blocks if b[0] > 30] == [(9000, 23), (9000, 23), (18000, 14)]
 
 
-@pytest.mark.parametrize("cap", [1, 40, 100, 1 << 16])
-def test_report_blocks_close_on_responses(cap):
-    """A block is the next cells, at least one, up to ``BLOCK_POINTS // points`` of
-    them (16 here) and up to ``BLOCK_RESPONSES`` responses: each block is as long as
-    both bounds let it be, a cell over the response cap is a block of its own, and
-    the rows stay the per-cell loop's."""
+@pytest.mark.parametrize("mode", ["exact", "alpha"])
+@pytest.mark.parametrize("budget", [1, 2040, 5000, 1 << 15])
+def test_report_blocks_close_on_their_cost(mode, budget):
+    """A block is the next cells, at least one, whose costs add up to at most
+    ``BLOCK_SIZE``; a cell costs its responses plus its grid points, 1,001
+    samples plus, in alpha mode, 7 cuts. Each block is as long as the budget
+    lets it be, a cell over it is a block of its own, and the rows stay the
+    per-cell loop's. At 2,040 two cells share a block in exact mode if they
+    hold up to 38 responses, in alpha mode up to 24."""
     rng = np.random.default_rng(5)
     sizes = rng.integers(2, 30, 40).tolist()
     terms = [("MD", 60)] + [(f"T{i:02d}", k) for i, k in enumerate(sizes)]
@@ -635,27 +653,22 @@ def test_report_blocks_close_on_responses(cap):
         for p in range(participants)
     ]
     ds = load_survey(StringIO(_survey_text(responses)))
-    blocks, block = [], survey._report_block
-
-    def spy(names, ls, rs, n, *args):
-        blocks.append(n.tolist())
-        return block(names, ls, rs, n, *args)
-
-    with patch.object(survey, "BLOCK_RESPONSES", cap), patch.object(survey, "_report_block", spy):
-        _assert_same_report(ds, "exact", 7, 1001)
+    points = 1001 + (7 if mode == "alpha" else 0)
+    with patch.object(survey, "BLOCK_SIZE", budget):
+        blocks = _report_blocks(ds, mode, 7, 1001)
     assert sum(map(len, blocks)) == 3 * len(terms)
     for b, after in zip(blocks, blocks[1:] + [None]):
-        assert 1 <= len(b) <= 16 and (len(b) == 1 or sum(b) <= cap)
-        assert after is None or len(b) == 16 or sum(b) + after[0] > cap
-    if cap == 1 << 16:
-        assert max(map(len, blocks)) == 16
+        cost = sum(b) + points * len(b)
+        assert len(b) == 1 or cost <= budget
+        assert after is None or cost + after[0] + points > budget
+    assert budget == 1 or max(map(len, blocks)) > 1
 
 
 @pytest.mark.parametrize("mode", ["exact", "alpha"])
 def test_report_sweeps_each_reported_cell_once(mode):
     """Each reported cell gets exactly one ``coverage_cells`` call, counted at
     every module that looks it up: no step of a block sweeps a cell again. The
-    fixture's 8 cells fill 3 blocks of at most 3."""
+    fixture's 8 cells, of up to 9 responses, fill 3 blocks of at most 3."""
     ds = load_survey(FIXTURE)
     sweep, calls = intervals.coverage_cells, []
 
@@ -668,7 +681,7 @@ def test_report_sweeps_each_reported_cell_once(mode):
     with ExitStack() as stack:
         for site in sites:
             stack.enter_context(patch.object(site, "coverage_cells", counted))
-        stack.enter_context(patch.object(survey, "BLOCK_POINTS", 3 * 1011))
+        stack.enter_context(patch.object(survey, "BLOCK_SIZE", 3 * (1011 + 9)))
         rep = report(ds, mode=mode)
     assert survey in sites
     assert calls == [row.n for row in rep.rows] and len(calls) == 8
@@ -737,7 +750,7 @@ def test_report_matches_per_cell_loop_in_blocks_of_several_chunks(mode):
         "Surgeon,S1,MD,0,3\nSurgeon,S2,MD,-0.0,0.25\nSurgeon,S1,ED,1,4\nSurgeon,S2,ED,2,2\n"
     )
     ds = load_survey(StringIO(text))
-    with patch.object(survey, "BLOCK_POINTS", 1 << 30):
+    with patch.object(survey, "BLOCK_SIZE", 1 << 30):
         _assert_same_report(ds, mode, 3, 65_537)
         assert len(report(ds, mode=mode, alpha_cuts=3, samples=65_537).rows) == 8
 
@@ -856,7 +869,7 @@ def test_series_render_formats():
 
 @pytest.mark.parametrize("points", [0, 1, 2, 3, 4, 7])
 def test_series_blocks_join_to_the_whole_text(monkeypatch, points):
-    monkeypatch.setattr(survey, "PRINT_LINES", 3)
+    monkeypatch.setattr(survey, "TEXT_LINES", 3)
     rng = np.random.default_rng(points)
     xs = rng.uniform(-1e6, 1e6, points) * 10.0 ** rng.integers(-300, 300, points)
     mus = rng.uniform(0.0, 1.0, points)
@@ -871,9 +884,9 @@ def test_series_blocks_join_to_the_whole_text(monkeypatch, points):
 @pytest.mark.parametrize("samples", [2, 3, 4, 7])
 def test_grid_series_walks_linspace_in_blocks(monkeypatch, samples):
     """``grid_series`` gives ``np.linspace`` and ``membership`` on it, to the bit,
-    PRINT_LINES points per block, and ``series_text`` of its blocks is the text of
+    TEXT_LINES points per block, and ``series_text`` of its blocks is the text of
     the whole arrays: on an underflowing step, a -0.0 end and a zero-width window too."""
-    monkeypatch.setattr(survey, "PRINT_LINES", 3)
+    monkeypatch.setattr(survey, "TEXT_LINES", 3)
     fs = build_iaa(collection([(2, 5), (3, 5), (6, 8), (-0.0, 1e-321)]))
     for lo, hi in ((-1.0, 9.0), (0.0, 1e-321), (-0.0, 3.0), (5.0, 5.0)):
         blocks = list(survey.grid_series(fs, lo, hi, samples))
@@ -999,7 +1012,7 @@ def test_columnar_loader_matches_per_row_loader(case):
 @given(case=survey_inputs())
 @settings(max_examples=200)
 def test_columnar_loader_matches_per_row_loader_in_small_blocks(rows, case):
-    with patch.object(survey, "LOAD_ROWS", rows):
+    with patch.object(survey, "TEXT_LINES", rows):
         _assert_loads_as_oracle(*case)
 
 
@@ -1067,7 +1080,7 @@ def _in_blocks(monkeypatch, rows, size=2, fmt="csv"):
     """The survey of ``rows`` loaded ``size`` rows per block, and the per-row
     loader's outcome on it."""
     text = HEADER + "".join(row + "\n" for row in rows) if fmt == "csv" else json.dumps(rows)
-    monkeypatch.setattr(survey, "LOAD_ROWS", size)
+    monkeypatch.setattr(survey, "TEXT_LINES", size)
     got = _outcome(lambda: load_survey(StringIO(text), format=fmt))
     return got, _outcome(lambda: oracle_load_survey(text, fmt))
 
