@@ -35,7 +35,10 @@ Sections:
   the triangle, and the ``Sampled`` grid's ALPHA_CUTS-cut ``alpha_lengths``,
   at each of ALPHA_SAMPLES samples. The triangle and trapezoid are evaluated
   by slices of each grid chunk, the polyline (under 2,048 grid points per
-  vertex at each of these sample counts) by ``np.interp``.
+  vertex at each of these sample counts) by ``np.interp``. Then ``attributes``
+  of a polyline with each of TIED_JUMPS vertical jumps and its ``jaccard``
+  with itself, at TIED_SAMPLES samples: every grid chunk reads its
+  ``_membership``, which gives each tied vertex its max-of-ties value.
 * ``attrs``: ``attributes(build_iaa(...))``, the work of ``iaa attrs``, on the
   step function of each of ATTRS_LISTS seeded interval lists, at each of
   ATTRS_SAMPLES samples. The 20,000-line list is shaped as perfbench's
@@ -96,6 +99,8 @@ LINES = 200_000
 ALPHA_SAMPLES = (10_001, 100_001, 1_000_001)
 ALPHA_CUTS = 20
 POLYLINE_VERTICES = 4_000
+TIED_JUMPS = (1_000, 4_000)
+TIED_SAMPLES = 100_001
 ATTRS_LISTS = ((20_000, 3), (LINES, 2), (LINES, None))  # (lines, decimals kept; None: all)
 ATTRS_SAMPLES = (1_001, 1_000_001)
 GAMMA_LINES = (20_000, 200_000, 1_000_000)
@@ -233,6 +238,14 @@ def polyline() -> ia.PiecewiseLinear:
     return ia.PiecewiseLinear(xs, (1.0 + np.sin(7.0 * xs)) / 2.0)
 
 
+def tied_polyline(jumps: int) -> ia.PiecewiseLinear:
+    """``jumps`` evenly spaced vertical jumps on [0, 9], each from (1 + sin 7x) / 2 up or
+    down to (1 + cos 7x) / 2."""
+    ux = np.linspace(0.0, 9.0, jumps)
+    mus = np.column_stack([1.0 + np.sin(7.0 * ux), 1.0 + np.cos(7.0 * ux)]) / 2.0
+    return ia.PiecewiseLinear(np.repeat(ux, 2), mus.ravel())
+
+
 def alpha() -> list[dict]:
     shapes = {
         "gaussian": ia.Gaussian(5.0, 1.0),
@@ -252,6 +265,13 @@ def alpha() -> list[dict]:
         for case, run in calls.items():
             run()  # warm-up
             cases.append({"case": case, "samples": n, **repeated(run)})
+    for jumps in TIED_JUMPS:
+        pl = tied_polyline(jumps)
+        calls = {"attributes tied": lambda: ia.attributes(pl, TIED_SAMPLES),
+                 "jaccard tied tied": lambda: ia.jaccard(pl, pl, TIED_SAMPLES)}
+        for case, run in calls.items():
+            run()  # warm-up
+            cases.append({"case": case, "jumps": jumps, "samples": TIED_SAMPLES, **repeated(run)})
     return cases
 
 
@@ -377,7 +397,8 @@ def main(argv=None) -> int:
               f"median {c['median_s'] * 1e3:8.2f} ms, tracemalloc peak "
               f"{c['tracemalloc_peak_mb']:7.2f} MB, raises {c['raises']} at line {c['line']}")
     for c in entry["alpha"]["cases"]:
-        print(f"{args.label}: alpha {c['case']}, {c['samples']} samples: "
+        jumps = f", {c['jumps']} jumps" if "jumps" in c else ""
+        print(f"{args.label}: alpha {c['case']}{jumps}, {c['samples']} samples: "
               f"best {c['best_s'] * 1e3:8.2f} ms, median {c['median_s'] * 1e3:8.2f} ms, "
               f"{c['minflt_per_call']:8.1f} minor faults/call")
     for c in entry["attrs"]["cases"]:

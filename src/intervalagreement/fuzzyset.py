@@ -183,27 +183,30 @@ class PiecewiseLinear(MembershipFunction):
         _check_unit_range(mus, "mus")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "mus", mus)
-        # each distinct x, its max tie, and np.interp's segment on to the next
+        # each distinct x, its max tie, np.interp's segment on to the next, and the tied rows
         ux, first, counts = np.unique(xs, return_index=True, return_counts=True)
         last, top = first + counts - 1, np.maximum.reduceat(mus, first)
         with np.errstate(over="ignore"):  # a subnormal width: inf, never read off a vertex
             slopes = (mus[first[1:]] - mus[last[:-1]]) / np.diff(ux)
-        object.__setattr__(self, "_vertices", (ux, top, mus[last[:-1]], slopes))
-        object.__setattr__(self, "_ties", list(zip(ux[counts > 1], top[counts > 1])))
+        tied = np.flatnonzero(counts > 1)
+        object.__setattr__(self, "_vertices", (ux, top, mus[last[:-1]], slopes, tied))
 
     def _membership(self, x):
+        """np.interp, which gives an untied vertex its own mu, and on each tied vertex, found
+        by one search of the tied rows' x, its max-of-ties value (the closed-cut convention)."""
         out = np.interp(x, self.xs, self.mus, left=0.0, right=0.0)
-        # closed-cut convention at vertices: exact hits take the max tied value;
-        # interp already returns mus[j] at an untied vertex, so only ties are fixed
-        for xv, top in self._ties:
-            out[x == xv] = top
+        ux, top, _, _, tied = self._vertices
+        if tied.size:
+            at = tied[ux[tied].searchsorted(x, "right") - 1]  # -1 (x before every tie): the last
+            hit = ux[at] == x
+            out[hit] = top[at[hit]]
         return out
 
     def _on_grid(self, x):
         """np.interp's bits by slices: ``(x - x0) * slope + y0`` strictly inside each
         segment, the max-of-ties value on each vertex. A segment's calls cost what np.interp
         spends on ~1000 points, so under 2048 points per distinct vertex take ``_membership``."""
-        ux, top, y0, slopes = self._vertices
+        ux, top, y0, slopes, _ = self._vertices
         if ux.size * 2048 > x.size:
             return self._membership(x)
         lo, hi = np.searchsorted(x, ux, "left").tolist(), np.searchsorted(x, ux, "right").tolist()

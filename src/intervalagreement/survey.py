@@ -31,8 +31,8 @@ from .errors import (
     UnknownGroup,
     UnknownTerm,
 )
-from .fuzzyset import (DEFAULT_SAMPLES, ZERO_MEMBERSHIP, MembershipFunction, _check_samples,
-                       linspace_at, step_at, step_table, walk_linspace)
+from .fuzzyset import (DEFAULT_SAMPLES, GRID_CHUNK, ZERO_MEMBERSHIP, MembershipFunction,
+                       _check_samples, linspace_at, step_at, step_table, walk_linspace)
 from .iaa import build_iaa
 from .intervals import (
     Interval,
@@ -513,12 +513,6 @@ def cell_gamma(coll: IntervalCollection, mode: str, alpha_cuts: int) -> GammaBre
     return gamma_exact(coll) if mode == "exact" else gamma_alpha(build_iaa(coll), cuts=alpha_cuts)
 
 
-# a block is the next cells, at least one, whose costs add up to at most BLOCK_SIZE; a cell
-# costs its responses, which size its sweep arrays, plus its grid points, which size its
-# (cells, chunk) grid rows: the samples, plus the α-cuts in alpha mode
-BLOCK_SIZE = 1 << 15
-
-
 def report(
     ds: SurveyDataset,
     mode: str = "exact",
@@ -535,7 +529,7 @@ def report(
     what ``attributes`` and ``cell_gamma`` give on the cell's collection, and
     a cell raises their first error, with ``.cell`` set to (group, term).
     A block, the next cells, at least one, whose costs add up to at most
-    ``BLOCK_SIZE`` (a cell costs its responses plus ``samples``, plus
+    ``GRID_CHUNK`` (a cell costs its responses plus ``samples``, plus
     ``alpha_cuts`` in alpha mode), is measured together by ``_report_block``: its
     centroid grids are walked in chunks, bounded at any ``samples``, and its
     sweep arrays grow with its responses, bounded but for a single larger cell.
@@ -554,9 +548,10 @@ def report(
     skipped = tuple((*names[i], "fewer than 2 responses" if n[i] else "no responses")
                     for i in np.flatnonzero(n < 2).tolist())
     kept = np.flatnonzero(n >= 2)
+    # a block's sweep arrays (its responses) and grid rows (its points) hold a walk chunk's values
     cost = n[kept] + samples + (alpha_cuts if mode == "alpha" else 0)
-    ends = np.cumsum(cost)  # kept cells i to fits[i] - 1 cost up to BLOCK_SIZE
-    fits = np.searchsorted(ends, ends - cost + BLOCK_SIZE, "right").tolist()
+    ends = np.cumsum(cost)  # kept cells i to fits[i] - 1 cost up to GRID_CHUNK
+    fits = np.searchsorted(ends, ends - cost + GRID_CHUNK, "right").tolist()
     out, i = [], 0
     while i < kept.size:
         j = max(i + 1, fits[i])
@@ -688,17 +683,3 @@ def series_text(blocks, format: str):
             yield (", " if i else "") + json.dumps(list(zip(values, values)))[1:-1]
     if format != "csv":
         yield "]\n"
-
-
-def series_blocks(xs: np.ndarray, mus: np.ndarray, format: str):
-    """``series_text`` of whole arrays, TEXT_LINES points at a time."""
-    return series_text(((xs[a:a + TEXT_LINES], mus[a:a + TEXT_LINES])
-                        for a in range(0, xs.size, TEXT_LINES)), format)
-
-
-def series_to_csv(xs: np.ndarray, mus: np.ndarray) -> str:
-    return "".join(series_blocks(xs, mus, "csv"))
-
-
-def series_to_json(xs: np.ndarray, mus: np.ndarray) -> str:
-    return "".join(series_blocks(xs, mus, "json"))

@@ -255,6 +255,25 @@ def oracle_print_breakdown(breakdown, out):
     out.write("".join(lines))
 
 
+def series_blocks(xs, mus, format):
+    """``survey.series_text`` of whole arrays, ``survey.TEXT_LINES`` points at a time
+    (read when called, so a patched value holds): the referee of the text ``iaa build``
+    and ``iaa series`` print from ``survey.grid_series``'s blocks."""
+    from intervalagreement import survey
+
+    size = survey.TEXT_LINES
+    return survey.series_text(((xs[a:a + size], mus[a:a + size])
+                               for a in range(0, xs.size, size)), format)
+
+
+def series_to_csv(xs, mus):
+    return "".join(series_blocks(xs, mus, "csv"))
+
+
+def series_to_json(xs, mus):
+    return "".join(series_blocks(xs, mus, "json"))
+
+
 def oracle_report(ds, mode="exact", alpha_cuts=10, samples=1001):
     """The per-cell report loop ``survey.report`` must agree with, bit for bit:
     every cell runs the whole one-collection pipeline (``group_collection``,

@@ -73,17 +73,37 @@ def test_piecewise_linear_vertical_jump_takes_max():
     assert mu(mf, -0.1) == 0.0
 
 
+ODD_XS = [-0.0, 5e-324]  # equal to 0.0, and next to it: the first slope overflows
+
+
 @given(
     st.lists(
-        st.tuples(st.integers(-8, 8).map(lambda k: k / 4), st.integers(0, 4).map(lambda k: k / 4)),
+        st.tuples(
+            st.one_of(st.integers(-8, 8).map(lambda k: k / 4), st.sampled_from(ODD_XS)),
+            st.integers(0, 4).map(lambda k: k / 4),
+        ),
         min_size=2,
         max_size=12,
     ),
-    st.lists(st.integers(-40, 40).map(lambda k: k / 16), max_size=30),
+    st.lists(
+        st.one_of(
+            st.integers(-40, 40).map(lambda k: k / 16),
+            st.sampled_from([*ODD_XS, -5e-324, np.nan, np.inf, -np.inf]),
+        ),
+        max_size=30,
+    ),
+)
+@example(  # the first and the last vertex tied three times each, the max in the middle
+    [(0.0, 0.25), (0.0, 1.0), (0.0, 0.5), (1.0, 0.75), (2.0, 0.0), (2.0, 0.5), (2.0, 0.25)],
+    [2.0, 0.0, 1.0, 0.5, -0.0, 2.5, -1.0],
+)
+@example(  # ties at -0.0 and 0.0 (one x) and at a subnormal, probes unsorted
+    [(-0.0, 0.25), (0.0, 0.75), (-0.0, 0.5), (5e-324, 1.0), (5e-324, 0.0), (0.5, 0.5)],
+    [np.nan, 5e-324, np.inf, -0.0, -np.inf, 0.0, -5e-324, 1e-323, 0.25],
 )
 def test_piecewise_linear_membership_matches_all_vertex_loop(vertices, probes):
-    # coarse lattices: vertices tie and probes land exactly on vertices
-    vertices.sort(key=lambda v: v[0])
+    # coarse lattices: vertices tie and probes land exactly on vertices, in any order
+    vertices.sort(key=lambda v: v[0])  # -0.0 and 0.0 keep their drawn order
     xs, mus = (np.array(c) for c in zip(*vertices))
     x = np.array(probes + xs.tolist() + [np.inf, -np.inf, np.nan])
     got = PiecewiseLinear(xs, mus).membership(x)

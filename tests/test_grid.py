@@ -333,6 +333,12 @@ def linear_and_probes(draw):
           np.array([0, 5e-311, 1e-310, 0.25])))  # inf strictly inside, as np.interp gives
 @example((PiecewiseLinear(np.array([0, 1, 1, 1, 2]), np.array([0.0, 0.2, 0.9, 0.5, 0])),
           np.array([0.5, 1, 1, 1.5])))  # the max of three ties, the largest in the middle
+@example((PiecewiseLinear(np.array([0, 0, 0, 1, 2, 2, 2.0]),
+                          np.array([0.25, 1, 0.5, 0.75, 0, 0.5, 0.25])),
+          np.array([-1, 0, 0, 0.5, 1, 2, 2, 3.0])))  # the first and the last vertex tied
+@example((PiecewiseLinear(np.array([-0.0, 0, -0.0, 5e-324, 5e-324, 1]),
+                          np.array([0.25, 0.75, 0.5, 1, 0, 0.5])),
+          np.array([-1, -0.0, 0, 5e-324, 5e-324, 0.5, 1, 2])))  # ties at +/-0.0 and a subnormal
 def test_linear_on_grid_matches_interp_with_max_of_ties(shape_and_probes):
     mf, probes = shape_and_probes
     # a chunk's worth of points left of the shape: long enough for the slice path
@@ -340,18 +346,24 @@ def test_linear_on_grid_matches_interp_with_max_of_ties(shape_and_probes):
     want = bits(all_vertex_membership(mf.xs, mf.mus, x))
     assert np.array_equal(bits(mf._on_grid(x)), want)
     assert np.array_equal(bits(mf._membership(x)), want)
+    # the probes alone are too few for slices: _on_grid takes _membership
+    assert np.array_equal(bits(mf._on_grid(probes)), want[GRID_CHUNK:])
 
 
 @pytest.mark.parametrize("vertices", [3, 16, 17, 4000])
 def test_linear_on_grid_either_side_of_the_slice_path(vertices):
-    # up to one vertex per 2048 points evaluates by slices, past it by np.interp
-    xs = np.linspace(0.0, 9.0, vertices)
-    mf = PiecewiseLinear(xs, (1.0 + np.sin(7.0 * xs)) / 2.0)
-    x = np.linspace(-0.5, 9.5, GRID_CHUNK)
-    want = bits(all_vertex_membership(mf.xs, mf.mus, x))
-    assert np.array_equal(bits(mf._on_grid(x)), want)
-    gx, mus = sample_grid(mf, 3 * GRID_CHUNK + 5)
-    assert bits(attributes(mf, gx.size).centroid) == bits((gx * mus).sum() / mus.sum())
+    # up to one distinct vertex per 2048 points evaluates by slices, past it by np.interp;
+    # the points hit every distinct vertex, untied and then tied three times
+    ux = np.linspace(0.0, 9.0, vertices)
+    x = np.sort(np.concatenate([np.linspace(-0.5, 9.5, GRID_CHUNK), ux]))
+    for ties in (1, 3):
+        xs = np.repeat(ux, ties)
+        mf = PiecewiseLinear(xs, (1.0 + np.sin(7.0 * xs + np.arange(xs.size) % ties)) / 2.0)
+        want = bits(all_vertex_membership(mf.xs, mf.mus, x))
+        assert np.array_equal(bits(mf._on_grid(x)), want)
+        assert np.array_equal(bits(mf._membership(x)), want)
+        gx, mus = sample_grid(mf, 3 * GRID_CHUNK + 5)
+        assert bits(attributes(mf, gx.size).centroid) == bits((gx * mus).sum() / mus.sum())
 
 
 @st.composite

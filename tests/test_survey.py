@@ -43,11 +43,9 @@ from intervalagreement.survey import (
     read_text,
     report_to_csv,
     report_to_json,
-    series_to_csv,
-    series_to_json,
 )
 
-from helpers import oracle_load_survey, oracle_report
+from helpers import oracle_load_survey, oracle_report, series_blocks, series_to_csv, series_to_json
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "survey_fixture.csv"
@@ -597,7 +595,7 @@ def test_report_matches_per_cell_loop(responses, mode, alpha_cuts, samples, budg
     interleaved, so an "ALL" cell reaches the sweep in another order than the
     oracle's, with -0.0 and 0.0 among its endpoints."""
     ds = load_survey(StringIO(_survey_text(responses)), scale=Interval(-10.0, 10.0))
-    with patch.object(survey, "BLOCK_SIZE", budget):
+    with patch.object(survey, "GRID_CHUNK", budget):
         _assert_same_report(ds, mode, alpha_cuts, samples)
 
 
@@ -638,7 +636,7 @@ def test_report_matches_per_cell_loop_across_blocks(mode):
 @pytest.mark.parametrize("budget", [1, 2040, 5000, 1 << 15])
 def test_report_blocks_close_on_their_cost(mode, budget):
     """A block is the next cells, at least one, whose costs add up to at most
-    ``BLOCK_SIZE``; a cell costs its responses plus its grid points, 1,001
+    ``GRID_CHUNK``; a cell costs its responses plus its grid points, 1,001
     samples plus, in alpha mode, 7 cuts. Each block is as long as the budget
     lets it be, a cell over it is a block of its own, and the rows stay the
     per-cell loop's. At 2,040 two cells share a block in exact mode if they
@@ -654,7 +652,7 @@ def test_report_blocks_close_on_their_cost(mode, budget):
     ]
     ds = load_survey(StringIO(_survey_text(responses)))
     points = 1001 + (7 if mode == "alpha" else 0)
-    with patch.object(survey, "BLOCK_SIZE", budget):
+    with patch.object(survey, "GRID_CHUNK", budget):
         blocks = _report_blocks(ds, mode, 7, 1001)
     assert sum(map(len, blocks)) == 3 * len(terms)
     for b, after in zip(blocks, blocks[1:] + [None]):
@@ -681,7 +679,7 @@ def test_report_sweeps_each_reported_cell_once(mode):
     with ExitStack() as stack:
         for site in sites:
             stack.enter_context(patch.object(site, "coverage_cells", counted))
-        stack.enter_context(patch.object(survey, "BLOCK_SIZE", 3 * (1011 + 9)))
+        stack.enter_context(patch.object(survey, "GRID_CHUNK", 3 * (1011 + 9)))
         rep = report(ds, mode=mode)
     assert survey in sites
     assert calls == [row.n for row in rep.rows] and len(calls) == 8
@@ -750,7 +748,7 @@ def test_report_matches_per_cell_loop_in_blocks_of_several_chunks(mode):
         "Surgeon,S1,MD,0,3\nSurgeon,S2,MD,-0.0,0.25\nSurgeon,S1,ED,1,4\nSurgeon,S2,ED,2,2\n"
     )
     ds = load_survey(StringIO(text))
-    with patch.object(survey, "BLOCK_SIZE", 1 << 30):
+    with patch.object(survey, "GRID_CHUNK", 1 << 30):
         _assert_same_report(ds, mode, 3, 65_537)
         assert len(report(ds, mode=mode, alpha_cuts=3, samples=65_537).rows) == 8
 
@@ -877,7 +875,7 @@ def test_series_blocks_join_to_the_whole_text(monkeypatch, points):
         ["x,mu", *(f"{survey._fmt(x)},{survey._fmt(m)}" for x, m in zip(xs, mus))]) + "\n"
     assert series_to_json(xs, mus) == json.dumps(
         [[float(survey._fmt(x)), float(survey._fmt(m))] for x, m in zip(xs, mus)]) + "\n"
-    assert len(list(survey.series_blocks(xs, mus, "csv"))) == 1 + -(-points // 3)
+    assert len(list(series_blocks(xs, mus, "csv"))) == 1 + -(-points // 3)
 
 
 
