@@ -46,7 +46,10 @@ Sections:
   for ``PiecewiseConstant._on_grid``'s slices at either sample count, so its
   grid chunks take ``_membership``.
 * ``gamma``: the stages of ``iaa gamma`` on each of GAMMA_LINES seeded
-  interval lines: ``cli.parse_interval_lines``, ``gamma_exact`` and
+  interval lines: ``cli.parse_interval_lines`` (of the lines as they are, whose
+  blocks numpy's C line reader reads, and, as ``parse fallback``, with a
+  comment line and a whitespace-only line after every FALLBACK_EVERY lines, so
+  every block is refused by that reader and split), ``gamma_exact`` and
   ``cli._print_breakdown`` of the exact breakdown and of the GAMMA_CUTS-cut
   ``gamma_alpha`` one, printed to ``os.devnull``, and of the exact breakdown
   of the list scaled by GAMMA_MS_SCALE, whose lengths ``%`` formats; each
@@ -107,6 +110,7 @@ GAMMA_LINES = (20_000, 200_000, 1_000_000)
 GAMMA_CUTS = 10_000
 SWEEP_LINES = (5_000, 20_000, 80_000)
 GAMMA_MS_SCALE = 1.6e10  # [0, 100] to epoch milliseconds: lengths past 2**51 millionths
+FALLBACK_EVERY = 1_000  # lines between decorations, so each TEXT_LINES block holds some
 
 
 def survey_text(terms: int, seed: int = SEED) -> str:
@@ -303,8 +307,13 @@ def gamma() -> list[dict]:
                 "print exact ms": ia.gamma_exact(
                     IntervalCollection._from_arrays(*(e * GAMMA_MS_SCALE for e in ends))),
             }
+            lines = text.splitlines()
+            fallback = "".join(
+                "\n".join(lines[a:a + FALLBACK_EVERY]) + "\n# comment\n  \n"
+                for a in range(0, n, FALLBACK_EVERY))
             calls = {
                 "parse": lambda: parse_interval_lines(text),
+                "parse fallback": lambda: parse_interval_lines(fallback),
                 "gamma_exact": functools.partial(ia.gamma_exact, coll),
                 **{case: functools.partial(_print_breakdown, bd, sink) for case, bd in breakdowns.items()},
             }

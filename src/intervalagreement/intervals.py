@@ -137,13 +137,17 @@ def read_interval(l_raw, r_raw, line: int, shown) -> Interval:
 
 
 def endpoint_arrays(l_raw, r_raw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Float arrays of two endpoint columns, and which pairs pass: those
-    ``Interval`` accepts, ordered with a finite width (so no infinite or NaN
-    endpoint). A value builtin ``float`` rejects reads as NaN and fails;
-    whether number text is ``plain`` is the caller's check."""
+    """Float arrays of two endpoint columns, and which pairs pass ``ordered``.
+    A value builtin ``float`` rejects reads as NaN and fails; whether number
+    text is ``plain`` is the caller's check."""
     ls, rs = _floats(l_raw), _floats(r_raw)
+    return ls, rs, ordered(ls, rs)
+
+
+def ordered(ls: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """Which pairs ``Interval`` accepts: ordered, with a finite width."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return ls, rs, (ls <= rs) & np.isfinite(rs - ls)
+        return (ls <= rs) & np.isfinite(rs - ls)
 
 
 def _floats(values) -> np.ndarray:

@@ -9,11 +9,13 @@ every response and a "PS" group pooling the professional groups on demand.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import operator
 import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -40,6 +42,7 @@ from .intervals import (
     coverage_cells,
     endpoint_arrays,
     level_runs,
+    ordered,
     plain,
     ranges,
     read_interval,
@@ -193,8 +196,8 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
 
     CSV text without a quote, carriage return, NUL or line longer than
     ``csv.field_size_limit()`` is sliced from its UTF-8 bytes TEXT_LINES lines
-    at a time, and a block is split by ``_split_block``, the block split that
-    interval lists share (``parse_interval_lines``), only when it is reached.
+    at a time, and a block is split by ``_split_block`` only when it is reached;
+    interval lists (``parse_interval_lines``) fall back to that block split.
     Other text is read whole by ``csv.reader``, and JSON whole, so there a
     malformed line raises before a bad value on an earlier one. Either way the
     rows, errors and lines are those ``csv.reader`` gives.
@@ -275,11 +278,13 @@ def _split_block(data: bytes, ends: np.ndarray, width: int):
 
 
 def parse_interval_lines(text: str) -> IntervalCollection:
-    """One interval per line as ``l,r``, split as ``load_survey`` splits CSV;
-    blank lines and ``#`` comments (cut a block at a time) are ignored, and
-    every ``str.splitlines`` boundary ends a line. Lines that fail, or whose
-    text is not plain, are read on their own in line order: a blank one is
-    dropped, the first bad one raises."""
+    """One interval per line as ``l,r``; blank lines and ``#`` comments are
+    ignored, and every ``str.splitlines`` boundary ends a line. A block of
+    TEXT_LINES lines of ``plain`` text is read by numpy's C line reader, which
+    parses a number as builtin ``float`` does, when every row it gives is a
+    pair that passes ``ordered``. Other blocks are split as ``load_survey``
+    splits CSV; lines that fail, or whose text is not plain, are read on their
+    own in line order: a blank one is dropped, the first bad one raises."""
     if any(map(text.__contains__, "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")):
         text = "\n".join(text.splitlines())
     data = text.encode("utf-8", "surrogatepass")
@@ -288,6 +293,15 @@ def parse_interval_lines(text: str) -> IntervalCollection:
     for a in range(0, kept.size, TEXT_LINES):
         at = ends[a:a + TEXT_LINES + 1]
         block, at = data[at[0] + 1:at[-1]], at - at[0] - 1
+        lines, pairs = block.decode("utf-8", "surrogatepass"), None
+        if plain(lines):  # read first by numpy's C line reader; a block it refuses is split
+            with warnings.catch_warnings(), contextlib.suppress(ValueError):
+                warnings.simplefilter("ignore", UserWarning)  # a block of blanks has "no data"
+                pairs = np.loadtxt(lines.split("\n"), delimiter=",", comments="#", ndmin=2)
+        if pairs is not None and pairs.shape[1] == 2 and ordered(*pairs.T).all():
+            ls[a:a + len(pairs)], rs[a:a + len(pairs)] = pairs.T  # its other lines were blank
+            kept[a + len(pairs):a + at.size - 1] = False
+            continue
         if b"#" in block:  # comments are cut, so the block's line ends are found again
             block = re.sub(rb"#[^\n]*", b"", block)
             at = _line_ends(block, len(block))
@@ -297,8 +311,9 @@ def parse_interval_lines(text: str) -> IntervalCollection:
             raw = data[ends[k] + 1:ends[k + 1]].decode("utf-8", "surrogatepass")
             parts = [part.strip() for part in raw.split("#", 1)[0].split(",")]
             kept[k] = parts != [""]  # a blank or comment-only line is dropped
-            if len(parts) == 2:
-                read_interval(*parts, k + 1, raw)
+            if len(parts) == 2:  # stored: _floats reads text only strip cleans ("\x1f1") as NaN
+                iv = read_interval(*parts, k + 1, raw)
+                ls[k], rs[k] = iv.l, iv.r
             elif kept[k]:
                 raise ParseError(f"expected 'l,r', got {raw!r}", line=k + 1)
     if not kept.any():

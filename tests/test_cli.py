@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest.mock import patch
 
@@ -117,6 +118,9 @@ LINE_PIECES = [
     "1,2", " 3 , 7 ", "2.5,2.5", "5,1", "0,inf", "nan,1", "-1e308,1e308", "1_0,2_0",
     "a,1", "1;2", "1,2,3", ",", "", "   ", "# note", "2,4 # inline", "\t0 ,\u2003 9",
     "\u0661,\u0662", "# \u00fcber", "1,\uff12", "\x0c", "\u2028", "\x85",
+    # numpy's C line reader reads a plain block first; float and strip decide these
+    "\x1f1,2", "+1,2", ".5,5.", "1e5,1E6", "1e400,1", "-0.0,0", "5e-324,1", "0x10,1", "1e,2",
+    "1.2.3,4", "1\x002,3", "1,2,", "1,,2", "1", "#", "-inf,0",
 ]
 
 
@@ -147,8 +151,58 @@ def _assert_parses_as_per_line_parser(text):
         return
     assert got.intervals == tuple(want)
     ls, rs = got.endpoints()
-    assert np.array_equal(ls, [iv.l for iv in want])
-    assert np.array_equal(rs, [iv.r for iv in want])
+    assert ls.tobytes() == np.array([iv.l for iv in want]).tobytes()  # to the bit: -0.0 too
+    assert rs.tobytes() == np.array([iv.r for iv in want]).tobytes()
+
+
+PADDING = st.text(" \t\x1f", max_size=2)  # what str.strip cuts and does not end a line
+
+
+@st.composite
+def float_texts(draw):
+    """Number text builtin ``float`` reads: a sign, up to 40 mantissa digits
+    with or without a point (".5", "5."), an exponent out to +-340 (overflow to
+    inf, subnormals), or a spelled-out inf or nan; padded with whitespace."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    word = draw(st.sampled_from(["inf", "Infinity", "nan", "-INF", None, None, None, None]))
+    if word is not None:
+        return draw(PADDING) + word + draw(PADDING)
+    digits = draw(st.text("0123456789", min_size=1, max_size=40))
+    point = draw(st.integers(-1, len(digits)))  # -1: no point
+    mantissa = digits if point < 0 else digits[:point] + "." + digits[point:]
+    exponent = ""
+    if draw(st.booleans()):
+        e = draw(st.integers(-340, 340))
+        plus = draw(st.sampled_from(["", "+"])) if e >= 0 else ""
+        exponent = draw(st.sampled_from("eE")) + plus + str(e)
+    return draw(PADDING) + sign + mantissa + exponent + draw(PADDING)
+
+
+@st.composite
+def float_lines(draw):
+    """Lines of two numbers, each pair mostly in order, with some comments and blanks."""
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["pair"] * 6 + ["swapped", "comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(PADDING) + "# note")
+        elif kind == "blank":
+            lines.append("")
+        else:
+            l, r = draw(float_texts()), draw(float_texts())
+            if (float(l.strip()) > float(r.strip())) == (kind == "pair"):
+                l, r = r, l
+            lines.append(l + "," + r + draw(st.sampled_from(["", " # inline"])))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@given(text=float_lines())
+@example(text="1" + "0" * 39 + "e-340,1e-300\n5e-324,2.4703282292062328e-324")
+@example(text="-0.0,0\n.5,5.\n\x1f1,2\x1f\n1e400,1e401")
+def test_parse_interval_lines_reads_random_float_text_as_float_does(rows, text):
+    with patch.object(survey_mod, "TEXT_LINES", rows or survey_mod.TEXT_LINES):
+        _assert_parses_as_per_line_parser(text)
 
 
 @pytest.mark.parametrize("sep", ["\x0c", "\u2028", "\x85", "\x1c", "\r", "\r\n"])
@@ -171,14 +225,43 @@ def test_every_splitlines_break_ends_a_line(sep):
         "0,1\n1,2\n2,3\n0,\u2003 9\n",  # non-plain text only in a later block, valid
         "0,1\n1,2\n2,3\n\u0661,\u0662\n",  # non-plain text only in a later block, invalid
         "# nothing\n\n# at all\n  # here\n",  # all comments: "no intervals in input"
+        "\x1f1,2\n0,3\n2,\u2003 4\n",  # padding float keeps, strip cuts, in a split block
     ],
     ids=["comment-block", "bad-later-block", "reversed-after-comment", "crlf", "bom",
-         "non-plain-valid", "non-plain-invalid", "all-comments"],
+         "non-plain-valid", "non-plain-invalid", "all-comments", "unit-separator-split"],
 )
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_parse_interval_lines_across_block_edges(rows, text):
     with patch.object(survey_mod, "TEXT_LINES", rows):
         _assert_parses_as_per_line_parser(text)
+
+
+def test_plain_blocks_are_read_without_the_block_split(monkeypatch):
+    split = patch.object(survey_mod, "_split_block", wraps=survey_mod._split_block)
+    monkeypatch.setattr(survey_mod, "TEXT_LINES", 3)
+    with split as spy:
+        coll = parse_interval_lines("0,1\n1,2  # inline\n\n2,3\n3,4\n4,5\n")
+        assert spy.call_count == 0  # both blocks went to the C line reader
+        text = "0,1\n1,2\n2,3\n3,4\n4;5\n5,6\n"  # one bad line in the second block
+        with pytest.raises(ParseError) as info:
+            parse_interval_lines(text)
+        assert spy.call_count == 1  # only that block fell back
+    assert coll.endpoints()[0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(ParseError) as want:
+        parse_each_line(text)
+    assert (str(info.value), info.value.line) == (str(want.value), want.value.line) == (
+        "line 5: expected 'l,r', got '4;5'", 5)
+
+
+def test_a_block_of_comments_and_blanks_warns_nothing():
+    lines = [f"{k},{k + 1}" for k in range(survey_mod.TEXT_LINES)]
+    text = "\n".join(lines + ["# comment", ""] * (survey_mod.TEXT_LINES // 2) + lines) + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" is not let out
+        assert parse_interval_lines(text).n == 2 * survey_mod.TEXT_LINES
+    proc = run_cli("gamma", "--input", "-", stdin=text)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli("gamma", "--input", "-", stdin="\n".join(lines + lines)).stdout
 
 
 def test_gamma_reads_a_bom_and_crlf_file(tmp_path, capsys):
