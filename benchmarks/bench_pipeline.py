@@ -32,8 +32,10 @@ Sections:
 * ``alpha``: ``attributes`` of a Gaussian, a triangle, a trapezoid, a
   POLYLINE_VERTICES-vertex ``PiecewiseLinear`` and a seeded noisy ``Sampled``
   grid, ``jaccard`` of the triangle and the trapezoid and of the polyline and
-  the triangle, and the ``Sampled`` grid's ALPHA_CUTS-cut ``alpha_lengths``,
-  at each of ALPHA_SAMPLES samples. The triangle and trapezoid are evaluated
+  the triangle, and the ``Sampled`` grid's ALPHA_CUTS-cut ``alpha_lengths`` and
+  ``gamma_alpha``, at each of ALPHA_SAMPLES samples; the three ``Sampled`` cases
+  also at each of SAMPLED_SAMPLES past them, to show how their cost grows with
+  the samples. The triangle and trapezoid are evaluated
   by slices of each grid chunk, the polyline (under 2,048 grid points per
   vertex at each of these sample counts) by ``np.interp``. Then ``attributes``
   of a polyline with each of TIED_JUMPS vertical jumps and its ``jaccard``
@@ -100,6 +102,7 @@ SEED = 20_201_115
 REPEATS = 7
 LINES = 200_000
 ALPHA_SAMPLES = (10_001, 100_001, 1_000_001)
+SAMPLED_SAMPLES = (10_000_001,)
 ALPHA_CUTS = 20
 POLYLINE_VERTICES = 4_000
 TIED_JUMPS = (1_000, 4_000)
@@ -260,13 +263,16 @@ def alpha() -> list[dict]:
     }
     ladder = np.arange(1, ALPHA_CUTS + 1) / ALPHA_CUTS
     cases = []
-    for n in ALPHA_SAMPLES:
+    for n in ALPHA_SAMPLES + SAMPLED_SAMPLES:
         calls = {f"attributes {k}": lambda mf=mf: ia.attributes(mf, n) for k, mf in shapes.items()}
         tri, trap = shapes["triangle"], shapes["trapezoid"]
         calls["jaccard triangle trapezoid"] = lambda: ia.jaccard(tri, trap, n)
         calls["jaccard polyline triangle"] = lambda: ia.jaccard(shapes["polyline"], tri, n)
         calls["alpha_lengths sampled"] = lambda: alpha_lengths(shapes["sampled"], ladder, n)
+        calls["gamma_alpha sampled"] = lambda: ia.gamma_alpha(shapes["sampled"], ALPHA_CUTS, n)
         for case, run in calls.items():
+            if n in SAMPLED_SAMPLES and not case.endswith(" sampled"):
+                continue
             run()  # warm-up
             cases.append({"case": case, "samples": n, **repeated(run)})
     for jumps in TIED_JUMPS:

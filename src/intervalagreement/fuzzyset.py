@@ -10,7 +10,10 @@ points at or above alpha (:func:`.intervals.ladder_runs`); such a cut length
 is off the true one by at most two grid steps per run of the cut. A grid is
 walked GRID_CHUNK points at a time (:func:`walk_grid`): sums bit-equal to ``np.sum``
 over it whole, and memory O(chunk) for cuts too, as each chunk's cut runs are found in
-it and joined at chunk edges (:func:`_grid_runs`). A chunk's points ascend, so
+it and joined at chunk edges (:func:`_grid_runs`). A ``Sampled`` grid's cuts on a grid
+finer than its own are not walked: its own points are cut once, and each run is mapped
+to the grid points that read it (``Sampled._source_runs``), in time and memory that
+grow with its points and runs, not with `samples`. A chunk's points ascend, so
 ``_on_grid`` may take them by slices; it gives ``_membership``'s bits. A step
 function's values are one :func:`step_table`, read by :func:`step_at`; ``survey.report``
 walks a block's cells through one table, a grid row per cell (:func:`walk_linspace`).
@@ -62,6 +65,11 @@ class MembershipFunction:
 
     def window(self) -> Interval:
         raise NotImplementedError
+
+    def _source_runs(self, alphas: np.ndarray, samples: int):
+        """``_runs`` of the `samples` grid points found without walking the grid, or None:
+        the grid is walked."""
+        return None
 
 
 def _as_float_array(values, name) -> np.ndarray:
@@ -343,10 +351,16 @@ class Gaussian(MembershipFunction):
 
 @dataclass(frozen=True, eq=False)
 class Sampled(MembershipFunction):
-    """Membership known only on a uniform grid; nearest-point evaluation."""
+    """Membership known only on a uniform grid; nearest-point evaluation.
+
+    A cut on a `samples`-point grid over its window finer than its own is found on its own
+    points and mapped to the grid points that read them (``_source_runs``), bit-equal to
+    walking that grid, in time and memory independent of `samples`; a grid no finer, and
+    its centroid and height, are walked."""
 
     xs: np.ndarray
     mus: np.ndarray
+    _EDGE_CHECKS = 4  # checks of each run edge's walk point before a cut takes the walk
 
     def __post_init__(self):
         xs = _as_float_array(self.xs, "xs")
@@ -391,6 +405,48 @@ class Sampled(MembershipFunction):
 
     def window(self) -> Interval:
         return Interval(float(self.xs[0]), float(self.xs[-1]))
+
+    def _source_runs(self, alphas: np.ndarray, samples: int):
+        """The walk's runs, bit for bit, from ``ladder_runs`` of the source points: walk
+        point i reads ``mus[p(i)]`` (0 off the grid), p(i) its ``_positions``, which never
+        fall as i grows (monotone float steps; the last point is checked). So a source run
+        [s, e) is read by the walk points [I(s), I(e)), I(v) the first whose position
+        reaches v; empty ranges are dropped, touching ones joined. None (walk the grid)
+        if an I(v) is not settled, or if the grid has no more points than the source: its
+        walk then reads fewer points than the source holds."""
+        if samples <= self.mus.size:
+            return None
+        col, start, stop = ladder_runs(self.mus, alphas)
+        if not (self._walk_points(start, samples) and self._walk_points(stop, samples)):
+            return None
+        keep = start < stop
+        return _point_runs(self, samples, col[keep], start[keep], stop[keep])
+
+    def _walk_points(self, v: np.ndarray, samples: int) -> bool:
+        """Set each source index in v to I(v) (`samples` if no point reaches it), GRID_CHUNK
+        at a time: a guess by the grids' ratio, stepped until p(I - 1) < v <= p(I), p by the
+        walk's own ``linspace_at`` and ``_positions``. False if p falls at the last point or
+        an I(v) is not settled in _EDGE_CHECKS checks."""
+        w, div = self.window(), samples - 1
+        def p(i):
+            return self._positions(linspace_at(w.l, w.r, samples, i))
+        if not np.diff(p(np.array([div - 1, div])))[0] >= 0:  # NaN too
+            return False
+        rate = div / (self.mus.size - 1)  # grid steps per source step
+        for a in range(0, v.size, GRID_CHUNK):
+            edges = v[a : a + GRID_CHUNK]
+            i = np.clip(np.ceil((edges - 0.5) * rate), 0, samples).astype(np.intp)
+            for _ in range(self._EDGE_CHECKS):
+                reach = (p(np.minimum(i, div)) >= edges) | (i == samples)
+                first = (p(np.maximum(i - 1, 0)) < edges) | (i == 0)
+                if (reach & first).all():
+                    break
+                i += ~reach  # p(I) < v: one point right
+                i -= ~first  # p(I - 1) >= v: one point left
+            else:
+                return False
+            edges[:] = i
+        return True
 
 
 @dataclass(frozen=True)
@@ -481,9 +537,12 @@ def walk_linspace(lo, hi, samples: int, leaf) -> tuple:
 def walk_grid(mfs, samples: int, leaf) -> tuple:
     """``walk_linspace`` of ``leaf(xs, *mu)`` over all ``mfs``' windows, mu each one's
     ``_on_grid`` (``_membership``'s bits), in O(GRID_CHUNK) memory: a leaf finds cut
-    runs in its chunk by ``_cut_chunk``, and ``_grid_runs`` joins them."""
+    runs in its chunk by ``_cut_chunk``, and ``_grid_runs`` joins them. ``_on_grid`` takes
+    ascending points: a chunk whose last point is below the one before it (a subnormal
+    step can carry ``np.linspace`` past its end before the end point) takes ``_membership``."""
     def chunk(xs, a: int, b: int) -> tuple:
-        return leaf(xs, *[mf._on_grid(xs) for mf in mfs])
+        ascends = xs[-1] >= xs[-2]
+        return leaf(xs, *[mf._on_grid(xs) if ascends else mf._membership(xs) for mf in mfs])
     lo, hi = min(mf.window().l for mf in mfs), max(mf.window().r for mf in mfs)
     return walk_linspace(lo, hi, samples, chunk)
 
@@ -498,15 +557,21 @@ def _grid_runs(mf: MembershipFunction, samples: int, chunks: list):
     """(alpha index, left, right) of every maximal run of grid points at or above each
     alpha, by alpha, then left to right, each spanning its first to last point, from a
     walk's ``_cut_chunk`` list: the chunks' runs, offset by each chunk's start, are put
-    in alpha order by a stable sort (each chunk's are in position order), and a run that
-    starts where the one before it in its cut stops is joined to it, at a chunk edge."""
+    in alpha order by a stable sort (each chunk's are in position order), and joined at
+    chunk edges (``_point_runs``)."""
     sizes, _, cols, starts, stops = zip(*chunks)
     at = np.cumsum((0, *sizes[:-1]))
     col = np.concatenate(cols)
     order = np.argsort(col, kind="stable")
-    col = col[order]
     start = np.concatenate([s + a for s, a in zip(starts, at)])[order]
     stop = np.concatenate([s + a for s, a in zip(stops, at)])[order]
+    return _point_runs(mf, samples, col[order], start, stop)
+
+
+def _point_runs(mf: MembershipFunction, samples: int, col, start, stop):
+    """(alpha index, left, right) of grid point runs [start, stop), by alpha, then by
+    position, each spanning its first to last point; a run that starts where the one
+    before it in its cut stops is joined to it."""
     opens = np.ones(col.size, dtype=bool)
     opens[1:] = (col[1:] != col[:-1]) | (start[1:] != stop[:-1])
     w = mf.window()
@@ -526,13 +591,17 @@ def _sampled(mf: MembershipFunction, method: str) -> bool:
 def _runs(mf: MembershipFunction, alphas, samples: int, method: str):
     """(alpha index, left, right) of every maximal run of every cut, by alpha,
     then left to right: a closed form's ``_cut_runs``, or the runs of grid
-    points at or above each alpha, found chunk by chunk in one walk and joined
-    (``_grid_runs``), in O(GRID_CHUNK) memory plus the runs."""
+    points at or above each alpha, found without a walk (``_source_runs``) or
+    chunk by chunk in one walk and joined (``_grid_runs``), in O(GRID_CHUNK)
+    memory plus the runs."""
     alphas = np.array(alphas, dtype=np.float64)
     if not _sampled(mf, method):
         return mf._cut_runs(alphas)
-    (chunks,) = walk_grid([mf], samples, lambda xs, mu: (_cut_chunk(mu, alphas),))
-    return _grid_runs(mf, samples, chunks)
+    runs = mf._source_runs(alphas, samples)
+    if runs is None:
+        (chunks,) = walk_grid([mf], samples, lambda xs, mu: (_cut_chunk(mu, alphas),))
+        runs = _grid_runs(mf, samples, chunks)
+    return runs
 
 
 def _lengths(mf: MembershipFunction, alphas, samples: int, method: str) -> np.ndarray:
@@ -553,7 +622,9 @@ def alpha_length(
     closed form ("exact" raises ValueError on a ``Sampled`` grid). A sampled
     grid, or any shape under "sampled", is evaluated on `samples` points over
     its window and scanned for threshold runs, which is off the true length
-    by at most two grid steps per run of the cut.
+    by at most two grid steps per run of the cut. On a grid finer than its
+    own, a ``Sampled`` grid's runs come from its own points, in time
+    independent of `samples`, with the same bound and the bits of the scan.
     """
     return float(alpha_lengths(mf, [alpha], samples, method)[0])
 
@@ -567,8 +638,11 @@ def alpha_lengths(
     """alpha_length over a ladder of levels, in any order.
 
     A closed form measures the whole ladder at once; the sampled path
-    samples the function once, on one grid shared by every level. Each cut's
-    runs are added left to right, as its region's ``total_length`` adds them.
+    samples the function once, on one grid shared by every level. A
+    ``Sampled`` grid, on a grid finer than its own, cuts its own points once
+    for the ladder and maps the runs onto that grid, in time independent of
+    `samples`; the two-grid-step bound is unchanged. Each cut's runs are
+    added left to right, as its region's ``total_length`` adds them.
     """
     alphas = tuple(alphas)  # read twice: validated, then measured
     for a in alphas:
@@ -602,17 +676,24 @@ def attributes(mf: MembershipFunction, samples: int = DEFAULT_SAMPLES) -> Attrib
     of samples, and the quotient scaled back by 2**k: the centroid is finite,
     and scaling by a power of two is exact. Closed-form shapes
     take their exact height, support and core (the cut at 1); a ``Sampled``
-    grid reads them off the same walk, chunk by chunk (``_cut_chunk``): the
-    height is the largest chunk maximum, and the support is cut at 1/samples
-    (positivity below one quantisation step is noise). Memory stays
-    O(GRID_CHUNK) plus the cuts' runs. Raises EmptySet when the function is
-    identically zero.
+    grid takes its height from the same walk, the largest chunk maximum, and
+    its support and core from its cuts at 1/samples (positivity below one
+    quantisation step is noise) and at 1: on its own points where
+    ``alpha_lengths`` finds them there, else in the same walk, chunk by chunk
+    (``_cut_chunk``). Memory stays O(GRID_CHUNK) plus the cuts' runs. Raises
+    EmptySet when the function is identically zero.
     """
     _check_samples(samples)
     cuts = np.array([1.0 / samples, 1.0])  # a grid's support and core
+    found = None if mf.closed_form else mf._source_runs(cuts, samples)
+    if found is not None:  # added up now: the walk need not hold the runs
+        found = run_sums(found[0], found[2] - found[1], 2)
 
     def leaf(xs, mu):
-        return mu.sum(), (xs * mu).sum(), [] if mf.closed_form else _cut_chunk(mu, cuts)
+        if mf.closed_form:
+            return mu.sum(), (xs * mu).sum(), []
+        chunk = _cut_chunk(mu, cuts) if found is None else [(mu.size, mu.max())]
+        return mu.sum(), (xs * mu).sum(), chunk
     with np.errstate(over="ignore", invalid="ignore"):  # a moment past the largest float is redone
         weight, moment, chunks = walk_grid([mf], samples, leaf)
     if weight == 0.0:
@@ -627,8 +708,10 @@ def attributes(mf: MembershipFunction, samples: int = DEFAULT_SAMPLES) -> Attrib
         (core,) = _lengths(mf, [1.0], samples, "auto")
     else:
         height = float(np.max([top for _, top, *_ in chunks]))  # NaN propagates, as in one max
-        col, lefts, rights = _grid_runs(mf, samples, chunks)
-        support, core = run_sums(col, rights - lefts, 2)
+        if found is None:
+            col, lefts, rights = _grid_runs(mf, samples, chunks)
+            found = run_sums(col, rights - lefts, 2)
+        support, core = found
     return Attributes(
         height=height, centroid=centroid, support_length=float(support), core_length=float(core)
     )

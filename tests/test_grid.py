@@ -11,7 +11,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from intervalagreement import (
+    AgreementError,
     EmptySet,
+    EmptySupport,
     Gaussian,
     PiecewiseConstant,
     PiecewiseLinear,
@@ -19,12 +21,13 @@ from intervalagreement import (
     attributes,
     build_iaa,
     collection,
+    gamma_alpha,
     jaccard,
     make_interval,
     trapezoidal,
     triangular,
 )
-from intervalagreement import fuzzyset
+from intervalagreement import agreement, fuzzyset
 from intervalagreement.fuzzyset import (
     GRID_CHUNK,
     alpha_cut,
@@ -235,6 +238,121 @@ def test_sampled_cuts_found_chunk_by_chunk_equal_the_whole_grid(chunk, data):
         got = [attrs.height, attrs.centroid, attrs.support_length, attrs.core_length]
         want = [grid.max(), (xs * grid).sum() / grid.sum(), support, core]
         assert bits(got).tolist() == bits(want).tolist()
+
+
+@st.composite
+def sampled_source(draw):
+    """A ``Sampled`` grid of 2 to 400 points from an origin of 0, -0.0, a negative value
+    or 1e6, at a decimal, dyadic or subnormal spacing; memberships in plateaus of LEVELS,
+    with zeros, ties and one-point runs, some points set to drawn values or to spikes."""
+    n = draw(st.integers(2, 400))
+    origin, spacing = draw(st.one_of(
+        st.tuples(st.sampled_from([0.0, -0.0, -5.0, -37.25]),
+                  st.sampled_from([0.1, 1 / 3, 0.25, 3.7, 2.0**-20])),
+        st.tuples(st.just(1e6), st.sampled_from([1.0, 0.25, 2.0**-20])),
+        st.tuples(st.sampled_from([0.0, -0.0]), st.sampled_from([5e-324, 15e-324, 1e-310])),
+    ))
+    xs = origin + np.arange(n) * spacing
+    xs[0] = origin  # -0.0 + 0.0 would read 0.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plateau = draw(st.sampled_from([2, 6, 40]))
+    mus = np.repeat(rng.choice(LEVELS, n), rng.integers(1, plateau, n))[:n]
+    for i, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.floats(0, 1)), max_size=8)):
+        mus[i] = v  # a drawn value, or past 0.9 a spike of 1 between zeros
+        if v > 0.9:
+            mus[max(i - 1, 0):i + 2] = [0.0] * (i > 0) + [1.0] + [0.0] * (i < n - 1)
+    return Sampled(xs, mus)
+
+
+def _outcome(region):
+    """A region's segment bits, or the type and message of the error building it raises."""
+    try:
+        return bits([[s.l, s.r] for s in region().segments]).tolist()
+    except AgreementError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("checks", [Sampled._EDGE_CHECKS, 0], ids=["source", "walk"])
+@pytest.mark.parametrize("chunk", [128, GRID_CHUNK])
+@given(sampled_source(), st.data())
+@example(Sampled(np.array([-0.0, 5e-324, 1e-323]), np.array([1.0, 0.0, 1.0])),
+         (5, [1.0, 0.5, 0.2], 2))  # the walk's step underflows: linspace takes i / div * delta
+@example(Sampled(np.array([0.0, 25e-324]), np.array([0.0, 1.0])),
+         (10, [0.5], 2))  # the last point's position is below the one before it
+@example(Sampled(np.arange(5) * 1e-323, np.array([0.0, 0.0, 0.0, 1.0, 0.0])),
+         (7, [0.5], 2))  # no grid point reads the source run
+def test_sampled_cuts_equal_the_whole_grid_either_side_of_the_source_size(
+        checks, chunk, mf, data):
+    """Cut lengths, cut regions, gamma_alpha and attributes of a ``Sampled`` grid, at
+    `samples` below, at and above its size, equal ``ladder_runs`` over ``sample_grid``'s
+    whole grid to the bit; ladders may be unsorted and repeat a level. With 0 edge checks
+    every cut takes the walk, which is held to the same grid. Where a subnormal step
+    carries ``np.linspace`` past its end, the grid does not ascend, and a region whose
+    runs overlap raises what the whole grid's raises."""
+    n = mf.mus.size
+    if isinstance(data, tuple):  # an example's own samples, ladder and cuts
+        samples, alphas, cuts = data
+    else:
+        samples = max(2, data.draw(st.one_of(
+            st.sampled_from([2, 3, n - 1, n, n + 1, 2 * n - 1, 2 * n, 10 * n]),
+            st.integers(2, 20 * n))))
+        level = st.one_of(st.sampled_from([1e-3, 0.25, 0.5, 0.6, 0.75, 1.0, 1.0 / samples]),
+                          st.floats(1e-3, 1.0))
+        alphas = data.draw(st.lists(level, min_size=1, max_size=6))
+        cuts = data.draw(st.integers(2, 8))
+    with mock.patch.object(Sampled, "_EDGE_CHECKS", checks), \
+            mock.patch.object(fuzzyset, "GRID_CHUNK", chunk):
+        xs, grid = sample_grid(mf, samples)
+        col, lefts, rights = _whole_grid_runs(xs, grid, alphas)
+        want = run_sums(col, rights - lefts, len(alphas))
+        assert np.array_equal(bits(alpha_lengths(mf, alphas, samples)), bits(want))
+        for alpha in alphas:
+            assert _outcome(lambda: alpha_cut(mf, alpha, samples).region) == _outcome(
+                lambda: run_regions(*_whole_grid_runs(xs, grid, [alpha]), 1)[0])
+        col, lefts, rights = _whole_grid_runs(xs, grid, np.arange(1, cuts + 1) / cuts)
+        lengths = run_sums(col, rights - lefts, cuts)
+        if lengths[0] == 0.0:
+            with pytest.raises(EmptySupport):
+                gamma_alpha(mf, cuts, samples)
+        else:
+            got, ref = gamma_alpha(mf, cuts, samples), agreement._breakdown(lengths)
+            assert np.array_equal(bits(got.lengths), bits(lengths))
+            assert bits(got.gamma) == bits(ref.gamma)
+        if not grid.any():
+            with pytest.raises(EmptySet):
+                attributes(mf, samples)
+            return
+        attrs = attributes(mf, samples)
+        col, lefts, rights = _whole_grid_runs(xs, grid, [1.0 / samples, 1.0])
+        support, core = run_sums(col, rights - lefts, 2)
+        got = [attrs.height, attrs.centroid, attrs.support_length, attrs.core_length]
+        want = [grid.max(), (xs * grid).sum() / grid.sum(), support, core]
+        assert bits(got).tolist() == bits(want).tolist()
+
+
+@pytest.mark.parametrize("samples", [2, 1000, 1001, 1002, 2001, 3 * GRID_CHUNK + 5])
+def test_sampled_cuts_walk_only_a_grid_no_finer_than_the_source(samples):
+    """On a grid finer than its own 1,001 points, a ``Sampled`` grid's ``alpha_lengths``,
+    ``gamma_alpha`` and ``alpha_cut`` call no ``_on_grid``; on one no finer, each walks
+    it once. ``attributes`` walks it once either way. At 2,001 samples every other grid
+    point sits half way between two source points, so run edges are stepped from their
+    guess."""
+    mf, chunks = GRID_SHAPES[4], len(_chunk_starts(samples)) + 1
+
+    def grid_calls(run) -> int:
+        with mock.patch.object(Sampled, "_on_grid", autospec=True,
+                               side_effect=Sampled._on_grid) as on_grid:
+            try:
+                run()
+            except EmptySupport:  # at 2 samples the lowest cut is one point
+                pass
+        return on_grid.call_count
+
+    cuts = [grid_calls(lambda: alpha_lengths(mf, np.arange(1, 21) / 20, samples)),
+            grid_calls(lambda: gamma_alpha(mf, 20, samples)),
+            grid_calls(lambda: alpha_cut(mf, 0.5, samples))]
+    assert cuts == [0 if samples > mf.mus.size else chunks] * 3
+    assert grid_calls(lambda: attributes(mf, samples)) == chunks
 
 
 GRID_SHAPES = [
