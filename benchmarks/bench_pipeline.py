@@ -40,7 +40,8 @@ Sections:
   vertex at each of these sample counts) by ``np.interp``. Then ``attributes``
   of a polyline with each of TIED_JUMPS vertical jumps and its ``jaccard``
   with itself, at TIED_SAMPLES samples: every grid chunk reads its
-  ``_membership``, which gives each tied vertex its max-of-ties value.
+  ``_membership``, which gives each tied vertex its max-of-ties value. Each
+  case adds the ``tracemalloc`` peak of one more call.
 * ``attrs``: ``attributes(build_iaa(...))``, the work of ``iaa attrs``, on the
   step function of each of ATTRS_LISTS seeded interval lists, at each of
   ATTRS_SAMPLES samples. The 20,000-line list is shaped as perfbench's
@@ -152,12 +153,7 @@ def report_samples() -> list[dict]:
     for n in REPORT_SAMPLES:
         run = functools.partial(survey.report, ds, samples=n)
         run()  # warm-up
-        point = {"samples": n, **repeated(run)}
-        tracemalloc.start()
-        run()
-        point["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
-        tracemalloc.stop()
-        points.append(point)
+        points.append({"samples": n, **repeated(run), "tracemalloc_peak_mb": traced_peak_mb(run)})
     return points
 
 
@@ -189,6 +185,15 @@ def repeated(run) -> dict:
     }
 
 
+def traced_peak_mb(run) -> float:
+    """The ``tracemalloc`` peak of one more call of ``run``, in MB."""
+    tracemalloc.start()
+    run()
+    peak = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
+    return peak
+
+
 def timed(run) -> dict:
     """``repeated`` after one warm-up, the error the call raises, if any, and
     the ``tracemalloc`` peak of one more call."""
@@ -200,12 +205,7 @@ def timed(run) -> dict:
         return {"raises": None, "line": None}
 
     outcome = once()
-    point = {**repeated(once), **outcome}
-    tracemalloc.start()
-    once()
-    point["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
-    tracemalloc.stop()
-    return point
+    return {**repeated(once), **outcome, "tracemalloc_peak_mb": traced_peak_mb(once)}
 
 
 def load() -> list[dict]:
@@ -274,14 +274,16 @@ def alpha() -> list[dict]:
             if n in SAMPLED_SAMPLES and not case.endswith(" sampled"):
                 continue
             run()  # warm-up
-            cases.append({"case": case, "samples": n, **repeated(run)})
+            cases.append({"case": case, "samples": n, **repeated(run),
+                          "tracemalloc_peak_mb": traced_peak_mb(run)})
     for jumps in TIED_JUMPS:
         pl = tied_polyline(jumps)
         calls = {"attributes tied": lambda: ia.attributes(pl, TIED_SAMPLES),
                  "jaccard tied tied": lambda: ia.jaccard(pl, pl, TIED_SAMPLES)}
         for case, run in calls.items():
             run()  # warm-up
-            cases.append({"case": case, "jumps": jumps, "samples": TIED_SAMPLES, **repeated(run)})
+            cases.append({"case": case, "jumps": jumps, "samples": TIED_SAMPLES, **repeated(run),
+                          "tracemalloc_peak_mb": traced_peak_mb(run)})
     return cases
 
 
@@ -328,10 +330,7 @@ def gamma() -> list[dict]:
                 point = {"case": case, "lines": n, **repeated(run)}
                 if case in breakdowns:
                     point["levels"] = breakdowns[case].weights.size
-                    tracemalloc.start()
-                    run()
-                    point["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
-                    tracemalloc.stop()
+                    point["tracemalloc_peak_mb"] = traced_peak_mb(run)
                 cases.append(point)
     return cases
 
@@ -415,7 +414,8 @@ def main(argv=None) -> int:
         jumps = f", {c['jumps']} jumps" if "jumps" in c else ""
         print(f"{args.label}: alpha {c['case']}{jumps}, {c['samples']} samples: "
               f"best {c['best_s'] * 1e3:8.2f} ms, median {c['median_s'] * 1e3:8.2f} ms, "
-              f"{c['minflt_per_call']:8.1f} minor faults/call")
+              f"{c['minflt_per_call']:8.1f} minor faults/call, "
+              f"tracemalloc peak {c['tracemalloc_peak_mb']:7.2f} MB")
     for c in entry["attrs"]["cases"]:
         print(f"{args.label}: attrs {c['lines']} lines to {c['decimals']} decimals "
               f"({c['breakpoints']} breakpoints), {c['samples']} samples: "

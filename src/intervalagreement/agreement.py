@@ -136,9 +136,9 @@ def jaccard(
     memory. Raises EmptySet when both functions are zero everywhere on it.
     """
     _check_samples(samples)
-    num, denom = walk_grid(
-        [a, b], samples, lambda xs, ma, mb: (np.minimum(ma, mb).sum(), np.maximum(ma, mb).sum())
-    )
+    num, denom = walk_grid(  # both written in place: the walk's buffers are the leaf's to use
+        [a, b], samples,
+        lambda xs, ma, mb: (np.minimum(ma, mb, out=xs).sum(), np.maximum(ma, mb, out=ma).sum()))
     if denom == 0.0:
         raise EmptySet("both membership functions are empty on the shared grid")
     return float(num / denom)

@@ -26,6 +26,7 @@ region's ``total_length`` to the bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -218,7 +219,8 @@ class PiecewiseLinear(MembershipFunction):
         if ux.size * 2048 > x.size:
             return self._membership(x)
         lo, hi = np.searchsorted(x, ux, "left").tolist(), np.searchsorted(x, ux, "right").tolist()
-        out = np.zeros(x.size)
+        out = np.empty(x.size)
+        out[: lo[0]] = out[hi[-1] :] = 0.0  # before the first vertex and after the last
         for k in range(ux.size - 1):
             seg = np.subtract(x[hi[k] : lo[k + 1]], ux[k], out=out[hi[k] : lo[k + 1]])
             seg *= slopes[k]
@@ -313,8 +315,7 @@ class Gaussian(MembershipFunction):
         with np.errstate(over="ignore"):  # far in the tails: inf, so exp reads 0
             out = x - self.mean
             np.square(out, out=out)
-            np.negative(out, out=out)
-            out /= 2.0 * self.stddev**2
+            out /= -(2.0 * self.stddev**2)  # -a / b is a / -b, bar a NaN's sign: one pass fewer
         np.exp(out, out=out)
         if self.domain is not None:
             out[(x < self.domain.l) | (x > self.domain.r)] = 0.0
@@ -526,12 +527,36 @@ def pairwise_sums(n: int, leaf, start: int = 0) -> tuple:
     return tuple(s + t for s, t in zip(left, right))
 
 
+@functools.lru_cache
+def _leaf_points(n: int, chunk: int) -> int:
+    """The most values a ``pairwise_sums`` leaf over n values holds, at most `chunk`."""
+    if n <= chunk:
+        return n
+    half = n // 2 - (n // 2) % 8
+    return max(_leaf_points(half, chunk), _leaf_points(n - half, chunk))
+
+
 def walk_linspace(lo, hi, samples: int, leaf) -> tuple:
     """``pairwise_sums`` of ``leaf(xs, a, b)``, xs points a..b-1 of ``np.linspace(lo, hi,
-    samples)``: a row per entry of column ``lo`` and ``hi``, as ``linspace_at`` gives them."""
-    base = np.arange(min(samples, GRID_CHUNK), dtype=np.float64)  # float indices: no int cast
-    return pairwise_sums(
-        samples, lambda a, b: leaf(linspace_at(lo, hi, samples, base[: b - a] + a), a, b))
+    samples)``: a row per entry of column ``lo`` and ``hi``, as ``linspace_at`` gives them.
+    A leaf may overwrite xs but must not keep it: scalar ends with a step that does not
+    underflow write each chunk's points into one buffer held for the walk, by
+    ``linspace_at``'s own arithmetic, ``hi`` last in the chunk that holds the end."""
+    base = np.arange(_leaf_points(samples, GRID_CHUNK), dtype=np.float64)  # no int cast
+    step = (np.float64(hi) - lo) / (samples - 1)
+    if step.ndim or step == 0.0:  # a row per cell, or linspace's underflow rule
+        return pairwise_sums(
+            samples, lambda a, b: leaf(linspace_at(lo, hi, samples, base[: b - a] + a), a, b))
+    buf = np.empty(base.size)
+
+    def points(a: int, b: int) -> tuple:
+        xs = np.add(base[: b - a], a, out=buf[: b - a])  # the points over their indices
+        xs *= step
+        xs += lo
+        if b == samples:
+            xs[-1] = hi
+        return leaf(xs, a, b)
+    return pairwise_sums(samples, points)
 
 
 def walk_grid(mfs, samples: int, leaf) -> tuple:
@@ -539,7 +564,8 @@ def walk_grid(mfs, samples: int, leaf) -> tuple:
     ``_on_grid`` (``_membership``'s bits), in O(GRID_CHUNK) memory: a leaf finds cut
     runs in its chunk by ``_cut_chunk``, and ``_grid_runs`` joins them. ``_on_grid`` takes
     ascending points: a chunk whose last point is below the one before it (a subnormal
-    step can carry ``np.linspace`` past its end before the end point) takes ``_membership``."""
+    step can carry ``np.linspace`` past its end before the end point) takes ``_membership``.
+    A leaf may overwrite xs and each mu, which ``_on_grid`` returns fresh, but keeps none."""
     def chunk(xs, a: int, b: int) -> tuple:
         ascends = xs[-1] >= xs[-2]
         return leaf(xs, *[mf._on_grid(xs) if ascends else mf._membership(xs) for mf in mfs])
@@ -570,13 +596,29 @@ def _grid_runs(mf: MembershipFunction, samples: int, chunks: list):
 
 def _point_runs(mf: MembershipFunction, samples: int, col, start, stop):
     """(alpha index, left, right) of grid point runs [start, stop), by alpha, then by
-    position, each spanning its first to last point; a run that starts where the one
-    before it in its cut stops is joined to it."""
+    position, each spanning its lowest to its highest point; a run that starts where the
+    one before it in its cut stops is joined to it. The points ascend but for the last,
+    which a subnormal step can put below the one before it: then the run that holds it
+    spans it too, and each cut's spans are sorted and overlapping ones merged."""
     opens = np.ones(col.size, dtype=bool)
     opens[1:] = (col[1:] != col[:-1]) | (start[1:] != stop[:-1])
     w = mf.window()
-    return (col[opens], linspace_at(w.l, w.r, samples, start[opens]),
-            linspace_at(w.l, w.r, samples, stop[np.roll(opens, -1)] - 1))
+    col, stop = col[opens], stop[np.roll(opens, -1)]
+    lefts = linspace_at(w.l, w.r, samples, start[opens])
+    rights = linspace_at(w.l, w.r, samples, stop - 1)
+    end = np.flatnonzero(stop == samples)
+    last = linspace_at(w.l, w.r, samples, np.array([samples - 2, samples - 1]))
+    if end.size and last[1] < last[0]:
+        lefts[end] = np.minimum(lefts[end], last[1])
+        rights[end] = linspace_at(w.l, w.r, samples, np.maximum(stop[end] - 2, start[opens][end]))
+        order = np.lexsort((lefts, col))
+        col, lefts, rights = col[order], lefts[order], rights[order]
+        cuts = np.flatnonzero(col[1:] != col[:-1]) + 1
+        reach = np.concatenate([np.maximum.accumulate(r) for r in np.split(rights, cuts)])
+        opens = np.ones(col.size, dtype=bool)
+        opens[1:] = (col[1:] != col[:-1]) | (lefts[1:] > reach[:-1])
+        col, lefts, rights = col[opens], lefts[opens], reach[np.roll(opens, -1)]
+    return col, lefts, rights
 
 
 def _sampled(mf: MembershipFunction, method: str) -> bool:
@@ -690,10 +732,9 @@ def attributes(mf: MembershipFunction, samples: int = DEFAULT_SAMPLES) -> Attrib
         found = run_sums(found[0], found[2] - found[1], 2)
 
     def leaf(xs, mu):
-        if mf.closed_form:
-            return mu.sum(), (xs * mu).sum(), []
-        chunk = _cut_chunk(mu, cuts) if found is None else [(mu.size, mu.max())]
-        return mu.sum(), (xs * mu).sum(), chunk
+        chunk = [] if mf.closed_form else (
+            _cut_chunk(mu, cuts) if found is None else [(mu.size, mu.max())])
+        return mu.sum(), np.multiply(xs, mu, out=xs).sum(), chunk
     with np.errstate(over="ignore", invalid="ignore"):  # a moment past the largest float is redone
         weight, moment, chunks = walk_grid([mf], samples, leaf)
     if weight == 0.0:

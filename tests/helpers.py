@@ -207,6 +207,22 @@ def all_vertex_membership(xs, mus, x):
     return out
 
 
+def gaussian_membership(mean, stddev, domain, x):
+    """Gaussian membership by the five-step formula ``Gaussian`` first had: x - mean,
+    squared, negated, over 2 stddev^2, exp; 0 off the domain, if one is given."""
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        out = x - mean
+        np.square(out, out=out)
+        np.negative(out, out=out)
+        out /= 2.0 * stddev**2
+    np.exp(out, out=out)
+    if domain is not None:
+        out[(x < domain.l) | (x > domain.r)] = 0.0
+    return out
+
+
 def step_membership(bp, lv, x):
     """Step-function membership by a clipped cell index, as ``PiecewiseConstant``
     must give it bit for bit: the level of the cell from the last breakpoint at

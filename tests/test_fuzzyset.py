@@ -28,7 +28,7 @@ from intervalagreement import (
     triangular,
 )
 
-from helpers import all_vertex_membership
+from helpers import all_vertex_membership, gaussian_membership
 
 FIG_OVERLAP = [(2, 4), (2.5, 3.5)]
 FIG_NONCONVEX = [(2, 5), (3, 5), (6, 8), (3, 7)]
@@ -117,6 +117,31 @@ def test_gaussian_membership_far_in_the_tails_is_zero():
     assert g.membership(x).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
     assert [g.membership(v) for v in x] == [0.0, 0.0, 0.0, 0.0, 1.0]
     assert Gaussian(0, 1e-150).membership(1e5) == 0.0  # the division overflows
+
+
+ODD_X = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+@given(st.floats(-1e6, 1e6), st.floats(1e-3, 1e3),
+       st.none() | st.tuples(st.floats(-60, 60), st.floats(0.1, 60)),
+       st.lists(st.one_of(st.floats(-60, 60), st.floats(40, 1e200), st.floats(-1e200, -40)),
+                max_size=30),
+       st.lists(st.sampled_from(ODD_X), max_size=8))
+@example(0.0, 1.0, None, [-40.0, 40.0, 1e200], ODD_X)
+@example(5.0, 1.0, (-3.0, 4.0), [0.0, -4.0, -3.0, 1.0, 45.0], ODD_X)
+def test_gaussian_membership_equals_the_five_step_formula(mean, stddev, domain, zs, odd):
+    """``_membership`` is the formula that negated before it divided, by bits, at z
+    stddevs from the mean (past 40, exp underflows; past 1e154 the square overflows) and
+    at +/-0.0, +/-inf and NaN, with a domain (its ends z stddevs from the mean) or without;
+    only a NaN's sign may differ, as dividing by -(2 stddev^2) does not flip it."""
+    if domain is not None:
+        domain = make_interval(mean + domain[0] * stddev, mean + (domain[0] + domain[1]) * stddev)
+    g = Gaussian(mean, stddev, domain)
+    x = np.array([mean + z * stddev for z in zs] + odd, dtype=np.float64)
+    got, want = g.membership(x), gaussian_membership(mean, stddev, domain, x)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    keep = ~np.isnan(want)
+    assert got[keep].tobytes() == want[keep].tobytes()
 
 
 def test_sampled_nearest_point():

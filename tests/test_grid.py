@@ -11,7 +11,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from intervalagreement import (
-    AgreementError,
     EmptySet,
     EmptySupport,
     Gaussian,
@@ -110,6 +109,52 @@ def test_walk_linspace_sums_each_row_as_np_sum():
         assert np.array_equal(bits(got), bits(want))
 
 
+WALK_CHUNK = 16
+
+
+@pytest.mark.parametrize("lo, hi",
+                         [(-0.0, 1.0), (1e15, 1e15 + 7.3), (0.0, 15e-324), (0.0, 25e-324)],
+                         ids=["negative-zero", "1e15-origin", "step-underflows", "subnormal-step"])
+@pytest.mark.parametrize("samples",
+                         [2, WALK_CHUNK - 1, WALK_CHUNK, WALK_CHUNK + 1, 2 * WALK_CHUNK + 1])
+def test_walk_linspace_leaf_may_overwrite_its_points(lo, hi, samples):
+    """A leaf may write over the points it is handed: each chunk, copied before the leaf
+    writes NaN over it, is ``np.linspace``'s stretch by bits, the chunks in order."""
+    chunks = []
+
+    def leaf(xs, a, b):
+        chunks.append((a, b, xs.copy()))
+        xs[:] = np.nan
+        return ()
+    with mock.patch.object(fuzzyset, "GRID_CHUNK", WALK_CHUNK):
+        walk_linspace(lo, hi, samples, leaf)
+    want = np.linspace(lo, hi, samples)
+    assert [a for a, _, _ in chunks] == [0] + [b for _, b, _ in chunks[:-1]]
+    assert chunks[-1][1] == samples
+    for a, b, got in chunks:
+        assert np.array_equal(bits(got), bits(want[a:b]))
+
+
+def _arrays(mf):
+    """Every array a shape holds, in its fields or in a tuple of them."""
+    for value in vars(mf).values():
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                yield a
+
+
+@pytest.mark.parametrize("samples", [5, GRID_CHUNK])  # _membership, then a shape's slices
+def test_on_grid_returns_a_fresh_array(samples):
+    """``jaccard`` writes into what ``_on_grid`` returns: it holds no memory of the
+    points or of the shape."""
+    for mf in [*GRID_SHAPES, Gaussian(5, 1)]:
+        w = mf.window()
+        x = np.linspace(w.l - 1.0, w.r + 1.0, samples)
+        out = mf._on_grid(x)
+        assert not np.shares_memory(out, x)
+        assert not any(np.shares_memory(out, a) for a in _arrays(mf))
+
+
 def _values(kind: str, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if kind == "mixed":
@@ -158,9 +203,24 @@ def test_walk_grid_sums_linspace_and_finds_cut_runs():
 
 
 def _whole_grid_runs(xs, mus, alphas):
-    """(alpha index, left, right) of ``ladder_runs`` over the whole grid: the referee."""
+    """(alpha index, left, right) of ``ladder_runs`` over the whole grid, each run from
+    its lowest to its highest point, each cut's spans in order with overlapping ones
+    merged: the referee. On an ascending grid a run spans its first to last point."""
     col, start, stop = ladder_runs(mus, alphas)
-    return col, xs[start], xs[stop - 1]
+    ends = np.column_stack([start, stop]).ravel()
+    padded = np.append(xs, 0.0)  # a run may stop at the grid's end
+    lows = np.minimum.reduceat(padded, ends)[::2] if ends.size else xs[:0]
+    highs = np.maximum.reduceat(padded, ends)[::2] if ends.size else xs[:0]
+    merged = []
+    for c, lo, hi in sorted(zip(col.tolist(), lows.tolist(), highs.tolist())):
+        if merged and merged[-1][0] == c and lo <= merged[-1][2]:
+            merged[-1][2] = max(merged[-1][2], hi)
+        else:
+            merged.append([c, lo, hi])
+    if not merged:
+        return col, xs[:0], xs[:0]
+    cols, lefts, rights = zip(*merged)
+    return np.array(cols, dtype=col.dtype), np.array(lefts), np.array(rights)
 
 
 def _assert_runs_equal(got, want):
@@ -264,12 +324,8 @@ def sampled_source(draw):
     return Sampled(xs, mus)
 
 
-def _outcome(region):
-    """A region's segment bits, or the type and message of the error building it raises."""
-    try:
-        return bits([[s.l, s.r] for s in region().segments]).tolist()
-    except AgreementError as exc:
-        return type(exc), str(exc)
+def _segment_bits(region):
+    return bits([[s.l, s.r] for s in region.segments]).tolist()
 
 
 @pytest.mark.parametrize("checks", [Sampled._EDGE_CHECKS, 0], ids=["source", "walk"])
@@ -281,14 +337,16 @@ def _outcome(region):
          (10, [0.5], 2))  # the last point's position is below the one before it
 @example(Sampled(np.arange(5) * 1e-323, np.array([0.0, 0.0, 0.0, 1.0, 0.0])),
          (7, [0.5], 2))  # no grid point reads the source run
+@example(Sampled(np.arange(8) * 25e-324, np.array([0.0] * 7 + [1.0])),
+         (11, [0.5], 2))  # the run holding the end point starts above it
 def test_sampled_cuts_equal_the_whole_grid_either_side_of_the_source_size(
         checks, chunk, mf, data):
     """Cut lengths, cut regions, gamma_alpha and attributes of a ``Sampled`` grid, at
     `samples` below, at and above its size, equal ``ladder_runs`` over ``sample_grid``'s
     whole grid to the bit; ladders may be unsorted and repeat a level. With 0 edge checks
     every cut takes the walk, which is held to the same grid. Where a subnormal step
-    carries ``np.linspace`` past its end, the grid does not ascend, and a region whose
-    runs overlap raises what the whole grid's raises."""
+    carries ``np.linspace`` past its end, the grid does not ascend, and the run holding
+    the end point spans it and merges with the runs it overlaps, as the referee's do."""
     n = mf.mus.size
     if isinstance(data, tuple):  # an example's own samples, ladder and cuts
         samples, alphas, cuts = data
@@ -307,8 +365,8 @@ def test_sampled_cuts_equal_the_whole_grid_either_side_of_the_source_size(
         want = run_sums(col, rights - lefts, len(alphas))
         assert np.array_equal(bits(alpha_lengths(mf, alphas, samples)), bits(want))
         for alpha in alphas:
-            assert _outcome(lambda: alpha_cut(mf, alpha, samples).region) == _outcome(
-                lambda: run_regions(*_whole_grid_runs(xs, grid, [alpha]), 1)[0])
+            assert _segment_bits(alpha_cut(mf, alpha, samples).region) == _segment_bits(
+                run_regions(*_whole_grid_runs(xs, grid, [alpha]), 1)[0])
         col, lefts, rights = _whole_grid_runs(xs, grid, np.arange(1, cuts + 1) / cuts)
         lengths = run_sums(col, rights - lefts, cuts)
         if lengths[0] == 0.0:
@@ -328,6 +386,33 @@ def test_sampled_cuts_equal_the_whole_grid_either_side_of_the_source_size(
         got = [attrs.height, attrs.centroid, attrs.support_length, attrs.core_length]
         want = [grid.max(), (xs * grid).sum() / grid.sum(), support, core]
         assert bits(got).tolist() == bits(want).tolist()
+
+
+@given(st.integers(2, 12), st.sampled_from([0.0, -0.0]),
+       st.sampled_from([5e-324, 15e-324, 25e-324, 1e-322]), st.data())
+@example(2, 0.0, 25e-324, (10, [0.5], [0.0, 1.0]))  # the end point falls inside the run before it
+def test_sampled_cuts_on_subnormal_grids_are_regions(n, origin, spacing, data):
+    """On a subnormal window a ``np.linspace`` grid may end below the point before its end:
+    every cut is a region whose length ``alpha_lengths`` gives, no width is negative, and
+    on a grid that ascends each run still spans its first to last point."""
+    xs = origin + np.arange(n) * spacing
+    xs[0] = origin  # -0.0 + 0.0 would read 0.0
+    if isinstance(data, tuple):
+        samples, alphas, mus = data
+    else:
+        samples = data.draw(st.integers(2, 40))
+        alphas = data.draw(st.lists(st.sampled_from(LEVELS[1:]), min_size=1, max_size=4))
+        mus = data.draw(st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n))
+    mf = Sampled(xs, np.array(mus))
+    lengths = alpha_lengths(mf, alphas, samples)
+    assert (lengths >= 0.0).all()
+    for alpha, length in zip(alphas, lengths.tolist()):
+        assert bits(alpha_cut(mf, alpha, samples).total_length) == bits(length)
+    grid, grid_mus = sample_grid(mf, samples)
+    if (np.diff(grid) >= 0.0).all():
+        col, start, stop = ladder_runs(grid_mus, alphas)
+        want = run_sums(col, grid[stop - 1] - grid[start], len(alphas))
+        assert np.array_equal(bits(lengths), bits(want))
 
 
 @pytest.mark.parametrize("samples", [2, 1000, 1001, 1002, 2001, 3 * GRID_CHUNK + 5])
@@ -464,6 +549,9 @@ def test_linear_on_grid_matches_interp_with_max_of_ties(shape_and_probes):
     want = bits(all_vertex_membership(mf.xs, mf.mus, x))
     assert np.array_equal(bits(mf._on_grid(x)), want)
     assert np.array_equal(bits(mf._membership(x)), want)
+    # a chunk that also ends past the last vertex
+    past = np.concatenate([x, np.linspace(4.0, 12.0, 64)])
+    assert np.array_equal(bits(mf._on_grid(past)), bits(all_vertex_membership(mf.xs, mf.mus, past)))
     # the probes alone are too few for slices: _on_grid takes _membership
     assert np.array_equal(bits(mf._on_grid(probes)), want[GRID_CHUNK:])
 
