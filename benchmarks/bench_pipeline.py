@@ -17,8 +17,11 @@ Sections:
 
 * ``report_cells``: ``survey.report`` (exact, 1001 samples) on one seeded
   50,000-row survey of 4 groups, with 5, 50 and 625 terms (25, 250 and
-  3,125 cells; 2,500, 250 and 20 participants per cell), and the number of
-  blocks ``survey._report_block`` measures them in. Loading is not
+  3,125 cells; 2,500, 250 and 20 participants per cell), and on a paper-sized
+  survey (PAPER_GROUPS groups x PAPER_PARTICIPANTS participants x 5 terms,
+  unrounded endpoints: 20 cells, whose grid rows ``_report_block`` places), and
+  the number of blocks ``survey._report_block`` measures them in, and the
+  ``tracemalloc`` peak of one more call. Loading is not
   timed. Its ``samples_sweep`` runs the 25-cell survey at each of
   REPORT_SAMPLES samples, and adds the ``tracemalloc`` peak of one more call.
 * ``load``: ``survey.load_survey`` on the 5-term survey above (50,000 rows)
@@ -114,6 +117,7 @@ GAMMA_LINES = (20_000, 200_000, 1_000_000)
 GAMMA_CUTS = 10_000
 SWEEP_LINES = (5_000, 20_000, 80_000)
 GAMMA_MS_SCALE = 1.6e10  # [0, 100] to epoch milliseconds: lengths past 2**51 millionths
+PAPER_GROUPS, PAPER_PARTICIPANTS = 3, 40
 FALLBACK_EVERY = 1_000  # lines between decorations, so each TEXT_LINES block holds some
 
 
@@ -134,16 +138,33 @@ def survey_text(terms: int, seed: int = SEED) -> str:
     return "\n".join(lines) + "\n"
 
 
+def paper_text(seed: int = SEED) -> str:
+    """A paper-sized survey: PAPER_GROUPS groups x PAPER_PARTICIPANTS participants x 5
+    terms, each answer a half-width in [0.25, 1.5] about a centre drawn per term,
+    unrounded, so a cell's coordinates are all distinct: 80, or 240 in an "ALL" cell."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+    shape = (PAPER_GROUPS, PAPER_PARTICIPANTS, 5)
+    centre = np.clip(rng.normal(np.array([8.5, 7.0, 5.0, 3.0, 1.5]), 1.0, shape), 1.5, 8.5)
+    half = rng.uniform(0.25, 1.5, shape)
+    lo, hi = (centre - half).tolist(), (centre + half).tolist()
+    lines = ["group,participant_id,term,l,r"]
+    lines.extend(f"G{g + 1},P{p + 1:03d},T{t},{lo[g][p][t]!r},{hi[g][p][t]!r}"
+                 for g, p, t in np.ndindex(shape))
+    return "\n".join(lines) + "\n"
+
+
 def report_cells() -> list[dict]:
     points = []
-    for terms in TERM_COUNTS:
-        ds = survey.load_survey(io.StringIO(survey_text(terms)))
+    cases = [(terms, survey_text(terms)) for terms in TERM_COUNTS] + [("paper", paper_text())]
+    for terms, text in cases:
+        ds = survey.load_survey(io.StringIO(text))
         blocks, block = [], survey._report_block
         with mock.patch.object(survey, "_report_block", lambda *a: blocks.append(1) or block(*a)):
             rep = survey.report(ds)  # warm-up
         cells = len(rep.rows) + len(rep.skipped)
-        points.append({"terms": terms, "cells": cells, "blocks": len(blocks),
-                       **repeated(lambda: survey.report(ds))})
+        run = functools.partial(survey.report, ds)
+        points.append({"terms": terms, "cells": cells, "blocks": len(blocks), **repeated(run),
+                       "tracemalloc_peak_mb": traced_peak_mb(run)})
     return points
 
 
@@ -401,7 +422,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps({"seed": SEED, "runs": runs}, indent=2) + "\n")
     for p in entry["report_cells"]["points"]:
         print(f"{args.label}: report, {p['cells']:5d} cells in {p['blocks']:3d} blocks: best "
-              f"{p['best_s'] * 1e3:8.2f} ms, median {p['median_s'] * 1e3:8.2f} ms")
+              f"{p['best_s'] * 1e3:8.2f} ms, median {p['median_s'] * 1e3:8.2f} ms, "
+              f"tracemalloc peak {p['tracemalloc_peak_mb']:7.2f} MB")
     for p in entry["report_cells"]["samples_sweep"]:
         print(f"{args.label}: report, 25 cells, {p['samples']:7d} samples: best "
               f"{p['best_s'] * 1e3:8.2f} ms, median {p['median_s'] * 1e3:8.2f} ms, "

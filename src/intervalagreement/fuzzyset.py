@@ -16,7 +16,10 @@ to the grid points that read it (``Sampled._source_runs``), in time and memory t
 grow with its points and runs, not with `samples`. A chunk's points ascend, so
 ``_on_grid`` may take them by slices; it gives ``_membership``'s bits. A step
 function's values are one :func:`step_table`, read by :func:`step_at`; ``survey.report``
-walks a block's cells through one table, a grid row per cell (:func:`walk_linspace`).
+walks a block's cells through one table, a grid row per cell (:func:`walk_linspace`), and
+places a row's runs, as ``_on_grid`` does, from each breakpoint's first grid point, found
+by a guess from the step that :func:`_first_reaching` checks, as ``Sampled`` finds its
+run edges' walk points.
 
 Every path yields (alpha index, left, right) runs, by alpha, then left to
 right; :func:`.intervals.run_sums` adds them into lengths and
@@ -39,7 +42,10 @@ DEFAULT_SAMPLES = 1001
 
 GAUSSIAN_WINDOW_SIGMAS = 5.0
 GRID_CHUNK = 1 << 15  # walk_grid's points per step: a few such arrays stay in cache
-STEP_POINTS_PER_BREAKPOINT = 4  # PiecewiseConstant._on_grid slices a chunk from this density on
+# PiecewiseConstant._on_grid slices a chunk, and survey._report_block places a cell's grid
+# row, from this many points per breakpoint on; below it a breakpoint search is cheaper
+STEP_POINTS_PER_BREAKPOINT = 4
+_EDGE_CHECKS = 4  # checks of a guessed grid index before _first_reaching gives it up
 ZERO_MEMBERSHIP = "membership is zero everywhere on the sampling grid; centroid undefined"
 
 
@@ -361,7 +367,6 @@ class Sampled(MembershipFunction):
 
     xs: np.ndarray
     mus: np.ndarray
-    _EDGE_CHECKS = 4  # checks of each run edge's walk point before a cut takes the walk
 
     def __post_init__(self):
         xs = _as_float_array(self.xs, "xs")
@@ -426,8 +431,8 @@ class Sampled(MembershipFunction):
     def _walk_points(self, v: np.ndarray, samples: int) -> bool:
         """Set each source index in v to I(v) (`samples` if no point reaches it), GRID_CHUNK
         at a time: a guess by the grids' ratio, stepped until p(I - 1) < v <= p(I), p by the
-        walk's own ``linspace_at`` and ``_positions``. False if p falls at the last point or
-        an I(v) is not settled in _EDGE_CHECKS checks."""
+        walk's own ``linspace_at`` and ``_positions`` (``_first_reaching``). False if p falls
+        at the last point or an I(v) is not settled."""
         w, div = self.window(), samples - 1
         def p(i):
             return self._positions(linspace_at(w.l, w.r, samples, i))
@@ -437,17 +442,26 @@ class Sampled(MembershipFunction):
         for a in range(0, v.size, GRID_CHUNK):
             edges = v[a : a + GRID_CHUNK]
             i = np.clip(np.ceil((edges - 0.5) * rate), 0, samples).astype(np.intp)
-            for _ in range(self._EDGE_CHECKS):
-                reach = (p(np.minimum(i, div)) >= edges) | (i == samples)
-                first = (p(np.maximum(i - 1, 0)) < edges) | (i == 0)
-                if (reach & first).all():
-                    break
-                i += ~reach  # p(I) < v: one point right
-                i -= ~first  # p(I - 1) >= v: one point left
-            else:
+            if not _first_reaching(p, edges, i, samples).all():
                 return False
             edges[:] = i
         return True
+
+
+def _first_reaching(p, v, i, n: int) -> np.ndarray:
+    """Step each guess i in [0, n] to I(v), the first index whose ``p`` reaches v (n if
+    none), ``p`` ascending on 0..n-1, until p(I - 1) < v <= p(I), in at most _EDGE_CHECKS
+    checks; whether each settled."""
+    settled = np.zeros(i.shape, bool)
+    for _ in range(_EDGE_CHECKS):
+        reach = (p(np.minimum(i, n - 1)) >= v) | (i == n)
+        first = (p(np.maximum(i - 1, 0)) < v) | (i == 0)
+        settled = reach & first
+        if settled.all():
+            break
+        i += ~reach  # p(I) < v: one point right
+        i -= ~first  # p(I - 1) >= v: one point left
+    return settled
 
 
 @dataclass(frozen=True)

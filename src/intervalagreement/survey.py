@@ -33,8 +33,9 @@ from .errors import (
     UnknownGroup,
     UnknownTerm,
 )
-from .fuzzyset import (DEFAULT_SAMPLES, GRID_CHUNK, ZERO_MEMBERSHIP, MembershipFunction,
-                       _check_samples, linspace_at, step_at, step_table, walk_linspace)
+from .fuzzyset import (DEFAULT_SAMPLES, GRID_CHUNK, STEP_POINTS_PER_BREAKPOINT, ZERO_MEMBERSHIP,
+                       MembershipFunction, _check_samples, _first_reaching, linspace_at, step_at,
+                       step_table, walk_linspace)
 from .iaa import build_iaa
 from .intervals import (
     Interval,
@@ -582,7 +583,9 @@ def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow
     cell: each cell is swept once (``coverage_cells``), the sweeps are concatenated, so their
     arrays grow with the block's responses, and each later step runs once over them all,
     adding what the per-cell path adds, in order. The centroid grids, a row per cell, walked
-    in chunks (``walk_linspace``), read one ``step_table`` of all cells by ``step_at``."""
+    in chunks (``walk_linspace``), read one ``step_table`` of all cells: a row with a few
+    points per coordinate by its own breakpoint search and ``step_at``, the others placed,
+    all at once, from each coordinate's first grid point (``_grid_places``)."""
     ends = np.cumsum(n)
     sweeps = [coverage_cells(IntervalCollection._from_arrays(ls[e - c:e], rs[e - c:e]))
               for e, c in zip(ends.tolist(), n.tolist())]
@@ -595,10 +598,19 @@ def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow
     lengths = run_sums((ends - n)[cell[start]] + key, coords[stop] - coords[start], ends[-1])
     support = [float(np.diff(x)[c > 0].sum()) for x, c in sweeps]  # as support_length sums
     steps = step_table(levels[:-1])  # each cell's closing 0 is a level between cells
+    placed, place = _grid_places(steps, coords, cell, first, m, samples)
+    looked = np.flatnonzero(~placed)
     def chunk(xs, a, b, scale=1.0):
-        # a row starts on its cell's first coordinate: r >= 1, r - 1 in the cell
-        r = np.stack([np.searchsorted(c, x, "right") for (c, _), x in zip(sweeps, xs)])
-        mus = step_at(steps, coords, r + first[:, None], xs)
+        if placed.all():
+            mus = place(a, b)
+        else:  # a row starts on its cell's first coordinate: r >= 1, r - 1 in the cell
+            x = xs[looked] if placed.any() else xs
+            r = np.stack([np.searchsorted(sweeps[j][0], row, "right")
+                          for j, row in zip(looked.tolist(), x)])
+            mus = step_at(steps, coords, r + first[looked, None], x)
+            if placed.any():
+                looked_mus, mus = mus, np.empty(xs.shape)
+                mus[looked], mus[placed] = looked_mus, place(a, b)
         np.multiply(xs, mus, out=xs)
         if scale != 1.0:
             xs *= scale
@@ -627,6 +639,51 @@ def _report_block(names, ls, rs, n, mode, alpha_cuts, samples) -> list[ReportRow
     return list(map(ReportRow, *zip(*names), np.maximum.reduceat(levels, first).tolist(),
                     centroid.tolist(), gamma_sums(compared, size)[0].tolist(), support,
                     lengths[ends - 1].tolist(), n.tolist()))
+
+
+def _grid_places(steps, coords, cell, first, m, samples):
+    """Which cells' grid rows ``np.linspace(lo, hi, samples)`` (lo and hi a cell's first
+    and last coordinate) are placed, not looked up, and ``place(a, b)``: the placed rows'
+    ``step_at`` values on their points a..b-1. A row is placed when a walk chunk (at most
+    GRID_CHUNK points) holds STEP_POINTS_PER_BREAKPOINT points per coordinate and its step
+    does not underflow, so its points but the last are ``i * step + lo``, ascending. Each
+    coordinate v's first point at or above it, I, is guessed from the step and checked by
+    that arithmetic (``_first_reaching``); point I reads v's breakpoint value if it is v,
+    and the points after it, up to the next coordinate's I, v's cell level: one
+    ``np.repeat`` over every placed row, its indices clipped to the chunk. A row with an I
+    not settled, or with two points on one coordinate, is looked up. The last point, hi,
+    reads the last breakpoint's value on its own: a subnormal step can put the points
+    before it past it."""
+    div, lo, hi = samples - 1, coords[first], coords[first + m - 1]
+    step = (hi - lo) / div  # as linspace_at's: its points but the last are i * step + lo
+    placed = (m * STEP_POINTS_PER_BREAKPOINT <= min(samples, GRID_CHUNK)) & (step > 0)
+    if not placed.any():
+        return placed, None
+    on = placed[cell]
+    c, v = cell[on], coords[on]
+    lo, step = lo[c], step[c]
+    def x(j):  # point j of v's row, as linspace_at gives it for j < div
+        return j * step + lo
+    with np.errstate(over="ignore"):
+        i = np.clip(np.ceil((v - lo) / step), 0, div).astype(np.intp)
+    settled = _first_reaching(x, v, i, div)
+    hit = x(np.minimum(i, div - 1)) == v  # i == div: no point reaches v
+    placed[c[~settled | hit & (x(i + 1) == v)]] = False  # or two points on v
+    keep = placed[c]
+    edges = np.repeat(i[keep], 2)
+    edges[1::2] += hit[keep]  # the first point past v
+    vals = steps[1:][np.repeat(placed[cell], 2)]  # (on v, after v) of every placed coordinate
+    rows = np.repeat(np.arange(np.count_nonzero(placed)), 2 * m[placed])
+    last = steps[2 * (first + m)[placed] - 1]
+
+    def place(a: int, b: int) -> np.ndarray:
+        at = np.clip(edges - a, 0, b - a)
+        at += rows * (b - a)
+        mus = np.repeat(vals, np.diff(at, append=last.size * (b - a))).reshape(-1, b - a)
+        if b == samples:
+            mus[:, -1] = last
+        return mus
+    return placed, place
 
 
 def emit_series(
@@ -687,14 +744,29 @@ def series_text(blocks, format: str):
     """The text of a membership series as ``format`` (csv or json), a block of (xs, mus)
     at a time, so a writer holds one block's text: CSV lines ``x,mu`` under a header, or
     one JSON array of [x, mu] pairs, each value ``_fmt``'s. A block's ``.6g`` text is
-    one ``%`` over its values; JSON dumps the floats that text reads as."""
+    one ``%`` over its values; JSON writes each value as ``json.dumps`` writes the float
+    that text reads as, from the text (``_json_number``)."""
     yield "x,mu\n" if format == "csv" else "["
     for i, (xs, mus) in enumerate(blocks):
         text = "%.6g,%.6g\n" * xs.size % tuple(np.column_stack([xs, mus]).ravel().tolist())
         if format == "csv":
             yield text
-        else:  # json.dumps of a block of pairs, brackets dropped, is that stretch of the whole
-            values = iter(map(float, text.replace(",", " ").split()))
-            yield (", " if i else "") + json.dumps(list(zip(values, values)))[1:-1]
+        else:  # a number with a point and no exponent is its float's repr already
+            numbers = [t if "." in t and "e" not in t else _json_number(t)
+                       for t in text.replace(",", " ").split()]
+            yield (", " if i else "") + ("[%s, %s], " * xs.size % tuple(numbers))[:-2]
     if format != "csv":
         yield "]\n"
+
+
+def _json_number(text: str) -> str:
+    """``json.dumps`` of the float that ``.6g`` text reads as: its repr, which has the
+    text's digits (a float keeps 6 significant digits), with ``.0`` after an integer, an
+    exponent of 6 to 15 written out, and Infinity or NaN for inf or nan. Only a subnormal
+    (exponent -308 or below), whose repr may hold fewer digits, is read as a float."""
+    mant, _, exp = text.partition("e")
+    if not exp:
+        return {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}.get(text, text + ".0")
+    if 6 <= int(exp) < 16:
+        return mant.replace(".", "").ljust(int(exp) + 1 + mant.startswith("-"), "0") + ".0"
+    return repr(float(text)) if int(exp) <= -308 else text

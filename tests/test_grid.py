@@ -328,7 +328,7 @@ def _segment_bits(region):
     return bits([[s.l, s.r] for s in region.segments]).tolist()
 
 
-@pytest.mark.parametrize("checks", [Sampled._EDGE_CHECKS, 0], ids=["source", "walk"])
+@pytest.mark.parametrize("checks", [fuzzyset._EDGE_CHECKS, 0], ids=["source", "walk"])
 @pytest.mark.parametrize("chunk", [128, GRID_CHUNK])
 @given(sampled_source(), st.data())
 @example(Sampled(np.array([-0.0, 5e-324, 1e-323]), np.array([1.0, 0.0, 1.0])),
@@ -358,7 +358,7 @@ def test_sampled_cuts_equal_the_whole_grid_either_side_of_the_source_size(
                           st.floats(1e-3, 1.0))
         alphas = data.draw(st.lists(level, min_size=1, max_size=6))
         cuts = data.draw(st.integers(2, 8))
-    with mock.patch.object(Sampled, "_EDGE_CHECKS", checks), \
+    with mock.patch.object(fuzzyset, "_EDGE_CHECKS", checks), \
             mock.patch.object(fuzzyset, "GRID_CHUNK", chunk):
         xs, grid = sample_grid(mf, samples)
         col, lefts, rights = _whole_grid_runs(xs, grid, alphas)

@@ -35,7 +35,8 @@ from intervalagreement import (
     make_interval,
     report,
 )
-from intervalagreement import intervals, survey
+from intervalagreement import fuzzyset, intervals, survey
+from intervalagreement.fuzzyset import step_at
 from intervalagreement.survey import (
     CSV_HEADER,
     TERM_ORDER,
@@ -767,6 +768,156 @@ def test_report_memory_is_bounded_at_any_samples():
     assert peak < 8e6
 
 
+# (first endpoint, unit): a cell's endpoints are first + k * unit, k = 0..6
+_GRID_CASES = {
+    "lattice": (0.0, 1.0),  # grid points exactly on coordinates at 11, 101 and 1001 samples
+    "thirds": (0.0, 1 / 3),  # inexact: a guess from the step can miss by one point
+    "underflow": (0.0, 1e-322),  # at most 6e-322 wide: the step underflows past ~600 samples
+    "subnormal": (0.0, 5e-324),  # a subnormal step: the points before hi can pass it
+    "ulps": (1e15, 0.125),  # a few ulps wide: many points on each coordinate
+    "zeros": (-0.0, 0.5),  # -0.0 and 0.0 endpoints, on a negative scale
+    "huge": (1e308, 1e307),  # the moment passes the largest float: redone on the 2**-k grid
+}
+# at 12 samples two grid points round to 1e15 + 0.25, where the level falls from 1 to 1/2
+_COLLAPSE = [("Patient", 1, "ITD", 1e15, 1e15 + 0.25), ("Patient", 2, "ITD", 1e15, 1e15 + 0.5)]
+_WIDE = Interval(-10.0, 1.7e308)  # a negative scale, wide enough for every case
+
+
+@st.composite
+def _grid_survey(draw):
+    """Responses of one or two groups to one to three terms, 2 to 6 each, with endpoints
+    first + k * unit of one of _GRID_CASES (0 drawn as 0.0 or -0.0), and the report's
+    samples: 11, 101 or 1001 on the integer lattice, else small or up to 1001."""
+    case = draw(st.sampled_from(sorted(_GRID_CASES)))
+    base, unit = _GRID_CASES[case]
+    responses = []
+    for group in draw(st.lists(st.sampled_from(["Patient", "Surgeon"]), min_size=1,
+                               max_size=2, unique=True)):
+        for term in draw(st.lists(st.sampled_from(TERM_ORDER[:3]), min_size=1, max_size=3,
+                                  unique=True)):
+            for p in range(draw(st.integers(2, 6))):
+                k = sorted(draw(st.lists(st.integers(0, 6), min_size=2, max_size=2)))
+                ends = [base + j * unit for j in k]
+                responses.append((group, p, term, *(
+                    draw(st.sampled_from([0.0, -0.0])) if x == 0 else x for x in ends)))
+    if case == "lattice":
+        samples = draw(st.sampled_from([11, 101, 1001]))
+    else:
+        samples = draw(st.sampled_from([2, 3, 10, 11, 101, 1001]) | st.integers(2, 200))
+    return case, responses, samples
+
+
+def _placements_checked(found):
+    """A ``survey._grid_places`` whose ``place(a, b)`` is held, by ``tobytes``, to each
+    placed row's ``np.linspace`` points looked up by per-row ``searchsorted`` and
+    ``step_at``; each block's placed rows are appended to ``found``."""
+    real = survey._grid_places
+
+    def checked(steps, coords, cell, first, m, samples):
+        placed, place = real(steps, coords, cell, first, m, samples)
+        found.append(placed.tolist())
+
+        def place_checked(a, b):
+            mus = place(a, b)
+            rows = np.flatnonzero(placed)
+            want = []
+            for r in rows.tolist():
+                c = coords[first[r]:first[r] + m[r]]
+                x = np.linspace(c[0], c[-1], samples)[a:b]
+                want.append(step_at(steps, coords, np.searchsorted(c, x, "right") + first[r], x))
+            assert mus.tobytes() == np.stack(want).tobytes()
+            return mus
+        return placed, place_checked if placed.any() else place
+    return checked
+
+
+def _row_bytes(rep):
+    return (tuple((r.group, r.term, r.n) for r in rep.rows), np.array(
+        [[r.height, r.centroid, r.gamma, r.support_length, r.core_length] for r in rep.rows]
+    ).tobytes(), rep.skipped)
+
+
+@settings(max_examples=200)
+@example(("lattice", [("Patient", p, "ITD", float(p), float(p + 3)) for p in range(4)], 11),
+         "exact", 5, 1 << 15, 4)
+@example(("subnormal", [("Patient", 1, "ITD", 0.0, 25e-324), ("Patient", 2, "ITD", 0.0, 25e-324)],
+          10), "exact", 5, 1 << 15, 4)  # the points before hi pass it: 8 ulps, then hi at 5
+@example(("huge", [("Patient", p, "ITD", 1e308, 1.5e308) for p in range(2)], 101),
+         "alpha", 3, 16, 4)
+@example(("ulps", _COLLAPSE, 12), "exact", 2, 1 << 15, 4)  # two points on 1e15 + 0.25
+@example(("thirds", [("Patient", 1, "ITD", 2 / 3, 4 / 3), ("Patient", 2, "ITD", 1.0, 4 / 3)], 13),
+         "exact", 2, 1 << 15, 0)  # the guess for 1.0 is one point past it: not settled
+@given(_grid_survey(), st.sampled_from(["exact", "alpha"]), st.integers(2, 10),
+       st.sampled_from([16, 128, 1 << 15]), st.sampled_from([0, 1, 4]))
+def test_report_grid_rows_placed_equal_the_lookup(case, mode, alpha_cuts, chunk, checks):
+    """Placed grid rows read, chunk by chunk, what today's per-row ``searchsorted`` and
+    ``step_at`` read on ``np.linspace``'s points, and ``report`` equals ``oracle_report``
+    by ``tobytes``: grid points on coordinates, an underflowing or subnormal step, many
+    points per coordinate, both signs of zero on a negative scale, a moment redone on the
+    2**-k grid, and walks of several chunks (the walk's GRID_CHUNK patched small). With
+    0 or 1 edge checks, rows whose guesses do not settle are looked up."""
+    _, responses, samples = case
+    ds = load_survey(StringIO(_survey_text(responses)), scale=_WIDE)
+    with patch.object(fuzzyset, "GRID_CHUNK", chunk):  # under 128, np.sum's bits no more
+        want = _outcome(lambda: oracle_report(ds, mode, alpha_cuts, samples))
+        with patch.object(survey, "_grid_places", _placements_checked([])), \
+                patch.object(fuzzyset, "_EDGE_CHECKS", checks):
+            got = _outcome(lambda: report(ds, mode=mode, alpha_cuts=alpha_cuts, samples=samples))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert _row_bytes(got) == _row_bytes(want)
+
+
+def _paper_survey(rng):
+    """A paper-sized survey: 3 groups x 40 participants x 5 terms, unrounded endpoints."""
+    centre, half = rng.uniform(1.5, 8.5, (3, 40, 5)), rng.uniform(0.25, 1.5, (3, 40, 5))
+    lo, hi = (centre - half).tolist(), (centre + half).tolist()
+    return [(g, p, t, lo[i][p][k], hi[i][p][k])
+            for i, g in enumerate(["Patient", "Physiotherapist", "Surgeon"])
+            for p in range(40) for k, t in enumerate(TERM_ORDER)]
+
+
+@pytest.mark.parametrize("case, samples, placed", [
+    ("paper", 1001, [[True] * 20]),  # 80 or 240 coordinates a cell: one block, all placed
+    ("dense", 1001, [[False] * 3]),  # 300 to 900 coordinates: under 4 points each
+    ("mixed", 1001, [[False, True, False, True]]),  # dense cells and small ones share a block
+    ("underflow", 1001, [[False] * 2]),  # the step underflows: linspace's other rule
+    ("ulps", 1001, [[False] * 2]),  # many points on each coordinate
+    ("collapse", 12, [[False] * 2]),  # two points on one coordinate, its edges settled
+    ("subnormal", 10, [[True] * 2]),  # a subnormal step: the points before hi pass it
+    ("lattice", 17, [[True] * 2]),  # a point on each coordinate, the last before hi too
+])
+def test_report_grid_rows_take_their_path(case, samples, placed):
+    """Which rows each block places and which keep the per-row lookup, and the report
+    still equals the per-cell loop by ``tobytes``."""
+    rng = np.random.default_rng(30)
+    def drawn(group, term, count):
+        return [(group, p, term, *sorted(rng.uniform(0, 10, 2).tolist())) for p in range(count)]
+    if case == "paper":
+        responses = _paper_survey(rng)
+    elif case == "dense":
+        responses = drawn("Patient", "ITD", 150) + drawn("Surgeon", "ITD", 300)
+    elif case == "mixed":
+        responses = drawn("Patient", "ITD", 150) + drawn("Patient", "ED", 3)
+    elif case == "collapse":
+        responses = _COLLAPSE
+    elif case == "lattice":  # a step of 1/4: points 4 and 15 are on 1 and 3.75
+        responses = [("Patient", 1, "ITD", 0.0, 4.0), ("Patient", 2, "ITD", 1.0, 3.75)]
+    elif case == "subnormal":  # 5 ulps wide at 10 samples: a step of 1 ulp
+        responses = [("Patient", 1, "ITD", 0.0, 25e-324), ("Patient", 2, "ITD", 0.0, 25e-324)]
+    else:
+        base, unit = _GRID_CASES[case]
+        responses = [("Patient", 1, "ITD", base, base + 4 * unit),
+                     ("Patient", 2, "ITD", base + unit, base + 2 * unit)]
+    ds = load_survey(StringIO(_survey_text(responses)), scale=_WIDE)
+    found = []
+    with patch.object(survey, "_grid_places", _placements_checked(found)):
+        got = report(ds, samples=samples)
+    assert _row_bytes(got) == _row_bytes(oracle_report(ds, samples=samples))
+    assert found == placed
+
+
 THIN = "group,participant_id,term,l,r\nPatient,P01,ITD,0,1\nSurgeon,S01,ED,2,3\n"
 TWO = "group,participant_id,term,l,r\nPatient,P01,ITD,0,1\nPatient,P02,ITD,0.5,2\n"
 
@@ -877,6 +1028,23 @@ def test_series_blocks_join_to_the_whole_text(monkeypatch, points):
         [[float(survey._fmt(x)), float(survey._fmt(m))] for x, m in zip(xs, mus)]) + "\n"
     assert len(list(series_blocks(xs, mus, "csv"))) == 1 + -(-points // 3)
 
+
+
+_JSON_EDGES = [0.0, -0.0, 1.0, -7.0, 999999.4, 999999.5, 1e6, -1234567.0, 9.999994e15,
+               9.999995e15, 1e16, 1e-4, 9.9999e-5, 1.5e-5, 1e308, 2.2250738585072014e-308,
+               2.2e-308, 1e-310, 5e-324, -5e-324, float("inf"), float("-inf"), float("nan")]
+
+
+@example(_JSON_EDGES)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_series_json_numbers_are_json_dumps_of_their_text(values):
+    """A JSON series writes each value as ``json.dumps`` writes the float its ``.6g``
+    text reads as: integers with ``.0``, exponents 6 to 15 written out, Infinity and
+    NaN, and a subnormal's shorter repr."""
+    xs = np.array(values)
+    mus = xs[::-1].copy()
+    assert "".join(survey.series_text([(xs, mus)], "json")) == json.dumps(
+        [[float(survey._fmt(x)), float(survey._fmt(m))] for x, m in zip(xs, mus)]) + "\n"
 
 
 @pytest.mark.parametrize("samples", [2, 3, 4, 7])
