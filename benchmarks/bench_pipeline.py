@@ -7,11 +7,11 @@ this file lives in:
     python3 benchmarks/bench_pipeline.py --label parent --out path/to/BENCH_pipeline.json
 
 Each run is one entry in the output JSON (default ``BENCH_pipeline.json`` at
-the checkout root), keyed by ``--label``: a run under a label already in the
-file replaces that entry, so one file can hold the parent and the change side
-by side. An entry records the git revision (``git describe --always
---dirty``), the Python and numpy versions, the machine and the sections
-below.
+the checkout root), written on one line and keyed by ``--label``: a run under
+a label already in the file replaces that entry, so one file can hold the
+parent and the change side by side. An entry records the git revision (``git
+describe --always --dirty``), the Python and numpy versions, the machine and
+the sections below.
 
 Sections:
 
@@ -55,7 +55,8 @@ Sections:
   interval lines: ``cli.parse_interval_lines`` (of the lines as they are, whose
   blocks numpy's C line reader reads, and, as ``parse fallback``, with a
   comment line and a whitespace-only line after every FALLBACK_EVERY lines, so
-  every block is refused by that reader and split), ``gamma_exact`` and
+  that reader refuses every block and reads it again with its blank lines
+  emptied), ``gamma_exact`` and
   ``cli._print_breakdown`` of the exact breakdown and of the GAMMA_CUTS-cut
   ``gamma_alpha`` one, printed to ``os.devnull``, and of the exact breakdown
   of the list scaled by GAMMA_MS_SCALE, whose lengths ``%`` formats; each
@@ -419,7 +420,8 @@ def main(argv=None) -> int:
     }
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
     runs = [run for run in runs if run["label"] != args.label] + [entry]
-    args.out.write_text(json.dumps({"seed": SEED, "runs": runs}, indent=2) + "\n")
+    lines = ",\n".join(json.dumps(run) for run in runs)  # one run a line
+    args.out.write_text(f'{{"seed": {SEED}, "runs": [\n{lines}\n]}}\n')
     for p in entry["report_cells"]["points"]:
         print(f"{args.label}: report, {p['cells']:5d} cells in {p['blocks']:3d} blocks: best "
               f"{p['best_s'] * 1e3:8.2f} ms, median {p['median_s'] * 1e3:8.2f} ms, "

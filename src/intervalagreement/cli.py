@@ -1,9 +1,9 @@
 """Command-line front end: gamma, build, attrs, series, and report workflows.
 
 Interval lists (one `l,r` pair per line, `#` comments) and CSV surveys are read
-a block at a time by the survey module: a list's block by numpy's C line reader
-or, where it refuses, by the block split CSV uses; JSON per that module. All
-output is deterministic: identical inputs and flags produce identical bytes.
+a block at a time by the survey module: a list's block by numpy's C line reader,
+a survey's by a block split; JSON per that module. All output is deterministic:
+identical inputs and flags produce identical bytes.
 
 ``gamma`` prints γ, then one line per agreement level; every value is
 ``"%.6f"``'s text to the byte. The level lines are built TEXT_LINES at a time

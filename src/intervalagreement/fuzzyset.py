@@ -42,6 +42,7 @@ DEFAULT_SAMPLES = 1001
 
 GAUSSIAN_WINDOW_SIGMAS = 5.0
 GRID_CHUNK = 1 << 15  # walk_grid's points per step: a few such arrays stay in cache
+# at least 128, numpy's pairwise-summation block, or pairwise_sums' leaves lose np.sum's bits
 # PiecewiseConstant._on_grid slices a chunk, and survey._report_block places a cell's grid
 # row, from this many points per breakpoint on; below it a breakpoint search is cheaper
 STEP_POINTS_PER_BREAKPOINT = 4

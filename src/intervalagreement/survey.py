@@ -197,8 +197,7 @@ def load_survey(source, format: str = "csv", scale: Interval = DEFAULT_SCALE) ->
 
     CSV text without a quote, carriage return, NUL or line longer than
     ``csv.field_size_limit()`` is sliced from its UTF-8 bytes TEXT_LINES lines
-    at a time, and a block is split by ``_split_block`` only when it is reached;
-    interval lists (``parse_interval_lines``) fall back to that block split.
+    at a time, and a block is split by ``_split_block`` only when it is reached.
     Other text is read whole by ``csv.reader``, and JSON whole, so there a
     malformed line raises before a bad value on an earlier one. Either way the
     rows, errors and lines are those ``csv.reader`` gives.
@@ -242,7 +241,7 @@ def _csv_blocks(text: str):
         ends = _line_ends(data, len(data) - data.endswith(b"\n"))
         if np.diff(ends).max() <= csv.field_size_limit() + 1:
             _check_header(data[:ends[1]].decode("utf-8", "surrogatepass").split(","))
-            return ((_split_block(data, ends[a:a + TEXT_LINES + 1], 5)
+            return ((_split_block(data, ends[a:a + TEXT_LINES + 1])
                      for a in range(1, ends.size - 1, TEXT_LINES)), range(2, ends.size))
     reader = csv.reader(io.StringIO(text))
     rows, lines = [], []
@@ -261,31 +260,31 @@ def _line_ends(data: bytes, size: int) -> np.ndarray:
     return np.concatenate([[-1], np.flatnonzero(np.frombuffer(data, np.uint8, size) == 10), [size]])
 
 
-def _split_block(data: bytes, ends: np.ndarray, width: int):
-    """The lines of ``data`` that end at ``ends[1:]``, sliced and split on their own
-    into ``width`` columns, the last two endpoints (a survey's five, a list's two);
-    a line without ``width - 1`` commas reads as blanks and is split when asked for."""
+def _split_block(data: bytes, ends: np.ndarray):
+    """The survey lines of ``data`` that end at ``ends[1:]``, sliced and split on
+    their own into five columns; a line without four commas reads as blanks and
+    is split when asked for."""
     lo, hi = ends[0] + 1, ends[-1]
     lines = data[lo:hi].decode("utf-8", "surrogatepass")
     commas = np.flatnonzero(np.frombuffer(data, np.uint8, hi - lo, lo) == 44)
-    bad = np.diff(np.searchsorted(commas, ends - lo)) != width - 1
+    bad = np.diff(np.searchsorted(commas, ends - lo)) != 4
     if bad.any():
         raw = lines.split("\n")
-        lines = "\n".join(["," * (width - 1) if b else line for line, b in zip(raw, bad.tolist())])
+        lines = "\n".join([",,,," if b else line for line, b in zip(raw, bad.tolist())])
     fields = lines.replace("\n", ",").split(",")
-    columns = [fields[i::width] for i in range(width)]
+    columns = [fields[i::5] for i in range(5)]
     row = (lambda j: raw[j].split(",")) if bad.any() else (lambda j: [c[j] for c in columns])
     return columns, plain(lines) or _plain_rows(columns), row
 
 
 def parse_interval_lines(text: str) -> IntervalCollection:
     """One interval per line as ``l,r``; blank lines and ``#`` comments are
-    ignored, and every ``str.splitlines`` boundary ends a line. A block of
-    TEXT_LINES lines of ``plain`` text is read by numpy's C line reader, which
-    parses a number as builtin ``float`` does, when every row it gives is a
-    pair that passes ``ordered``. Other blocks are split as ``load_survey``
-    splits CSV; lines that fail, or whose text is not plain, are read on their
-    own in line order: a blank one is dropped, the first bad one raises."""
+    ignored, and every ``str.splitlines`` boundary ends a line. numpy's C line
+    reader reads each block of TEXT_LINES lines, parsing a number as builtin
+    ``float`` does; it refuses what the one-line rule refuses and a line of
+    blanks, so a refused block is read again with its field-less lines emptied.
+    A block refused twice, or with a pair that fails ``ordered``, is read a line
+    at a time in line order: a blank one is dropped, the first bad one raises."""
     if any(map(text.__contains__, "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")):
         text = "\n".join(text.splitlines())
     data = text.encode("utf-8", "surrogatepass")
@@ -293,26 +292,18 @@ def parse_interval_lines(text: str) -> IntervalCollection:
     ls, rs, kept = np.empty(ends.size - 1), np.empty(ends.size - 1), np.ones(ends.size - 1, bool)
     for a in range(0, kept.size, TEXT_LINES):
         at = ends[a:a + TEXT_LINES + 1]
-        block, at = data[at[0] + 1:at[-1]], at - at[0] - 1
-        lines, pairs = block.decode("utf-8", "surrogatepass"), None
-        if plain(lines):  # read first by numpy's C line reader; a block it refuses is split
-            with warnings.catch_warnings(), contextlib.suppress(ValueError):
-                warnings.simplefilter("ignore", UserWarning)  # a block of blanks has "no data"
-                pairs = np.loadtxt(lines.split("\n"), delimiter=",", comments="#", ndmin=2)
+        lines = data[at[0] + 1:at[-1]].decode("utf-8", "surrogatepass")
+        pairs = _read_lines(lines)
+        if pairs is None:  # the reader refuses a line of blanks, with or without a comment
+            pairs = _read_lines(re.sub(r"(?m)^[^\S\n]*(?:#.*)?$", "", lines))
         if pairs is not None and pairs.shape[1] == 2 and ordered(*pairs.T).all():
             ls[a:a + len(pairs)], rs[a:a + len(pairs)] = pairs.T  # its other lines were blank
             kept[a + len(pairs):a + at.size - 1] = False
             continue
-        if b"#" in block:  # comments are cut, so the block's line ends are found again
-            block = re.sub(rb"#[^\n]*", b"", block)
-            at = _line_ends(block, len(block))
-        (l, r), decided, _ = _split_block(block, at, 2)
-        ls[a:a + len(l)], rs[a:a + len(l)], ok = endpoint_arrays(l, r)
-        for k in (a + np.flatnonzero(~(ok & decided))).tolist():
-            raw = data[ends[k] + 1:ends[k + 1]].decode("utf-8", "surrogatepass")
+        for k, raw in enumerate(lines.split("\n"), a):
             parts = [part.strip() for part in raw.split("#", 1)[0].split(",")]
             kept[k] = parts != [""]  # a blank or comment-only line is dropped
-            if len(parts) == 2:  # stored: _floats reads text only strip cleans ("\x1f1") as NaN
+            if len(parts) == 2:
                 iv = read_interval(*parts, k + 1, raw)
                 ls[k], rs[k] = iv.l, iv.r
             elif kept[k]:
@@ -320,6 +311,13 @@ def parse_interval_lines(text: str) -> IntervalCollection:
     if not kept.any():
         raise ParseError("no intervals in input")
     return IntervalCollection._from_arrays(*((ls, rs) if kept.all() else (ls[kept], rs[kept])))
+
+
+def _read_lines(lines: str):
+    """numpy's C line reader's rows of ``lines``, or None if it refuses them."""
+    with warnings.catch_warnings(), contextlib.suppress(ValueError):
+        warnings.simplefilter("ignore", UserWarning)  # a block of blanks has "no data"
+        return np.loadtxt(lines.split("\n"), delimiter=",", comments="#", ndmin=2)
 
 
 def _reader_block(rows: list):

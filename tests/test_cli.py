@@ -1,4 +1,5 @@
 import argparse
+import functools
 import inspect
 import io
 import json
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import unicodedata
 import warnings
 from pathlib import Path
 from unittest.mock import patch
@@ -225,7 +227,7 @@ def test_every_splitlines_break_ends_a_line(sep):
         "0,1\n1,2\n2,3\n0,\u2003 9\n",  # non-plain text only in a later block, valid
         "0,1\n1,2\n2,3\n\u0661,\u0662\n",  # non-plain text only in a later block, invalid
         "# nothing\n\n# at all\n  # here\n",  # all comments: "no intervals in input"
-        "\x1f1,2\n0,3\n2,\u2003 4\n",  # padding float keeps, strip cuts, in a split block
+        "\x1f1,2\n0,3\n2,\u2003 4\n",  # padding float keeps and strip cuts, and the reader reads
     ],
     ids=["comment-block", "bad-later-block", "reversed-after-comment", "crlf", "bom",
          "non-plain-valid", "non-plain-invalid", "all-comments", "unit-separator-split"],
@@ -237,20 +239,54 @@ def test_parse_interval_lines_across_block_edges(rows, text):
 
 
 def test_plain_blocks_are_read_without_the_block_split(monkeypatch):
-    split = patch.object(survey_mod, "_split_block", wraps=survey_mod._split_block)
+    reads = patch.object(survey_mod, "_read_lines", wraps=survey_mod._read_lines)
+    one_line = patch.object(survey_mod, "read_interval", wraps=survey_mod.read_interval)
     monkeypatch.setattr(survey_mod, "TEXT_LINES", 3)
-    with split as spy:
+    with reads as read, one_line as per_line:
         coll = parse_interval_lines("0,1\n1,2  # inline\n\n2,3\n3,4\n4,5\n")
-        assert spy.call_count == 0  # both blocks went to the C line reader
+        assert (read.call_count, per_line.call_count) == (2, 0)  # two blocks, each read once
+        indented = parse_interval_lines("5,6\n  # indented\n6,7\n")
+        assert (read.call_count, per_line.call_count) == (4, 0)  # one block, read again
         text = "0,1\n1,2\n2,3\n3,4\n4;5\n5,6\n"  # one bad line in the second block
         with pytest.raises(ParseError) as info:
             parse_interval_lines(text)
-        assert spy.call_count == 1  # only that block fell back
+        assert read.call_count == 7  # the second block was refused twice
+        assert per_line.call_count == 1  # then "3,4" was read on its own and "4;5" raised
     assert coll.endpoints()[0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert indented.endpoints()[0].tolist() == [5.0, 6.0]
     with pytest.raises(ParseError) as want:
         parse_each_line(text)
-    assert (str(info.value), info.value.line) == (str(want.value), want.value.line) == (
-        "line 5: expected 'l,r', got '4;5'", 5)
+    assert (type(info.value), str(info.value), info.value.line) == (
+        type(want.value), str(want.value), want.value.line) == (
+        ParseError, "line 5: expected 'l,r', got '4;5'", 5)
+
+
+def _float_digit(c: str) -> bool:
+    try:
+        return float(c) >= 0.0
+    except ValueError:
+        return False
+
+
+@functools.cache
+def referee_chars() -> list:
+    """What ``str.strip`` strips, what ``float`` reads as a digit, and every C0/C1
+    control and format character."""
+    return [c for c in map(chr, range(sys.maxunicode + 1)) if not "\ud800" <= c <= "\udfff" and (
+        c.isspace() or unicodedata.category(c) in ("Cc", "Cf") or _float_digit(c))]
+
+
+REFEREE_PLACES = ["{}10,20", "1{}0,20", "10{},20", "10,{}20", "10,2{}0", "10,20{}", "{}"]
+
+
+@pytest.mark.parametrize("place", REFEREE_PLACES)
+def test_parse_interval_lines_matches_per_line_parser_on_every_odd_character(monkeypatch, place):
+    """Each character before, inside or after a field, or alone on its line, in a
+    block after one the reader reads again and before one it reads at once."""
+    monkeypatch.setattr(survey_mod, "TEXT_LINES", 2)
+    assert len(referee_chars()) > 800
+    for c in referee_chars():
+        _assert_parses_as_per_line_parser(f"0,1\n \t# c\n2,3\n{place.format(c)}\n5,6\n")
 
 
 def test_a_block_of_comments_and_blanks_warns_nothing():

@@ -191,6 +191,18 @@ def test_pairwise_sums_equal_np_sum(n, kind, seed):
     assert leaves[-1][1] == n
 
 
+@pytest.mark.parametrize("chunk", [128, GRID_CHUNK])
+@pytest.mark.parametrize("n", [127, 128, 129, 255, 256, 257, 2**15 + 1])
+@pytest.mark.parametrize("kind", ["mixed", "symmetric_moment"])
+def test_pairwise_sums_equal_np_sum_from_numpys_pairwise_block(monkeypatch, chunk, n, kind):
+    """numpy sums a block of up to 128 values in eight lanes and splits a longer run at
+    ``n//2 - (n//2) % 8``, so leaves of at least 128 values keep ``np.sum``'s bits."""
+    monkeypatch.setattr(fuzzyset, "GRID_CHUNK", chunk)
+    v = _values(kind, n, n)
+    total, = pairwise_sums(n, lambda a, b: (np.sum(v[a:b]),))
+    assert bits(total) == bits(np.sum(v))
+
+
 def test_walk_grid_sums_linspace_and_finds_cut_runs():
     mf, alphas = triangular(-3, 0, 3), np.array([0.5, 0.25, 1.0])
     for n in CHUNK_SIZES:
