@@ -9,9 +9,13 @@ this file lives in:
 Each run is one entry in the output JSON (default ``BENCH_pipeline.json`` at
 the checkout root), written on one line and keyed by ``--label``: a run under
 a label already in the file replaces that entry, so one file can hold the
-parent and the change side by side. An entry records the git revision (``git
-describe --always --dirty``), the Python and numpy versions, the machine and
-the sections below.
+parent and the change side by side. An entry records the git revision, the
+Python and numpy versions, the machine and the sections below. The revision is
+``git describe --always --dirty`` in a git checkout; in a tree extracted with
+``git archive``, where that fails, it is the short commit id that the archive
+wrote into ARCHIVED_REVISION (``.gitattributes`` marks this file
+``export-subst``). Archives of commits made before that mark still record
+``"unknown"``.
 
 Sections:
 
@@ -387,6 +391,9 @@ def machine() -> str:
     return f"{platform.machine()}, {model}, {os.cpu_count()} cpus"
 
 
+ARCHIVED_REVISION = "$Format:%h$"  # git archive writes the short commit id here
+
+
 def revision() -> str:
     try:
         return subprocess.run(
@@ -394,7 +401,7 @@ def revision() -> str:
             text=True, check=True,
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+        return "unknown" if ARCHIVED_REVISION.startswith("$") else ARCHIVED_REVISION
 
 
 def main(argv=None) -> int:

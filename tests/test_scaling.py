@@ -5,6 +5,7 @@ the same from run to run on one input, so the bound does not depend on the
 host's speed."""
 
 import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -54,12 +55,30 @@ def csv_survey(rows: int) -> str:
         for g in range(4) for t, term in enumerate(TERM_ORDER) for p in range(participants))
 
 
+def quoted_survey(rows: int) -> str:
+    """``csv_survey`` with every name in double quotes, so ``csv.reader`` reads it."""
+    header, *lines = csv_survey(rows).splitlines()
+    return header + "\n" + "".join(
+        '"{}","{}","{}",{},{}\n'.format(*line.split(",")) for line in lines)
+
+
+def json_survey(rows: int) -> str:
+    """``csv_survey``'s rows as JSON records."""
+    fields = (line.split(",") for line in csv_survey(rows).splitlines()[1:])
+    return json.dumps([{"group": g, "participant_id": p, "term": t, "l": float(l), "r": float(r)}
+                       for g, p, t, l, r in fields])
+
+
 FAMILIES = {
     "plain list": (lambda rows: interval_list(rows, False),
                    lambda text: gamma_exact(parse_interval_lines(text)), 5_000),
     "decorated list": (lambda rows: interval_list(rows, True),
                        lambda text: gamma_exact(parse_interval_lines(text)), 5_000),
     "csv survey": (csv_survey, lambda text: report(load_survey(io.StringIO(text))), 2_000),
+    "quoted csv survey": (quoted_survey,
+                          lambda text: report(load_survey(io.StringIO(text))), 2_000),
+    "json survey": (json_survey,
+                    lambda text: report(load_survey(io.StringIO(text), format="json")), 2_000),
 }
 
 
